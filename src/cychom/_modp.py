@@ -1,36 +1,22 @@
-"""Row reduction kernels over F_p on int64 arrays.
+"""Row reduction over F_p on int64 arrays.
 
 This is the one genuinely hot numeric loop in the package (ranks of
-large boundary matrices over small prime fields), so it carries a
-numba-compiled kernel with a pure-numpy fallback.  Selection:
-
-* ``CYCHOM_NO_NUMBA=1`` in the environment forces the numpy path;
-* otherwise the numba kernel is used when numba imports cleanly.
-
-Both paths compute the same reduced row echelon form; the benchmark in
-``benchmarks/bench_modp.py`` compares them.
+large boundary matrices over small prime fields).  Elimination
+multiplies two residues in [0, p), so every product fits in an int64
+exactly when (p - 1)^2 < 2^63; ``domains`` rejects larger p.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("CYCHOM_NO_NUMBA", "") not in ("", "0")
 
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dep
-        njit = None
-else:
-    njit = None
+def rref_modp(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p of an integer array (input is not modified).
 
-
-def _rref_modp_numpy(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p.  Returns (matrix, pivot column list)."""
-    a = a % p
+    Returns (matrix, pivot column list).
+    """
+    a = np.asarray(a, dtype=np.int64) % p
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -53,63 +39,3 @@ def _rref_modp_numpy(a: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return a, pivots
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _rref_modp_jit(a, p):  # pragma: no cover - exercised via dispatch
-        rows, cols = a.shape
-        piv = np.empty(min(rows, cols), dtype=np.int64)
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            sel = -1
-            for i in range(r, rows):
-                if a[i, c] % p != 0:
-                    sel = i
-                    break
-            if sel < 0:
-                continue
-            if sel != r:
-                for k in range(cols):
-                    tmp = a[r, k]
-                    a[r, k] = a[sel, k]
-                    a[sel, k] = tmp
-            # inverse of a[r, c] by square-and-multiply (p is prime)
-            base = a[r, c] % p
-            e = p - 2
-            inv = 1
-            while e > 0:
-                if e & 1:
-                    inv = (inv * base) % p
-                base = (base * base) % p
-                e >>= 1
-            for k in range(cols):
-                a[r, k] = (a[r, k] * inv) % p
-            for i in range(rows):
-                if i == r:
-                    continue
-                f = a[i, c] % p
-                if f != 0:
-                    for k in range(cols):
-                        a[i, k] = (a[i, k] - f * a[r, k]) % p
-            piv[r] = c
-            r += 1
-        return a, piv[:r]
-
-
-def using_numba() -> bool:
-    return njit is not None
-
-
-def rref_modp(a: np.ndarray, p: int):
-    """Dispatcher: RREF mod p of an int64 array (input is not modified)."""
-    work = np.array(a, dtype=np.int64, copy=True) % p
-    if work.size == 0:
-        return work, []
-    if njit is not None:
-        red, piv = _rref_modp_jit(work, p)
-        return red, [int(c) for c in piv]
-    return _rref_modp_numpy(work, p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
-from .domains import ScalarDomain, Z
+from .domains import ScalarDomain
 from .errors import (
     BasisMismatch,
     DomainMismatch,
@@ -81,17 +81,16 @@ class HomologyResult:
 
 
 def _representatives(kernel: SubspaceBasis, image: SubspaceBasis, dom):
-    """Deterministic cycle representatives: echelon completion of the image."""
-    chosen = []
-    current = [list(v) for v in image.vectors]
-    base_rank = image.dim
-    for v in kernel.vectors:
-        cand = current + [list(v)]
-        red, _ = linalg.rref_rows(cand, dom)
-        if len(red) > base_rank + len(chosen):
-            chosen.append(list(v))
-            current = cand
-    return chosen
+    """Deterministic cycle representatives: echelon completion of the image.
+
+    A kernel vector is kept iff it is independent of the image and of the
+    kernel vectors before it, i.e. iff its column is a pivot column of
+    [image basis | kernel basis].
+    """
+    cols = image.vectors + kernel.vectors
+    rows = [[v[i] for v in cols] for i in range(kernel.ambient)]
+    _, pivots = linalg.rref_rows(rows, dom)
+    return [list(kernel.vectors[j - image.dim]) for j in pivots if j >= image.dim]
 
 
 def homology(c: ChainComplex, degrees) -> HomologyResult:
@@ -149,29 +148,35 @@ class ChainMap:
                 raise NotAChainMap(f"{self.name or 'map'} fails d f = f d at degree {n}")
 
 
+def class_coordinates(h: HomologyResult, n: int, cycles) -> Matrix:
+    """Columns of coordinates of degree-n cycles in the class basis h.reps[n].
+
+    Each cycle is solved against the representatives together with the
+    boundary basis, and the boundary part of the solution is dropped.
+    """
+    reps = [list(v) for v in h.reps[n]]
+    basis = reps + [list(v) for v in h.boundary_image[n].vectors]
+    cols = []
+    for v in cycles:
+        x = solve_in_span(basis, v, h.dom)
+        if x is None:
+            raise NotAChainMap(f"cycle class not expressible at degree {n}")
+        cols.append(x[:len(reps)])
+    return Matrix.from_columns(cols, len(reps), h.dom)
+
+
 def induced_map(f: ChainMap, h_src: HomologyResult, h_tgt: HomologyResult,
                 degree: int) -> Matrix:
     """Matrix of f on homology bases at the given source degree."""
-    dom = f.source.dom
     tdeg = degree + f.shift
     src_reps = h_src.reps.get(degree)
-    tgt_reps = h_tgt.reps.get(tdeg)
-    if src_reps is None or tgt_reps is None:
+    if src_reps is None or h_tgt.reps.get(tdeg) is None:
         raise BasisMismatch(f"homology bases missing at degrees {degree}/{tdeg}")
-    bound = [list(v) for v in h_tgt.boundary_image[tdeg].vectors]
-    k = len(tgt_reps)
-    cols = []
-    # target cycles: check the image really is a cycle, then reduce mod boundaries
-    _, tgt_kernel, _ = rank_kernel_image(f.target.d(tdeg))
-    for r in src_reps:
-        v = f.mat(degree).apply(list(r))
-        if not tgt_kernel.contains(v):
-            raise NotAChainMap(f"{f.name or 'map'} sends a cycle to a non-cycle at degree {degree}")
-        x = solve_in_span([list(t) for t in tgt_reps] + bound, v, dom)
-        if x is None:
-            raise NotAChainMap(f"image class not expressible at degree {degree}")
-        cols.append(x[:k])
-    return Matrix.from_columns(cols, k, dom)
+    d = f.target.d(tdeg)
+    images = [f.mat(degree).apply(list(r)) for r in src_reps]
+    if any(any(d.apply(v)) for v in images):
+        raise NotAChainMap(f"{f.name or 'map'} sends a cycle to a non-cycle at degree {degree}")
+    return class_coordinates(h_tgt, tdeg, images)
 
 
 def exactness_at(f: Matrix, g: Matrix) -> bool:
@@ -628,14 +633,6 @@ def tensor_bicomplex(C: SimplicialModule, D: SimplicialModule, top=None,
             horiz[(p, q)] = cc.d(p).kron(Matrix.identity(dd.rank(q), D.dom))
     return Bicomplex(C.dom, ranks, vert, horiz,
                      name=f"{C.name}[p](x){D.name}[q]")
-
-
-def _iterated(mats):
-    """Compose a list of matrices, first element applied first."""
-    out = None
-    for m in mats:
-        out = m if out is None else m @ out
-    return out
 
 
 def _aw_block(C, D, n, p):

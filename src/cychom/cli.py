@@ -15,6 +15,7 @@ import sys
 from .chains import (
     aw_map,
     check_module_identities,
+    class_coordinates,
     ez_map,
     homology,
     induced_map,
@@ -22,7 +23,7 @@ from .chains import (
 )
 from .cyclic import connes_maps, hc, hc_window
 from .derham import hkr_epsilon, hkr_pi, omega_power
-from .domains import Q, parse_domain
+from .domains import parse_domain
 from .errors import BudgetExceeded, CychomError, InputFormatError
 from .groups import group_from_json, group_from_preset
 from .hochschild import (
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="JSON input file")
         p.add_argument("--group", help="group preset, e.g. cyclic:2 or symmetric:3")
         p.add_argument("--domain", default=domain_default,
-                       help="scalar domain: q, zp:<p>, or z")
+                       help="scalar domain: q, zp:<p> (prime p <= 3037000493), or z")
         p.add_argument("--max-degree", type=int, required=True)
         norm = p.add_mutually_exclusive_group()
         norm.add_argument("--normalized", dest="mode", action="store_const",
@@ -225,10 +226,6 @@ def _suite_sbi(args) -> int:
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _identity_matrix(k, dom):
-    return Matrix.identity(k, dom)
-
-
 def _suite_hkr(args) -> int:
     dom = parse_domain(args.domain)
     A = _get_algebra(args, dom)
@@ -237,13 +234,14 @@ def _suite_hkr(args) -> int:
         om = omega_power(A, n)
         eps = hkr_epsilon(A, n, om)
         pi = hkr_pi(A, n, om)
-        section = (pi @ eps) == _identity_matrix(om.dim, dom)
+        section = (pi @ eps) == Matrix.identity(om.dim, dom)
         ok = ok and section
         hres = hh(A, [n], mode="unnormalized", budget=args.budget)
         betti = hres.betti[n]
         # induced maps on homology: eps sends Omega^n to cycles, pi kills
         # boundaries, so ranks against the class basis decide the isos
-        eps_classes = _classes_of(eps, hres, n, dom)
+        eps_classes = class_coordinates(
+            hres, n, [eps.column_vector(c) for c in range(eps.cols)])
         iso_eps = betti == om.dim and rank(eps_classes) == om.dim
         pi_classes = Matrix.from_columns(
             [pi.apply(list(r)) for r in hres.reps[n]], om.dim, dom)
@@ -253,20 +251,6 @@ def _suite_hkr(args) -> int:
               f" eps iso {iso_eps}, pi iso {iso_pi}")
     print("hkr:", "pass" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _classes_of(eps, hres, n, dom):
-    """Coordinates of eps columns against the homology class basis."""
-    from .linalg import solve_in_span
-    reps = [list(v) for v in hres.reps[n]]
-    bound = [list(v) for v in hres.boundary_image[n].vectors]
-    cols = []
-    for c in range(eps.cols):
-        x = solve_in_span(reps + bound, eps.column_vector(c), dom)
-        if x is None:
-            raise CychomError("cycle class not expressible")
-        cols.append(x[:len(reps)])
-    return Matrix.from_columns(cols, len(reps), dom)
 
 
 def _suite_aw_ez(args) -> int:
@@ -281,7 +265,7 @@ def _suite_aw_ez(args) -> int:
         aw = aw_map(C, D, mode="normalized", top=top)
         ez = ez_map(C, D, mode="normalized", top=top)
         retr = all((aw.mat(n) @ ez.mat(n)) ==
-                   _identity_matrix(aw.target.rank(n), dom)
+                   Matrix.identity(aw.target.rank(n), dom)
                    for n in range(top + 1))
         from .chains import ChainMap
         round_trip = ChainMap(aw.source, aw.source,
@@ -289,7 +273,7 @@ def _suite_aw_ez(args) -> int:
                               name="EZ.AW")
         h_src = homology(aw.source, range(args.max_degree + 1))
         ident = all(induced_map(round_trip, h_src, h_src, n) ==
-                    _identity_matrix(h_src.betti[n], dom)
+                    Matrix.identity(h_src.betti[n], dom)
                     for n in range(args.max_degree + 1))
         print(f"{name}: AW.EZ=id {'pass' if retr else 'FAIL'},"
               f" EZ.AW=id on homology {'pass' if ident else 'FAIL'}")

@@ -17,31 +17,25 @@ from .chains import (
     HomologyResult,
     SimplicialModule,
     check_module_identities,
+    class_coordinates,
     exactness_at,
     homology,
     induced_map,
     total_complex,
 )
-from .errors import BasisMismatch, NotAChainMap, RelationFailure, WindowTooSmall
+from .errors import NoUnitStructure, NotAChainMap, RelationFailure, WindowTooSmall
 from .hochschild import DEFAULT_BUDGET, FiniteAlgebra, extra_degeneracy, hh, hochschild_module
-from .linalg import rank, rank_kernel_image, solve_in_span
+from .linalg import rank
 from .matrix import Matrix
 
 
-def _identity(n, dom) -> Matrix:
-    m = Matrix.zeros(n, n, dom)
-    for i in range(n):
-        m._add_to(i, i, dom.one)
-    return m
-
-
 def one_minus_t(sm: SimplicialModule, n: int) -> Matrix:
-    return _identity(sm.rank(n), sm.dom) - sm.t(n)
+    return Matrix.identity(sm.rank(n), sm.dom) - sm.t(n)
 
 
 def norm_map(sm: SimplicialModule, n: int) -> Matrix:
     """N = 1 + t + ... + t^n on degree n (signed t)."""
-    power = _identity(sm.rank(n), sm.dom)
+    power = Matrix.identity(sm.rank(n), sm.dom)
     out = power
     for _ in range(n):
         power = sm.t(n) @ power
@@ -109,20 +103,28 @@ def hc(arg, degrees, columns=None, budget=DEFAULT_BUDGET) -> HomologyResult:
     return res
 
 
+def _unital_algebra(sm: SimplicialModule) -> FiniteAlgebra:
+    A = getattr(sm, "algebra", None)
+    if A is None:
+        raise NoUnitStructure("homotopy needs a unital-algebra module")
+    return A
+
+
 def bprime_homotopy_check(sm: SimplicialModule, degrees) -> bool:
     """Verify b'h + hb' = id degreewise; certifies odd-column acyclicity."""
+    A = _unital_algebra(sm)
     ident = True
     for n in degrees:
-        lhs = sm.bprime(n + 1) @ extra_degeneracy(sm, n)
+        lhs = sm.bprime(n + 1) @ extra_degeneracy(A, n)
         if n >= 1:
-            lhs = lhs + extra_degeneracy(sm, n - 1) @ sm.bprime(n)
-        ident = ident and lhs == _identity(sm.rank(n), sm.dom)
+            lhs = lhs + extra_degeneracy(A, n - 1) @ sm.bprime(n)
+        ident = ident and lhs == Matrix.identity(sm.rank(n), sm.dom)
     return ident
 
 
 def connes_b(sm: SimplicialModule, n: int) -> Matrix:
     """The chain-level B = (1 - t) h N : C_n -> C_{n+1}."""
-    return one_minus_t(sm, n + 1) @ extra_degeneracy(sm, n) @ norm_map(sm, n)
+    return one_minus_t(sm, n + 1) @ extra_degeneracy(_unital_algebra(sm), n) @ norm_map(sm, n)
 
 
 class SBIReport:
@@ -142,10 +144,6 @@ class SBIReport:
     def rows(self):
         return [{"node": f"{lab}_{n}", "im_dim": im, "ker_dim": ker,
                  "exact": ok} for (lab, n, im, ker, ok) in self.nodes]
-
-
-def _zero_matrix(rows, cols, dom):
-    return Matrix.zeros(rows, cols, dom)
 
 
 def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
@@ -194,15 +192,15 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
         if n >= 2:
             rep.s_maps[n] = induced_map(s_map, h_hc, h_hc, n)
         else:
-            rep.s_maps[n] = _zero_matrix(0, h_hc.betti[n], dom)
+            rep.s_maps[n] = Matrix.zeros(0, h_hc.betti[n], dom)
     for n in range(0, top - 1):
         rep.b_maps[n] = _induced_b(sm, bmats[n], tot, h_hc, h_hh, n)
-    rep.b_maps[-1] = _zero_matrix(h_hh.betti[0], 0, dom)
-    rep.b_maps[-2] = _zero_matrix(0, 0, dom)
+    rep.b_maps[-1] = Matrix.zeros(h_hh.betti[0], 0, dom)
+    rep.b_maps[-2] = Matrix.zeros(0, 0, dom)
 
     for n in degrees:
         # ... -> HH_n -I-> HC_n -S-> HC_{n-2} -B-> HH_{n-1} -> ...
-        node_hh = exactness_at(rep.b_maps.get(n - 1, _zero_matrix(
+        node_hh = exactness_at(rep.b_maps.get(n - 1, Matrix.zeros(
             rep.i_maps[n].cols, 0, dom)), rep.i_maps[n])
         rep.nodes.append(("HH", n, rank(rep.b_maps[n - 1]) if n - 1 in rep.b_maps
                           else 0, _ker_dim(rep.i_maps[n]), node_hh))
@@ -238,23 +236,17 @@ def _s_chain_map(sm: SimplicialModule, tot: ChainComplex) -> ChainMap:
 
 def _induced_b(sm, bmat, tot, h_hc, h_hh, n):
     """B on homology: column-0 component of an HC_n class, pushed by B."""
-    dom = sm.dom
-    tgt_reps = h_hh.reps[n + 1]
-    bound = [list(v) for v in h_hh.boundary_image[n + 1].vectors]
-    _, tgt_kernel, _ = rank_kernel_image(sm.boundary(n + 1))
-    cols = []
+    d = sm.boundary(n + 1)
     off = tot.offsets.get((0, n))
+    images = []
     for r in h_hc.reps[n]:
         col0 = [r[off + i] for i in range(sm.rank(n))] if off is not None \
-            else [dom.zero] * sm.rank(n)
+            else [sm.dom.zero] * sm.rank(n)
         v = bmat.apply(col0)
-        if not tgt_kernel.contains(v):
+        if any(d.apply(v)):
             raise NotAChainMap(f"B image is not a cycle at degree {n}")
-        x = solve_in_span([list(t) for t in tgt_reps] + bound, v, dom)
-        if x is None:
-            raise NotAChainMap(f"B image class not expressible at degree {n}")
-        cols.append(x[:len(tgt_reps)])
-    return Matrix.from_columns(cols, len(tgt_reps), dom)
+        images.append(v)
+    return class_coordinates(h_hh, n + 1, images)
 
 
 class TowerReport:
@@ -315,17 +307,11 @@ def hc_window(variant: str, arg, degrees, window: int,
 
     check_top = maxdeg + 1
     half = (check_top + 1) // 2
-    hh_res = hh(_algebra_of(arg, sm), range(half, check_top + 1), budget=budget) \
-        if _algebra_of(arg, sm) is not None else None
-    if hh_res is not None:
+    A = getattr(sm, "algebra", None)
+    if A is not None:
+        hh_res = hh(A, range(half, check_top + 1), budget=budget)
         vanished = all(hh_res.betti[m] == 0 for m in range(half, check_top + 1))
         report.stable = vanished
         if vanished:
             report.hh_vanishing_top = (half, check_top)
     return res, report
-
-
-def _algebra_of(arg, sm):
-    if isinstance(arg, FiniteAlgebra):
-        return arg
-    return getattr(sm, "algebra", None)

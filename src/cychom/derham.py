@@ -14,20 +14,13 @@ from math import factorial
 
 from .chains import PresentedModule
 from .errors import NotCommutative, PositiveCharacteristic, RelationFailure
-from .hochschild import FiniteAlgebra, hochschild_module
+from .hochschild import FiniteAlgebra, extra_degeneracy, hochschild_module, tensor_index
 from .matrix import Matrix
 
 
 def _require_commutative(A: FiniteAlgebra):
     if not A.commutative:
         raise NotCommutative(f"{A.name or 'algebra'} is not commutative")
-
-
-def _tidx(idx, d):
-    out = 0
-    for i in idx:
-        out = out * d + i
-    return out
 
 
 def _leibniz_relations(A: FiniteAlgebra, n: int):
@@ -47,7 +40,7 @@ def _leibniz_relations(A: FiniteAlgebra, n: int):
                         def put(lead, val):
                             slots = list(rest)
                             slots.insert(k - 1, val)
-                            return _tidx((lead,) + tuple(slots), d)
+                            return tensor_index((lead,) + tuple(slots), d)
                         vec = [dom.zero] * amb
                         # a0 d(bc) - (a0 b) dc - (a0 c) db = 0
                         for m, coef in enumerate(bc):
@@ -79,7 +72,7 @@ def _square_relations(A: FiniteAlgebra, n: int):
                     slots = list(rest)
                     slots.insert(k - 1, u)
                     slots.insert(k, v)
-                    return _tidx((a0,) + tuple(slots), d)
+                    return tensor_index((a0,) + tuple(slots), d)
                 for b in range(d):
                     for c in range(b, d):
                         vec = [dom.zero] * amb
@@ -131,17 +124,6 @@ def module_action(omega: PresentedModule, a_vector) -> Matrix:
     return omega.proj @ amb @ omega.sect
 
 
-def _derham_ambient(A: FiniteAlgebra, n: int) -> Matrix:
-    """Ambient matrix of d: (a0, a..) -> (1, a0, a..)."""
-    dom, d = A.dom, A.dim
-    m = Matrix.zeros(d ** (n + 2), d ** (n + 1), dom)
-    for col in range(d ** (n + 1)):
-        for k, c in enumerate(A.unit):
-            if c != 0:
-                m._add_to(k * d ** (n + 1) + col, col, c)
-    return m
-
-
 def derham_d(omega_n: PresentedModule, omega_n1: PresentedModule) -> Matrix:
     """The differential Omega^n -> Omega^(n+1) on quotient coordinates.
 
@@ -150,7 +132,7 @@ def derham_d(omega_n: PresentedModule, omega_n1: PresentedModule) -> Matrix:
     """
     A = omega_n.algebra
     n = omega_n.form_degree
-    amb = _derham_ambient(A, n)
+    amb = extra_degeneracy(A, n)
     for row in omega_n.rel_rref:
         image = amb.apply(list(row))
         if not omega_n1.contains_relation(image):
@@ -223,11 +205,11 @@ def hkr_epsilon(A: FiniteAlgebra, n: int, omega: PresentedModule | None = None) 
     inv_fact = dom.div(dom.one, dom.coerce(factorial(n)))
     amb = Matrix.zeros(amb_dim, amb_dim, dom)
     for col_idx in product(range(d), repeat=n + 1):
-        col = _tidx(col_idx, d)
+        col = tensor_index(col_idx, d)
         for perm, sign in _permutations_signed(n):
             row_idx = (col_idx[0],) + tuple(col_idx[perm[k]] for k in range(n))
             coef = inv_fact if sign > 0 else dom.neg(inv_fact)
-            amb._add_to(_tidx(row_idx, d), col, coef)
+            amb._add_to(tensor_index(row_idx, d), col, coef)
     eps = amb @ omega.sect
     # the image must consist of Hochschild cycles
     sm = hochschild_module(A, n + 1)

@@ -37,6 +37,11 @@ class ScalarDomain:
         if self.kind not in (RATIONALS, PRIME_FIELD, INTEGERS):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == PRIME_FIELD:
+            # the int64 mod-p kernel multiplies two residues; checked before
+            # the trial-division primality test, which is slow for huge p
+            if self.p is not None and self.p > 1 and (self.p - 1) ** 2 >= 2 ** 63:
+                raise ValueError(f"p = {self.p} is too large: F_p needs (p - 1)^2 < 2^63,"
+                                 " so p <= 3037000493")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
         elif self.p is not None:
@@ -133,7 +138,8 @@ def parse_domain(text: str) -> ScalarDomain:
             p = int(t[3:])
         except ValueError:
             raise InputFormatError(f"bad prime in domain selector {text!r}")
-        if not _is_prime(p):
-            raise InputFormatError(f"{p} is not prime")
-        return Fp(p)
+        try:
+            return Fp(p)
+        except ValueError as exc:
+            raise InputFormatError(str(exc))
     raise InputFormatError(f"unknown domain {text!r} (expected q, zp:<p> or z)")

@@ -97,5 +97,9 @@ class WindowTooSmall(CychomError):
     pass
 
 
+class LatticeMismatch(CychomError):
+    """Integral homology met a boundary outside the kernel lattice (internal failure)."""
+
+
 class InputFormatError(CychomError):
     """Bad user-supplied JSON / preset string (CLI exit code 2)."""

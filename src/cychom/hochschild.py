@@ -58,9 +58,6 @@ class FiniteAlgebra:
             self.table[i][j] == self.table[j][i]
             for i in range(self.dim) for j in range(i))
 
-    def _basis_mul(self, i, j):
-        return self.table[i][j]
-
     def mul(self, u, v):
         """Product of two coefficient vectors."""
         dom = self.dom
@@ -128,7 +125,6 @@ class FiniteAlgebra:
 
 def group_algebra(G: FiniteGroup, dom: ScalarDomain) -> FiniteAlgebra:
     n = G.order
-    z, o = None, None
     table = [[[dom.one if G.mul(i, j) == k else dom.zero for k in range(n)]
               for j in range(n)] for i in range(n)]
     unit = [dom.one if i == G.identity else dom.zero for i in range(n)]
@@ -207,7 +203,8 @@ def algebra_from_preset(text: str, dom: ScalarDomain) -> FiniteAlgebra:
 # the Hochschild simplicial module
 # ---------------------------------------------------------------------------
 
-def _tensor_index(idx_tuple, dim):
+def tensor_index(idx_tuple, dim):
+    """Slot-major position of a basis tensor (first slot most significant)."""
     out = 0
     for i in idx_tuple:
         out = out * dim + i
@@ -242,13 +239,13 @@ def hochschild_module(A: FiniteAlgebra, N: int, signed_cyclic=True,
                 rest_pre, rest_post = idx[:i], idx[i + 2:]
                 for k, c in enumerate(coeffs):
                     if c != 0:
-                        m._add_to(_tensor_index(rest_pre + (k,) + rest_post, d), col, c)
+                        m._add_to(tensor_index(rest_pre + (k,) + rest_post, d), col, c)
             else:
                 coeffs = A.table[idx[n]][idx[0]]
                 rest = idx[1:n]
                 for k, c in enumerate(coeffs):
                     if c != 0:
-                        m._add_to(_tensor_index((k,) + rest, d), col, c)
+                        m._add_to(tensor_index((k,) + rest, d), col, c)
         return m
 
     def degeneracy(n, j):
@@ -257,14 +254,14 @@ def hochschild_module(A: FiniteAlgebra, N: int, signed_cyclic=True,
             pre, post = idx[:j + 1], idx[j + 1:]
             for k, c in enumerate(A.unit):
                 if c != 0:
-                    m._add_to(_tensor_index(pre + (k,) + post, d), col, c)
+                    m._add_to(tensor_index(pre + (k,) + post, d), col, c)
         return m
 
     def t(n):
         m = Matrix.zeros(rank(n), rank(n), dom)
         sign = dom.coerce(-1) if (signed_cyclic and n % 2 == 1) else dom.one
         for col, idx in enumerate(tensors(n)):
-            m._add_to(_tensor_index((idx[n],) + idx[:n], d), col, sign)
+            m._add_to(tensor_index((idx[n],) + idx[:n], d), col, sign)
         return m
 
     def labels(n):
@@ -276,15 +273,15 @@ def hochschild_module(A: FiniteAlgebra, N: int, signed_cyclic=True,
     return sm
 
 
-def extra_degeneracy(sm: SimplicialModule, n: int) -> Matrix:
-    """The unit-insertion homotopy h: C_n -> C_{n+1}, x -> (1, x)."""
-    from .errors import NoUnitStructure
-    A = getattr(sm, "algebra", None)
-    if A is None:
-        raise NoUnitStructure("homotopy needs a unital-algebra module")
+def extra_degeneracy(A: FiniteAlgebra, n: int) -> Matrix:
+    """Unit insertion A^(n+1) -> A^(n+2), x -> (1, x).
+
+    On the Hochschild complex this is the homotopy h; on tensors
+    presenting forms it is the ambient de Rham differential.
+    """
     d = A.dim
-    m = Matrix.zeros(sm.rank(n + 1), sm.rank(n), sm.dom)
-    for col in range(sm.rank(n)):
+    m = Matrix.zeros(d ** (n + 2), d ** (n + 1), A.dom)
+    for col in range(d ** (n + 1)):
         for k, c in enumerate(A.unit):
             if c != 0:
                 m._add_to(k * d ** (n + 1) + col, col, c)

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from . import _modp
-from .domains import INTEGERS, PRIME_FIELD, RATIONALS, Q, ScalarDomain
-from .errors import AmbientMismatch, DomainMismatch, DomainNotField
+from .domains import INTEGERS, PRIME_FIELD, Q, ScalarDomain
+from .errors import AmbientMismatch, DomainMismatch, LatticeMismatch
 from .matrix import Matrix
 
 
@@ -410,12 +410,12 @@ def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
         target = [Fraction(x) for x in boundary.column_vector(c)]
         x = solve_in_span([[Fraction(v) for v in b] for b in kernel_basis], target, Q)
         if x is None:
-            raise ValueError("boundary column not in kernel lattice")
+            raise LatticeMismatch("boundary column not in kernel lattice")
         col = []
         for v in x:
             f = Fraction(v)
             if f.denominator != 1:
-                raise ValueError("non-integral coordinates: kernel basis not saturated")
+                raise LatticeMismatch("non-integral coordinates: kernel basis not saturated")
             col.append(f.numerator)
         coords.append(col)
     mat = Matrix.from_columns(coords, k, ZDOM)
@@ -423,30 +423,3 @@ def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
     betti = k - snf.rank
     torsion = [abs(v) for v in snf.d if abs(v) > 1]
     return betti, torsion
-
-
-def gcd_of_minors(m: Matrix, k: int) -> int:
-    """gcd of all k x k minors (brute force; oracle-sized inputs only)."""
-    from itertools import combinations
-    rows = m.to_dense_rows()
-
-    def det(sub):
-        n = len(sub)
-        if n == 0:
-            return 1
-        if n == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(n):
-            if sub[0][j] == 0:
-                continue
-            minor = [r[:j] + r[j + 1:] for r in sub[1:]]
-            total += (-1) ** j * sub[0][j] * det(minor)
-        return total
-
-    g = 0
-    for ri in combinations(range(m.rows), k):
-        for ci in combinations(range(m.cols), k):
-            sub = [[int(rows[i][j]) for j in ci] for i in ri]
-            g = gcd(g, det(sub))
-    return abs(g)

@@ -184,13 +184,6 @@ class Matrix:
                 out[r] = dom.add(out[r], dom.mul(av, v))
         return out
 
-    def transpose(self):
-        out = Matrix(self.cols, self.rows, self.dom)
-        for c, col in self._cols.items():
-            for r, v in col.items():
-                out._set(c, r, v)
-        return out
-
     def kron(self, other):
         """Kronecker product; row/col index = self_index * other_dim + other_index."""
         self._check_dom(other)
@@ -225,24 +218,3 @@ class Matrix:
             for r, v in col.items():
                 a[r, c] = int(v)
         return a
-
-
-def block_matrix(blocks, row_sizes, col_sizes, dom) -> Matrix:
-    """Assemble a matrix from {(i, j): Matrix} blocks; missing blocks are zero."""
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
-    out = Matrix(row_off[-1], col_off[-1], dom)
-    for (i, j), blk in blocks.items():
-        if blk is None:
-            continue
-        if blk.rows != row_sizes[i] or blk.cols != col_sizes[j]:
-            raise ValueError(f"block ({i},{j}) has wrong shape")
-        ro, co = row_off[i], col_off[j]
-        for c, col in blk._cols.items():
-            for r, v in col.items():
-                out._add_to(ro + r, co + c, v)
-    return out

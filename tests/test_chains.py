@@ -21,7 +21,8 @@ from cychom.chains import (
     total_complex,
 )
 from cychom.domains import Fp, Q, Z
-from cychom.errors import RangeExceedsComplex, SignCheckFailed
+from cychom.errors import NotAChainMap, RangeExceedsComplex, SignCheckFailed
+from cychom.hochschild import hochschild_module, truncated_polynomial
 from cychom.groups import cyclic_group
 from cychom.matrix import Matrix
 from cychom.simplicial import circle, classifying_space, cyclic_bar, standard_simplex
@@ -114,6 +115,31 @@ def test_induced_map_of_identity_is_identity():
     h = homology(cc, range(4))
     for n in range(4):
         assert induced_map(ident, h, h, n) == Matrix.identity(h.betti[n], Q)
+
+
+def test_induced_map_rejects_image_that_is_not_a_cycle():
+    # S has the 1-cycle e; T bounds nothing but d(e) = v, so e is no cycle there
+    one = Matrix.identity(1, Q)
+    S = ChainComplex(Q, {0: 1, 1: 1, 2: 0}, {1: Matrix.zeros(1, 1, Q)})
+    T = ChainComplex(Q, {0: 1, 1: 1, 2: 0}, {1: one})
+    f = ChainMap(S, T, {0: Matrix.zeros(1, 1, Q), 1: one}, check=False)
+    with pytest.raises(NotAChainMap):
+        induced_map(f, homology(S, [1]), homology(T, [1]), 1)
+
+
+def test_representatives_are_the_greedy_echelon_completion():
+    # the vectors a one-at-a-time loop keeps: each kernel basis vector
+    # independent of the boundaries and of the vectors kept before it
+    def e(i, n):
+        return [1 if k == i else 0 for k in range(n)]
+
+    C = linearize_module(circle(2), Q)
+    torus = homology(total_complex(tensor_bicomplex(C, C, top=2)), range(2))
+    assert torus.reps == {0: [e(0, 1)], 1: [e(1, 4), e(3, 4)]}
+    assert torus.boundary_image[1].dim == 2
+    sm = hochschild_module(truncated_polynomial(3, Fp(5)), 3)
+    hh = homology(sm.chain_complex("unnormalized"), range(2))
+    assert hh.reps == {0: [e(0, 3), e(1, 3), e(2, 3)], 1: [e(1, 9), e(2, 9)]}
 
 
 def test_bicomplex_rejects_broken_anticommutation():

@@ -1,10 +1,11 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import time
 
 import pytest
 
-from cychom import cli
+from cychom import chains, cli
 from cychom.domains import Q
 from cychom.hochschild import group_algebra, hh
 from cychom.groups import cyclic_group
@@ -146,3 +147,22 @@ def test_exit_code_bad_input_file(capsys, tmp_path):
     garbled.write_text("{not json")
     assert run(capsys, "hh", "--input", str(garbled),
                "--max-degree", "1")[0] == 2
+
+
+@pytest.mark.parametrize("p", [2 ** 40 + 15, 2 ** 61 - 1])
+def test_exit_code_prime_too_large_for_int64_kernel(capsys, p):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "hh", "--preset", "unit", "--domain", f"zp:{p}",
+                       "--max-degree", "0")
+    assert code == 2 and "too large" in err
+    assert time.perf_counter() - t0 < 1
+
+
+def test_exit_code_internal_failure(capsys, monkeypatch):
+    # a kernel basis that is not saturated puts boundaries outside its lattice
+    real = chains.integer_kernel_basis
+    monkeypatch.setattr(chains, "integer_kernel_basis",
+                        lambda m: [[3 * x for x in v] for v in real(m)])
+    code, _, err = run(capsys, "homology", "--preset", "bg", "--group", "cyclic:2",
+                       "--domain", "z", "--max-degree", "2")
+    assert code == 1 and "saturated" in err

@@ -87,9 +87,9 @@ def test_bprime_homotopy_small():
         A = algebra_from_preset(preset, Q)
         sm = hochschild_module(A, 4)
         for n in range(3):
-            lhs = sm.bprime(n + 1) @ extra_degeneracy(sm, n)
+            lhs = sm.bprime(n + 1) @ extra_degeneracy(A, n)
             if n >= 1:
-                lhs = lhs + extra_degeneracy(sm, n - 1) @ sm.bprime(n)
+                lhs = lhs + extra_degeneracy(A, n - 1) @ sm.bprime(n)
             assert lhs == Matrix.identity(sm.rank(n), Q)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cychom.domains import Fp, Q, Z
-from cychom.errors import AmbientMismatch, DomainNotField
+from cychom.errors import AmbientMismatch, DomainNotField, LatticeMismatch
 from cychom.linalg import (
     SubspaceBasis,
     integer_kernel_basis,
@@ -42,6 +42,25 @@ def test_rank_matches_dense_oracle_q(rows):
 def test_rank_matches_dense_oracle_modp(rows, p):
     m = Matrix.from_rows([[v % p for v in r] for r in rows], Fp(p), cols=3)
     assert rank(m) == dense_rank_modp(rows, p)
+
+
+# the largest p with (p - 1)^2 < 2^63, so the int64 kernel's products of residues fit
+BIG_P = 3037000493
+
+
+def test_prime_field_stops_at_int64_safe_bound():
+    assert (BIG_P - 1) ** 2 < 2 ** 63 <= (3037000507 - 1) ** 2
+    assert Fp(BIG_P).p == BIG_P
+    with pytest.raises(ValueError):
+        Fp(3037000507)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(min_value=BIG_P - 9, max_value=BIG_P - 1),
+                         min_size=3, max_size=3), min_size=1, max_size=5))
+def test_rank_matches_dense_oracle_at_largest_prime(rows):
+    m = Matrix.from_rows(rows, Fp(BIG_P), cols=3)
+    assert rank(m) == dense_rank_modp(rows, BIG_P)
 
 
 def test_rank_kernel_image_rejects_z():
@@ -159,3 +178,8 @@ def test_z_quotient_free():
     boundary = Matrix.zeros(3, 0, Z)
     betti, torsion = z_quotient_invariants(basis, boundary)
     assert betti == 2 and torsion == []
+
+
+def test_z_quotient_boundary_outside_kernel_lattice_is_internal_failure():
+    with pytest.raises(LatticeMismatch):
+        z_quotient_invariants([[1, 0]], Matrix.from_columns([[0, 1]], 2, Z))
