@@ -21,7 +21,7 @@ from .errors import (
     TruncationMismatch,
     TruncationTooSmall,
 )
-from .linalg import SubspaceBasis, integer_kernel_basis, rank_kernel_image, solve_in_span, subspace_equal, z_quotient_invariants
+from .linalg import SubspaceBasis, integer_kernel_basis, rank, rank_kernel_image, solve_in_span, z_quotient_invariants
 from .matrix import Matrix
 
 
@@ -94,22 +94,28 @@ def _representatives(kernel: SubspaceBasis, image: SubspaceBasis, dom):
 
 
 def homology(c: ChainComplex, degrees) -> HomologyResult:
-    """Homology of the complex; field case by rank, integral case by SNF."""
+    """Homology of the complex; field case by rank, integral case by SNF.
+
+    Over a field each boundary matrix is reduced once per call: d_{n+1}
+    gives the image for H_n and the kernel for H_{n+1}.
+    """
     res = HomologyResult(c.dom, name=c.name)
+    reduced = {}  # k -> rank_kernel_image(d_k)
     for n in degrees:
         if not c.lo <= n < c.hi and not (n == c.hi == c.lo):
             raise RangeExceedsComplex(
                 f"degree {n} needs boundaries d_{n} and d_{n + 1}; complex covers [{c.lo},{c.hi}]")
-        d_out, d_in = c.d(n), c.d(n + 1)
         if c.dom.kind == "Z":
-            kern = integer_kernel_basis(d_out) if c.rank(n) else []
-            betti, tors = z_quotient_invariants(kern, d_in)
+            kern = integer_kernel_basis(c.d(n)) if c.rank(n) else []
+            betti, tors = z_quotient_invariants(kern, c.d(n + 1))
             res.betti[n] = betti
             res.torsion[n] = tors
             res.reps[n] = kern
         else:
-            _, kernel, _ = rank_kernel_image(d_out)
-            _, _, image = rank_kernel_image(d_in)
+            for k in (n, n + 1):
+                if k not in reduced:
+                    reduced[k] = rank_kernel_image(c.d(k))
+            kernel, image = reduced[n][1], reduced[n + 1][2]
             res.betti[n] = kernel.dim - image.dim
             res.torsion[n] = []
             res.reps[n] = _representatives(kernel, image, c.dom)
@@ -156,13 +162,10 @@ def class_coordinates(h: HomologyResult, n: int, cycles) -> Matrix:
     """
     reps = [list(v) for v in h.reps[n]]
     basis = reps + [list(v) for v in h.boundary_image[n].vectors]
-    cols = []
-    for v in cycles:
-        x = solve_in_span(basis, v, h.dom)
-        if x is None:
-            raise NotAChainMap(f"cycle class not expressible at degree {n}")
-        cols.append(x[:len(reps)])
-    return Matrix.from_columns(cols, len(reps), h.dom)
+    xs = solve_in_span(basis, [list(v) for v in cycles], h.dom)
+    if xs is None:
+        raise NotAChainMap(f"cycle class not expressible at degree {n}")
+    return Matrix.from_columns([x[:len(reps)] for x in xs], len(reps), h.dom)
 
 
 def induced_map(f: ChainMap, h_src: HomologyResult, h_tgt: HomologyResult,
@@ -180,12 +183,14 @@ def induced_map(f: ChainMap, h_src: HomologyResult, h_tgt: HomologyResult,
 
 
 def exactness_at(f: Matrix, g: Matrix) -> bool:
-    """Whether im(f) = ker(g) for consecutive homology-level matrices."""
+    """Whether im(f) = ker(g) for consecutive homology-level matrices.
+
+    im f lies in ker g iff g f = 0, and then they are equal iff their
+    dimensions agree.
+    """
     if g.cols != f.rows:
         raise BasisMismatch(f"middle space mismatch: {f.rows} vs {g.cols}")
-    _, _, image = rank_kernel_image(f)
-    _, kernel, _ = rank_kernel_image(g)
-    return subspace_equal(image, kernel)
+    return (g @ f).is_zero() and rank(f) == g.cols - rank(g)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +537,11 @@ class Bicomplex:
         return p + q if self.rows == "chain" else p - q
 
 
-def total_complex(b: Bicomplex, variance=None) -> ChainComplex:
+def total_complex(b: Bicomplex) -> ChainComplex:
     """Totalize over p+q = n (chain rows) or p-q = n (cochain rows).
 
-    ``variance`` is accepted for explicitness ("homological" requires
-    chain rows, "mixed" cochain rows); None follows the bicomplex.
     The result carries cells/offsets describing the block layout.
     """
-    if variance == "homological" and b.rows != "chain":
-        raise SignCheckFailed("homological totalization needs chain rows")
-    if variance == "mixed" and b.rows != "cochain":
-        raise SignCheckFailed("mixed totalization needs cochain rows")
     cells = {}
     for (p, q), r in b.ranks.items():
         cells.setdefault(b.degree(p, q), []).append((p, q))

@@ -230,13 +230,13 @@ def _suite_hkr(args) -> int:
     dom = parse_domain(args.domain)
     A = _get_algebra(args, dom)
     ok = True
+    hres = hh(A, range(args.max_degree + 1), mode="unnormalized", budget=args.budget)
     for n in range(args.max_degree + 1):
         om = omega_power(A, n)
         eps = hkr_epsilon(A, n, om)
         pi = hkr_pi(A, n, om)
         section = (pi @ eps) == Matrix.identity(om.dim, dom)
         ok = ok and section
-        hres = hh(A, [n], mode="unnormalized", budget=args.budget)
         betti = hres.betti[n]
         # induced maps on homology: eps sends Omega^n to cycles, pi kills
         # boundaries, so ranks against the class basis decide the isos

@@ -150,8 +150,8 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
     """Chain-level I, S, B and the exactness of the SBI sequence.
 
     B^2 = 0 and bB + Bb = 0 are checked as matrix identities before any
-    homology is taken; exactness verdicts come from subspace equalities
-    of the induced maps.
+    homology is taken; exactness verdicts come from the composites and
+    ranks of the induced maps (``exactness_at``).
     """
     degrees = sorted(degrees)
     top = max(degrees) + 1

@@ -97,10 +97,10 @@ class FiniteAlgebra:
         target = []
         for j in range(n):
             target.extend(dom.one if k == j else dom.zero for k in range(n))
-        x = solve_in_span(basis_vectors, target, dom)
-        if x is None or not self._is_unit(x):
+        xs = solve_in_span(basis_vectors, [target], dom)
+        if xs is None or not self._is_unit(xs[0]):
             raise NoUnit("algebra has no two-sided unit")
-        return x
+        return xs[0]
 
     def _check_associative(self):
         n = self.dim

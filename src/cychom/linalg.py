@@ -204,71 +204,73 @@ class SubspaceBasis:
         return len(red) == self.dim
 
 
-def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    if a.ambient != b.ambient:
-        raise AmbientMismatch(f"{a.ambient} vs {b.ambient}")
-    if a.dom != b.dom:
-        raise DomainMismatch(f"{a.dom} vs {b.dom}")
-    return a.vectors == b.vectors
-
-
 def kernel_vectors(m: Matrix) -> list[list]:
-    """Basis of the right kernel, from the RREF of m."""
+    """Canonical (reduced row echelon) basis of the right kernel of m.
+
+    m is reduced with its columns reversed, so the vector read off for
+    each free column f is 1 at f, 0 at every other free column and
+    nonzero only at pivot columns after f: the kernel's own RREF rows,
+    in order of their leading column.
+    """
     dom = m.dom
     dom.require_field()
     if m.cols == 0:
         return []
     if m.rows == 0:
         return [[dom.one if i == j else dom.zero for i in range(m.cols)] for j in range(m.cols)]
-    red, pivots = rref_rows(m.to_dense_rows(), dom)
+    red, pivots = rref_rows([row[::-1] for row in m.to_dense_rows()], dom)
+    last = m.cols - 1
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
     out = []
-    for f in free:
+    for f in reversed(range(m.cols)):
+        if f in pivset:
+            continue
         v = [dom.zero] * m.cols
-        v[f] = dom.one
+        v[last - f] = dom.one
         for i, pc in enumerate(pivots):
             coef = red[i][f]
             if coef != 0:
-                v[pc] = dom.neg(coef)
+                v[last - pc] = dom.neg(coef)
         out.append(v)
     return out
 
 
-def rank_kernel_image(m: Matrix, dom: ScalarDomain | None = None):
-    """Rank, canonical kernel basis and canonical image basis over a field."""
-    dom = dom or m.dom
-    if dom != m.dom:
-        raise DomainMismatch(f"matrix over {m.dom}, requested {dom}")
-    dom.require_field()
+def rank_kernel_image(m: Matrix):
+    """Rank, canonical kernel basis and canonical image basis over a field.
+
+    The image is the canonical span of the rank-many non-free columns,
+    the free ones being where the kernel vectors lead with 1.
+    """
     kern = kernel_vectors(m)
-    kernel = SubspaceBasis.from_spanning(kern, m.cols, dom)
-    cols = [m.column_vector(c) for c in range(m.cols)]
-    image = SubspaceBasis.from_spanning(cols, m.rows, dom)
-    r = image.dim
-    return r, kernel, image
+    free = {v.index(m.dom.one) for v in kern}
+    kernel = SubspaceBasis(m.cols, m.dom, tuple(tuple(v) for v in kern))
+    image = SubspaceBasis.from_spanning(
+        [m.column_vector(c) for c in range(m.cols) if c not in free], m.rows, m.dom)
+    return image.dim, kernel, image
 
 
-def solve_in_span(basis_vectors: list[list], target: list, dom: ScalarDomain):
-    """Coordinates of target in the span of basis_vectors, or None.
+def solve_in_span(basis_vectors: list[list], targets: list[list], dom: ScalarDomain):
+    """Coordinates of each target in the span of basis_vectors, or None.
 
-    basis_vectors need not be independent; a particular solution is fine
-    for class computations because the span is what matters.
+    One RREF of [B | T] answers every target; the result is None if any
+    target lies outside the span.  basis_vectors need not be independent;
+    a particular solution is fine for class computations because the span
+    is what matters.
     """
     dom.require_field()
-    n = len(target)
     k = len(basis_vectors)
     if k == 0:
-        return [] if all(x == 0 for x in target) else None
-    # solve B x = t via RREF of [B | t] with B columns = basis vectors
-    rows = [[basis_vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+        return [[] for _ in targets] if all(x == 0 for t in targets for x in t) else None
+    rows = [[b[i] for b in basis_vectors] + [t[i] for t in targets]
+            for i in range(len(basis_vectors[0]))]
     red, pivots = rref_rows(rows, dom)
-    if k in pivots:
+    if pivots and pivots[-1] >= k:
         return None
-    x = [dom.zero] * k
+    xs = [[dom.zero] * k for _ in targets]
     for i, pc in enumerate(pivots):
-        x[pc] = red[i][k]
-    return x
+        for j, x in enumerate(xs):
+            x[pc] = red[i][k + j]
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +407,14 @@ def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
         return 0, []
     if boundary.cols == 0 or boundary.is_zero():
         return k, []
-    coords = []
-    for c in range(boundary.cols):
-        target = [Fraction(x) for x in boundary.column_vector(c)]
-        x = solve_in_span([[Fraction(v) for v in b] for b in kernel_basis], target, Q)
-        if x is None:
-            raise LatticeMismatch("boundary column not in kernel lattice")
-        col = []
-        for v in x:
-            f = Fraction(v)
-            if f.denominator != 1:
-                raise LatticeMismatch("non-integral coordinates: kernel basis not saturated")
-            col.append(f.numerator)
-        coords.append(col)
+    xs = solve_in_span([[Fraction(v) for v in b] for b in kernel_basis],
+                       [[Fraction(x) for x in boundary.column_vector(c)]
+                        for c in range(boundary.cols)], Q)
+    if xs is None:
+        raise LatticeMismatch("boundary column not in kernel lattice")
+    if any(Fraction(v).denominator != 1 for x in xs for v in x):
+        raise LatticeMismatch("non-integral coordinates: kernel basis not saturated")
+    coords = [[Fraction(v).numerator for v in x] for x in xs]
     mat = Matrix.from_columns(coords, k, ZDOM)
     snf = smith_normal_form(mat)
     betti = k - snf.rank

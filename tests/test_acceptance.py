@@ -351,12 +351,9 @@ def test_criterion_09_hkr():
         assert res.betti[n] == om.dim, n
         reps = [list(v) for v in res.reps[n]]
         bound = [list(v) for v in res.boundary_image[n].vectors]
-        cols = []
-        for c in range(eps.cols):
-            x = solve_in_span(reps + bound, eps.column_vector(c), Q)
-            assert x is not None
-            cols.append(x[:len(reps)])
-        classes = Matrix.from_columns(cols, len(reps), Q)
+        xs = solve_in_span(reps + bound, [eps.column_vector(c) for c in range(eps.cols)], Q)
+        assert xs is not None
+        classes = Matrix.from_columns([x[:len(reps)] for x in xs], len(reps), Q)
         assert rank(classes) == om.dim, n
 
     # presentation oracle for the dual numbers

@@ -106,6 +106,8 @@ def test_exactness_at():
     assert exactness_at(f, g)
     g_bad = Matrix.from_rows([[1, 0]], Q)
     assert not exactness_at(f, g_bad)
+    # g f = 0, but ker g = everything is larger than im f
+    assert not exactness_at(f, Matrix.zeros(1, 2, Q))
 
 
 def test_induced_map_of_identity_is_identity():
@@ -140,6 +142,23 @@ def test_representatives_are_the_greedy_echelon_completion():
     sm = hochschild_module(truncated_polynomial(3, Fp(5)), 3)
     hh = homology(sm.chain_complex("unnormalized"), range(2))
     assert hh.reps == {0: [e(0, 3), e(1, 3), e(2, 3)], 1: [e(1, 9), e(2, 9)]}
+
+
+def test_homology_reduces_each_boundary_matrix_once(monkeypatch):
+    from cychom import chains
+    reduced = []
+    orig = chains.rank_kernel_image
+
+    def counted(m):
+        reduced.append((m.rows, m.cols))
+        return orig(m)
+
+    monkeypatch.setattr(chains, "rank_kernel_image", counted)
+    sm = hochschild_module(truncated_polynomial(2, Q), 5)
+    h = homology(sm.chain_complex("unnormalized"), range(5))
+    # d_0 .. d_5, each once
+    assert len(reduced) == 6
+    assert [h.betti[n] for n in range(5)] == [2, 1, 1, 1, 1]
 
 
 def test_bicomplex_rejects_broken_anticommutation():

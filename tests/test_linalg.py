@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cychom.domains import Fp, Q, Z
-from cychom.errors import AmbientMismatch, DomainNotField, LatticeMismatch
+from cychom import linalg
+from cychom.errors import DomainNotField, LatticeMismatch
 from cychom.linalg import (
     SubspaceBasis,
     integer_kernel_basis,
@@ -16,7 +17,6 @@ from cychom.linalg import (
     rref_rows,
     smith_normal_form,
     solve_in_span,
-    subspace_equal,
     z_quotient_invariants,
 )
 from cychom.matrix import Matrix
@@ -83,6 +83,49 @@ def test_rank_nullity(dom):
             assert all(x == 0 for x in m.apply(list(v)))
 
 
+@given(st.lists(st.lists(small_int, min_size=4, max_size=4), min_size=1, max_size=5),
+       st.sampled_from([Q, Fp(5)]))
+def test_kernel_vectors_are_the_canonical_kernel_basis(rows, dom):
+    if dom.kind == "Fp":
+        rows = [[v % 5 for v in r] for r in rows]
+    m = Matrix.from_rows(rows, dom, cols=4)
+    ks = kernel_vectors(m)
+    assert tuple(map(tuple, ks)) == SubspaceBasis.from_spanning(ks, 4, dom).vectors
+    for v in ks:
+        assert all(x == 0 for x in m.apply(v))
+    assert len(ks) == 4 - (dense_rank(rows) if dom == Q else dense_rank_modp(rows, 5))
+
+
+def _count_rref_rows(monkeypatch):
+    calls = []
+    orig = linalg.rref_rows
+
+    def counted(rows, dom):
+        calls.append(len(rows))
+        return orig(rows, dom)
+
+    monkeypatch.setattr(linalg, "rref_rows", counted)
+    return calls
+
+
+def test_rank_kernel_image_is_one_reduction_plus_the_pivot_columns(monkeypatch):
+    m = Matrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]], Q)
+    calls = _count_rref_rows(monkeypatch)
+    r, kern, img = rank_kernel_image(m)
+    # the rows of m, then one row per pivot column
+    assert calls == [3, 2]
+    assert r == img.dim == 2 and kern.dim == 2
+    assert img.vectors == SubspaceBasis.from_spanning(
+        [m.column_vector(c) for c in range(4)], 3, Q).vectors
+
+
+def test_solve_in_span_is_one_reduction_for_all_targets(monkeypatch):
+    calls = _count_rref_rows(monkeypatch)
+    xs = solve_in_span([[1, 0, 1], [0, 1, 1]], [[1, 1, 2], [2, 0, 2], [0, 0, 0]], Q)
+    assert calls == [3]
+    assert xs == [[1, 1], [2, 0], [0, 0]]
+
+
 def test_kernel_vectors_annihilated():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]], Q)
     ks = kernel_vectors(m)
@@ -101,15 +144,7 @@ def test_rref_fractions_exact():
 def test_subspace_canonical_form_is_order_independent():
     a = SubspaceBasis.from_spanning([[1, 2, 0], [0, 1, 1]], 3, Q)
     b = SubspaceBasis.from_spanning([[1, 3, 1], [0, 2, 2], [1, 2, 0]], 3, Q)
-    assert subspace_equal(a, b)
     assert a.vectors == b.vectors
-
-
-def test_subspace_ambient_mismatch():
-    a = SubspaceBasis.from_spanning([[1, 0]], 2, Q)
-    b = SubspaceBasis.from_spanning([[1, 0, 0]], 3, Q)
-    with pytest.raises(AmbientMismatch):
-        subspace_equal(a, b)
 
 
 def test_subspace_contains():
@@ -119,14 +154,16 @@ def test_subspace_contains():
 
 
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=4),
-       st.lists(small_int, min_size=3, max_size=3))
-def test_solve_in_span_agrees_with_membership_oracle(vecs, target):
-    x = solve_in_span([list(map(Fraction, v)) for v in vecs],
-                      list(map(Fraction, target)), Q)
-    assert (x is not None) == in_span(vecs, target)
-    if x is not None:
-        combo = [sum(x[j] * vecs[j][i] for j in range(len(vecs))) for i in range(3)]
-        assert combo == list(map(Fraction, target))
+       st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=3))
+def test_solve_in_span_agrees_with_membership_oracle(vecs, targets):
+    xs = solve_in_span([list(map(Fraction, v)) for v in vecs],
+                       [list(map(Fraction, t)) for t in targets], Q)
+    assert (xs is not None) == all(in_span(vecs, t) for t in targets)
+    if xs is not None:
+        assert len(xs) == len(targets)
+        for x, target in zip(xs, targets):
+            combo = [sum(x[j] * vecs[j][i] for j in range(len(vecs))) for i in range(3)]
+            assert combo == list(map(Fraction, target))
 
 
 @settings(max_examples=40)
