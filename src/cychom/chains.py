@@ -215,8 +215,7 @@ class PresentedModule:
                 # sets, whose relations are standard basis vectors)
                 from fractions import Fraction
                 from .domains import Q as QDOM
-                red, pivots = linalg.rref_rows(
-                    [[Fraction(x) for x in r] for r in relations], QDOM)
+                red, pivots = linalg.rref_rows([list(r) for r in relations], QDOM)
                 for row in red:
                     for v in row:
                         if Fraction(v).denominator != 1:

@@ -86,8 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputFormatError(f"cannot read JSON input {path!r}: {exc}")
 
 
 def _get_group(args):
@@ -359,8 +362,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputFormatError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CychomError as exc:

@@ -154,6 +154,14 @@ def product_field(m: int, dom: ScalarDomain) -> FiniteAlgebra:
                          unit=unit, name=f"K^{m}")
 
 
+def _json_int(x, what):
+    # JSON numbers arrive as int or float and true/false as bool (an int
+    # subclass); only a genuine integer is an exact scalar or a size
+    if type(x) is not int:
+        raise InputFormatError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
     """JSON: {dim, labels?, unit?, table} or {preset, params}."""
     import json
@@ -165,12 +173,16 @@ def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
     if "preset" in obj:
         preset = obj["preset"]
         params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InputFormatError("'params' must be a JSON object")
         if preset == "group":
+            if not isinstance(params.get("group"), str):
+                raise InputFormatError("'params.group' must be a group preset string")
             return group_algebra(group_from_preset(params["group"]), dom)
         if preset == "truncpoly":
-            return truncated_polynomial(int(params.get("k", 2)), dom)
+            return truncated_polynomial(_json_int(params.get("k", 2), "'k'"), dom)
         if preset == "productfield":
-            return product_field(int(params.get("m", 2)), dom)
+            return product_field(_json_int(params.get("m", 2), "'m'"), dom)
         raise InputFormatError(f"unknown algebra preset {preset!r}")
     if "table" not in obj:
         raise InputFormatError("algebra input needs a 'table' or 'preset' key")
@@ -179,10 +191,27 @@ def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
             all(isinstance(row, list) and
                 all(isinstance(cell, list) for cell in row) for row in table)):
         raise InputFormatError("'table' must be a dim x dim x dim array")
+    for row in table:
+        for cell in row:
+            for c in cell:
+                _json_int(c, "a structure constant")
+    unit = obj.get("unit")
+    if unit is not None:
+        if not isinstance(unit, list):
+            raise InputFormatError("'unit' must be a list of integers")
+        for c in unit:
+            _json_int(c, "a unit coefficient")
     if "dim" in obj and len(table) != obj["dim"]:
         raise InputFormatError("declared dim does not match the table")
     return FiniteAlgebra(dom, table, labels=obj.get("labels"),
-                         unit=obj.get("unit"), name=obj.get("name", ""))
+                         unit=unit, name=obj.get("name", ""))
+
+
+def _preset_int(text):
+    try:
+        return int(text.split(":", 1)[1])
+    except ValueError:
+        raise InputFormatError(f"bad size in algebra preset {text!r}")
 
 
 def algebra_from_preset(text: str, dom: ScalarDomain) -> FiniteAlgebra:
@@ -191,9 +220,9 @@ def algebra_from_preset(text: str, dom: ScalarDomain) -> FiniteAlgebra:
     if text == "unit":
         return truncated_polynomial(1, dom)
     if text.startswith("truncpoly:"):
-        return truncated_polynomial(int(text.split(":", 1)[1]), dom)
+        return truncated_polynomial(_preset_int(text), dom)
     if text.startswith("productfield:"):
-        return product_field(int(text.split(":", 1)[1]), dom)
+        return product_field(_preset_int(text), dom)
     if text.startswith("group:"):
         return group_algebra(group_from_preset(text.split(":", 1)[1]), dom)
     raise InputFormatError(f"unknown algebra preset {text!r}")

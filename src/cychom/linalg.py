@@ -1,16 +1,18 @@
 """Exact linear algebra: rank, kernel, image, canonical subspaces, SNF.
 
-Field elimination is fraction-free (Bareiss) over Q and delegated to the
-mod-p kernel over prime fields, so coefficient blowup stays bounded by
-minor sizes.  Subspaces are fingerprinted by their reduced row echelon
-form, which makes equality of spans a plain tuple comparison.
+Rank over Q and Z and reduced row echelon forms over Q come from one
+sparse fraction-free echelon on integer rows {col: int}, kept primitive
+so coefficients stay small; over prime fields elimination is delegated
+to the mod-p kernel.  Subspaces are
+fingerprinted by their reduced row echelon form, which makes equality of
+spans a plain tuple comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, prod
 
 import numpy as np
 
@@ -24,58 +26,53 @@ from .matrix import Matrix
 # row echelon machinery
 # ---------------------------------------------------------------------------
 
-def _rows_to_int_array(rows: list[list]) -> np.ndarray:
-    """Clear denominators row by row (row scaling preserves the row space)."""
-    out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        mult = 1
-        for v in row:
-            if isinstance(v, Fraction) and v.denominator != 1:
-                mult = lcm(mult, v.denominator)
-        for j, v in enumerate(row):
-            out[i, j] = int(v * mult) if mult != 1 else (v.numerator if isinstance(v, Fraction) else int(v))
-    return out
+def _primitive(row: dict) -> dict:
+    """The primitive integer multiple of a sparse row {col: int | Fraction}.
 
-
-def _bareiss_forward(a: np.ndarray):
-    """Fraction-free forward elimination on an object (bigint) array.
-
-    Returns (echelon array, pivot column list).  Rows below each pivot are
-    zeroed; entries stay integral (Sylvester identity).
+    Scaling a row does not change the span it contributes to, and keeping
+    rows primitive bounds coefficient growth in fraction-free elimination.
     """
-    rows, cols = a.shape
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        sel = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                sel = i
+    den = prod({v.denominator for v in row.values()})
+    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+
+
+def _subtract(row: dict, piv: dict, c: int) -> dict:
+    """The primitive multiple of row - (row[c] / piv[c]) piv; row is consumed."""
+    a, b = row[c], piv[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        for k in row:
+            row[k] *= b
+    for k, v in piv.items():
+        w = row.get(k, 0) - a * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _echelon(rows) -> dict:
+    """Fraction-free row echelon form of sparse rows {col: int | Fraction}.
+
+    Rows are made primitive and taken sparsest first, so unit and two-term
+    relations become pivots before dense rows are reduced against them.
+    Returns {leading column: primitive integer row}.
+    """
+    ech = {}
+    for row in sorted((_primitive(row) for row in rows if row), key=len):
+        while row:
+            c = min(row)
+            piv = ech.get(c)
+            if piv is None:
+                ech[c] = row
                 break
-        if sel < 0:
-            continue
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        pivot = a[r, c]
-        for i in range(r + 1, rows):
-            f = a[i, c]
-            a[i, :] = (a[i, :] * pivot - f * a[r, :]) // prev
-            a[i, c] = 0
-        pivots.append(c)
-        prev = pivot
-        r += 1
-    return a, pivots
-
-
-def rank_of_rows_q(rows: list[list]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    a = _rows_to_int_array(rows)
-    _, pivots = _bareiss_forward(a)
-    return len(pivots)
+            row = _subtract(row, piv, c)
+    return ech
 
 
 def rref_rows(rows: list[list], dom: ScalarDomain):
@@ -91,69 +88,24 @@ def rref_rows(rows: list[list], dom: ScalarDomain):
         red, pivots = _modp.rref_modp(a, dom.p)
         out = [[int(v) for v in red[i]] for i in range(len(pivots))]
         return out, pivots
-    # peel rows with a single nonzero entry: each is its own pivot row and
-    # clearing its column never mixes rows, so large mostly-unit relation
-    # sets (degeneracy images) reduce without touching Bareiss at all
-    ncols = len(rows[0])
-    work_rows = [[Fraction(v) for v in row] for row in rows]
-    unit_cols = set()
-    while True:
-        fresh = set()
-        survivors = []
-        for row in work_rows:
-            nz = [j for j, v in enumerate(row) if v != 0]
-            if not nz:
-                continue
-            if len(nz) == 1:
-                fresh.add(nz[0])
-            else:
-                survivors.append(row)
-        if not fresh - unit_cols:
-            work_rows = survivors
-            break
-        unit_cols |= fresh
-        for row in survivors:
-            for c in fresh:
-                row[c] = Fraction(0)
-        work_rows = survivors
-    units = sorted(unit_cols)
-    if not work_rows:
-        out = []
-        for c in units:
-            row = [Fraction(0)] * ncols
-            row[c] = Fraction(1)
-            out.append(row)
-        return out, units
-    # rationals: Bareiss forward pass, then back-substitute on the echelon part
-    a = _rows_to_int_array(work_rows)
-    ech, pivots = _bareiss_forward(a)
-    r = len(pivots)
-    work = [[Fraction(x) for x in ech[i]] for i in range(r)]
-    for i in reversed(range(r)):
-        pc = pivots[i]
-        pv = work[i][pc]
-        work[i] = [x / pv for x in work[i]]
-        for k in range(i):
-            f = work[k][pc]
-            if f != 0:
-                work[k] = [xk - f * xi for xk, xi in zip(work[k], work[i])]
-    if units:
-        merged = []
-        ui, wi = 0, 0
-        all_pivots = []
-        while ui < len(units) or wi < r:
-            if wi >= r or (ui < len(units) and units[ui] < pivots[wi]):
-                row = [Fraction(0)] * ncols
-                row[units[ui]] = Fraction(1)
-                merged.append(row)
-                all_pivots.append(units[ui])
-                ui += 1
-            else:
-                merged.append(work[wi])
-                all_pivots.append(pivots[wi])
-                wi += 1
-        return merged, all_pivots
-    return work, pivots
+    ech = _echelon({j: v for j, v in enumerate(row) if v} for row in rows)
+    pivots = sorted(ech)
+    # back-substitute from the last pivot up: a reduced row is zero at every
+    # other pivot column, so subtracting it clears one entry of a row above
+    for pc in reversed(pivots):
+        row = ech[pc]
+        for c in [c for c in row if c != pc and c in ech]:
+            row = _subtract(row, ech[c], c)
+        ech[pc] = row
+    zero = Fraction(0)
+    out = []
+    for pc in pivots:
+        row = ech[pc]
+        dense = [zero] * len(rows[0])
+        for j, v in row.items():
+            dense[j] = Fraction(v, row[pc])
+        out.append(dense)
+    return out, pivots
 
 
 def rank(m: Matrix) -> int:
@@ -163,7 +115,11 @@ def rank(m: Matrix) -> int:
     if m.dom.kind == PRIME_FIELD:
         _, pivots = _modp.rref_modp(m.to_int64_array(), m.dom.p)
         return len(pivots)
-    return rank_of_rows_q(m.to_dense_rows())
+    rows = [{} for _ in range(m.rows)]
+    for c in range(m.cols):
+        for r, v in m.column(c).items():
+            rows[r][c] = v
+    return len(_echelon(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +363,8 @@ def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
         return 0, []
     if boundary.cols == 0 or boundary.is_zero():
         return k, []
-    xs = solve_in_span([[Fraction(v) for v in b] for b in kernel_basis],
-                       [[Fraction(x) for x in boundary.column_vector(c)]
-                        for c in range(boundary.cols)], Q)
+    xs = solve_in_span(kernel_basis,
+                       [boundary.column_vector(c) for c in range(boundary.cols)], Q)
     if xs is None:
         raise LatticeMismatch("boundary column not in kernel lattice")
     if any(Fraction(v).denominator != 1 for x in xs for v in x):

@@ -118,6 +118,8 @@ def test_exit_code_parse_errors(capsys):
                "--max-degree", "2")[0] == 2
     assert run(capsys, "homology", "--preset", "circle",
                "--max-degree", "-1")[0] == 2
+    for preset in ("truncpoly:x", "productfield:x"):
+        assert run(capsys, "hh", "--preset", preset, "--max-degree", "1")[0] == 2
 
 
 def test_exit_code_budget(capsys):
@@ -147,6 +149,36 @@ def test_exit_code_bad_input_file(capsys, tmp_path):
     garbled.write_text("{not json")
     assert run(capsys, "hh", "--input", str(garbled),
                "--max-degree", "1")[0] == 2
+    code, _, err = run(capsys, "hh", "--input", str(tmp_path), "--max-degree", "1")
+    assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("domain", ["q", "zp:5"])
+@pytest.mark.parametrize("obj", [
+    {"preset": "truncpoly", "params": {"k": 2.7}},
+    {"preset": "truncpoly", "params": {"k": None}},
+    {"preset": "productfield", "params": {"m": True}},
+    {"preset": "truncpoly", "params": [2]},
+    {"preset": "group", "params": {}},
+    {"table": [[[1]]], "unit": [1.5]},
+    {"table": [[[1.0]]]},
+    {"table": [[["1"]]], "unit": [1]},
+])
+def test_exit_code_non_integer_json_numbers(capsys, tmp_path, domain, obj):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hh", "--input", str(path), "--domain", domain,
+                         "--max-degree", "1")
+    assert code == 2 and out == "" and "must be" in err
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "hh", broken)
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(["hh", "--preset", "unit", "--max-degree", "0"])
 
 
 @pytest.mark.parametrize("p", [2 ** 40 + 15, 2 ** 61 - 1])

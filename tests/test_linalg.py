@@ -141,6 +141,37 @@ def test_rref_fractions_exact():
     assert red[0] == [1, Fraction(2, 3)]
 
 
+WIDTH = 5
+unit_row = st.tuples(st.integers(0, WIDTH - 1), st.integers(-9, 9).filter(bool)).map(
+    lambda t: [t[1] if j == t[0] else 0 for j in range(WIDTH)])
+int_row = st.lists(small_int, min_size=WIDTH, max_size=WIDTH)
+fraction_row = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                        min_size=WIDTH, max_size=WIDTH)
+
+
+@given(st.lists(st.one_of(unit_row, int_row, fraction_row), min_size=1, max_size=8))
+def test_rref_rows_q_is_the_rref_of_the_same_span(rows):
+    red, pivots = rref_rows(rows, Q)
+    assert len(red) == len(pivots) == dense_rank(rows)
+    assert pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(red, pivots)):
+        assert len(row) == WIDTH
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(other[pc] == 0 for k, other in enumerate(red) if k != i)
+    assert all(in_span(rows, row) for row in red)
+    assert all(in_span(red, row) for row in rows)
+
+
+@pytest.mark.parametrize("dom", [Q, Z])
+def test_rank_reads_the_sparse_columns_without_densifying(monkeypatch, dom):
+    def densify(self):
+        raise AssertionError("rank densified its matrix")
+
+    monkeypatch.setattr(Matrix, "to_dense_rows", densify)
+    rows = [[0, 2, 0, 4], [1, 0, 0, 0], [0, 1, 0, 2], [3, 0, 0, 5]]
+    assert rank(Matrix.from_rows(rows, dom)) == dense_rank(rows) == 3
+
+
 def test_subspace_canonical_form_is_order_independent():
     a = SubspaceBasis.from_spanning([[1, 2, 0], [0, 1, 1]], 3, Q)
     b = SubspaceBasis.from_spanning([[1, 3, 1], [0, 2, 2], [1, 2, 0]], 3, Q)
