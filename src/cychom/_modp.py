@@ -1,41 +1,48 @@
-"""Row reduction over F_p on int64 arrays.
+"""Row reduction over F_p on sparse rows {col: residue}.
 
-This is the one genuinely hot numeric loop in the package (ranks of
-large boundary matrices over small prime fields).  Elimination
-multiplies two residues in [0, p), so every product fits in an int64
-exactly when (p - 1)^2 < 2^63; ``domains`` rejects larger p.
+Elimination follows ``linalg._echelon``: rows are read from the matrix's
+column dicts and taken sparsest first, and each row is reduced at its
+leading column until it leads at a column with no pivot yet.  Over F_p a
+new pivot row is scaled to lead with 1, so the row step is
+``(w - a*v) % p``.  Residues are Python ints, exact for every p;
+``domains`` bounds p only to keep its trial-division primality test fast.
 """
 
 from __future__ import annotations
 
-import numpy as np
+
+def _subtract(row: dict, piv: dict, c: int, p: int) -> dict:
+    """row - row[c] * piv mod p for a pivot row leading with 1 at c; row is consumed."""
+    a = row[c]
+    for k, v in piv.items():
+        w = (row.get(k, 0) - a * v) % p
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    return row
 
 
-def rref_modp(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p of an integer array (input is not modified).
+def rref_modp(m, p: int):
+    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
 
-    Returns (matrix, pivot column list).
+    Returns (the nonzero rows as sparse dicts {col: residue}, in order of
+    their pivots, and the pivot column list).
     """
-    a = np.asarray(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    ech = {}
+    for row in sorted(m.sparse_rows(), key=len):
+        while row:
+            c = min(row)
+            piv = ech.get(c)
+            if piv is None:
+                inv = pow(row[c], -1, p)
+                ech[c] = {k: v * inv % p for k, v in row.items()}
+                break
+            row = _subtract(row, piv, c, p)
+    pivots = sorted(ech)
+    # back-substitute from the last pivot up, as linalg.rref_rows does over Q
+    for pc in reversed(pivots):
+        row = ech[pc]
+        for c in [c for c in row if c != pc and c in ech]:
+            _subtract(row, ech[c], c, p)
+    return [ech[pc] for pc in pivots], pivots

@@ -8,7 +8,7 @@ downstream is matrices over an exact domain.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 
 from . import linalg
 from .domains import ScalarDomain
@@ -212,18 +212,15 @@ class PresentedModule:
             if dom.kind == "Z":
                 # valid only when the reduced span is integral with unit
                 # pivots (true for degenerate subcomplexes of simplicial
-                # sets, whose relations are standard basis vectors)
-                from fractions import Fraction
+                # sets, whose relations are standard basis vectors); the
+                # RREF over Q has Fraction entries
                 from .domains import Q as QDOM
-                red, pivots = linalg.rref_rows([list(r) for r in relations], QDOM)
-                for row in red:
-                    for v in row:
-                        if Fraction(v).denominator != 1:
-                            raise DomainMismatch(
-                                "relation span is not saturated over the integers")
-                red = [[int(v) for v in row] for row in red]
+                red, pivots = linalg.rref_rows(relations, QDOM)
+                if any(v.denominator != 1 for row in red for v in row):
+                    raise DomainMismatch("relation span is not saturated over the integers")
+                red = [[v.numerator for v in row] for row in red]
             else:
-                red, pivots = linalg.rref_rows([list(r) for r in relations], dom)
+                red, pivots = linalg.rref_rows(relations, dom)
         else:
             red, pivots = [], []
         self.rel_rref = red
@@ -235,12 +232,12 @@ class PresentedModule:
         proj = Matrix.zeros(self.dim, ambient, dom)
         for k, c in enumerate(self.free):
             proj._set(k, c, dom.one)
-        # a pivot coordinate is minus the free part of its relation row
-        for i, pc in enumerate(self.pivots):
-            for k, c in enumerate(self.free):
-                v = red[i][c]
-                if v != 0:
-                    proj._set(k, pc, dom.neg(v))
+        # a pivot coordinate is minus the free part of its relation row,
+        # which is sparse: compress skips its zeros at C speed
+        for row, pc in zip(red, self.pivots):
+            part = [row[c] for c in self.free]
+            for k in compress(range(self.dim), part):
+                proj._set(k, pc, dom.neg(part[k]))
         self.proj = proj
         sect = Matrix.zeros(ambient, self.dim, dom)
         for k, c in enumerate(self.free):

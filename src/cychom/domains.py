@@ -37,11 +37,12 @@ class ScalarDomain:
         if self.kind not in (RATIONALS, PRIME_FIELD, INTEGERS):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == PRIME_FIELD:
-            # the int64 mod-p kernel multiplies two residues; checked before
-            # the trial-division primality test, which is slow for huge p
+            # residues are exact Python ints, so the bound only keeps the
+            # trial-division primality test below fast (at most ~55 000
+            # steps); it is checked first because that test hangs for huge p
             if self.p is not None and self.p > 1 and (self.p - 1) ** 2 >= 2 ** 63:
-                raise ValueError(f"p = {self.p} is too large: F_p needs (p - 1)^2 < 2^63,"
-                                 " so p <= 3037000493")
+                raise ValueError(f"p = {self.p} is too large: F_p takes primes with"
+                                 " (p - 1)^2 < 2^63, so p <= 3037000493")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
         elif self.p is not None:

@@ -21,6 +21,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table, name=""):
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise InputFormatError("multiplication table must be a list of rows")
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.name = name
@@ -29,7 +31,8 @@ class FiniteGroup:
             raise InputFormatError("multiplication table must be square and nonempty")
         for row in self.table:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                # JSON true/false would pass as the ints 1/0
+                if type(v) is not int or not 0 <= v < n:
                     raise InputFormatError("table entries must be element indices")
         ident = None
         for e in range(n):
@@ -138,5 +141,7 @@ def group_from_json(obj) -> FiniteGroup:
     if "table" in obj:
         return FiniteGroup(obj["table"], name=obj.get("name", ""))
     if "preset" in obj:
+        if not isinstance(obj["preset"], str):
+            raise InputFormatError("group 'preset' must be a string such as \"cyclic:4\"")
         return group_from_preset(obj["preset"])
     raise InputFormatError("group input needs a 'table' or 'preset' key")

@@ -2,8 +2,8 @@
 
 Rank over Q and Z and reduced row echelon forms over Q come from one
 sparse fraction-free echelon on integer rows {col: int}, kept primitive
-so coefficients stay small; over prime fields elimination is delegated
-to the mod-p kernel.  Subspaces are
+so coefficients stay small; over prime fields the same elimination on
+sparse rows of residues is ``_modp.rref_modp``.  Subspaces are
 fingerprinted by their reduced row echelon form, which makes equality of
 spans a plain tuple comparison.
 """
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-
-import numpy as np
 
 from . import _modp
 from .domains import INTEGERS, PRIME_FIELD, Q, ScalarDomain
@@ -84,26 +82,26 @@ def rref_rows(rows: list[list], dom: ScalarDomain):
     if not rows or not rows[0]:
         return [], []
     if dom.kind == PRIME_FIELD:
-        a = np.array([[int(v) % dom.p for v in row] for row in rows], dtype=np.int64)
-        red, pivots = _modp.rref_modp(a, dom.p)
-        out = [[int(v) for v in red[i]] for i in range(len(pivots))]
-        return out, pivots
-    ech = _echelon({j: v for j, v in enumerate(row) if v} for row in rows)
-    pivots = sorted(ech)
-    # back-substitute from the last pivot up: a reduced row is zero at every
-    # other pivot column, so subtracting it clears one entry of a row above
-    for pc in reversed(pivots):
-        row = ech[pc]
-        for c in [c for c in row if c != pc and c in ech]:
-            row = _subtract(row, ech[c], c)
-        ech[pc] = row
-    zero = Fraction(0)
+        red, pivots = _modp.rref_modp(Matrix.from_rows(rows, dom), dom.p)
+        zero = 0
+    else:
+        ech = _echelon({j: v for j, v in enumerate(row) if v} for row in rows)
+        pivots = sorted(ech)
+        # back-substitute from the last pivot up: a reduced row is zero at
+        # every other pivot column, so subtracting it clears one entry of a
+        # row above
+        for pc in reversed(pivots):
+            row = ech[pc]
+            for c in [c for c in row if c != pc and c in ech]:
+                row = _subtract(row, ech[c], c)
+            ech[pc] = row
+        red = [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots]
+        zero = Fraction(0)
     out = []
-    for pc in pivots:
-        row = ech[pc]
+    for row in red:
         dense = [zero] * len(rows[0])
         for j, v in row.items():
-            dense[j] = Fraction(v, row[pc])
+            dense[j] = v
         out.append(dense)
     return out, pivots
 
@@ -113,13 +111,8 @@ def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.dom.kind == PRIME_FIELD:
-        _, pivots = _modp.rref_modp(m.to_int64_array(), m.dom.p)
-        return len(pivots)
-    rows = [{} for _ in range(m.rows)]
-    for c in range(m.cols):
-        for r, v in m.column(c).items():
-            rows[r][c] = v
-    return len(_echelon(rows))
+        return len(_modp.rref_modp(m, m.dom.p)[1])
+    return len(_echelon(m.sparse_rows()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,15 @@ arithmetic stays in the matrix's scalar domain.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import compress
 
 from .domains import ScalarDomain
 from .errors import DomainMismatch
+
+
+def _nonzero(vec):
+    """Indices of the nonzero entries of a dense vector, found at C speed."""
+    return compress(range(len(vec)), vec)
 
 
 class Matrix:
@@ -60,8 +65,8 @@ class Matrix:
             cols = len(data[0]) if rows else 0
         m = cls(rows, cols, dom)
         for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                v = dom.coerce(v)
+            for c in _nonzero(row):
+                v = dom.coerce(row[c])
                 if v != 0:
                     m._set(r, c, v)
         return m
@@ -70,22 +75,25 @@ class Matrix:
     def from_columns(cls, vectors, rows, dom):
         m = cls(rows, len(vectors), dom)
         for c, vec in enumerate(vectors):
-            for r, v in enumerate(vec):
-                v = dom.coerce(v)
+            for r in _nonzero(vec):
+                v = dom.coerce(vec[r])
                 if v != 0:
                     m._set(r, c, v)
         return m
 
     # -- queries ---------------------------------------------------------
+    @property
+    def shape(self):
+        return self.rows, self.cols
+
     def entry(self, r, c):
         return self._cols.get(c, {}).get(r, 0)
 
-    def column(self, c) -> dict:
-        return self._cols.get(c, {})
-
     def column_vector(self, c) -> list:
-        col = self._cols.get(c, {})
-        return [col.get(r, 0) for r in range(self.rows)]
+        vec = [0] * self.rows
+        for r, v in self._cols.get(c, {}).items():
+            vec[r] = v
+        return vec
 
     def nnz(self) -> int:
         return sum(len(col) for col in self._cols.values())
@@ -205,14 +213,27 @@ class Matrix:
                 data[r][c] = v
         return data
 
-    def to_object_array(self) -> np.ndarray:
+    def sparse_rows(self) -> list[dict]:
+        """The rows as fresh dicts {col: value}, the form elimination works on."""
+        data = [{} for _ in range(self.rows)]
+        for c, col in self._cols.items():
+            for r, v in col.items():
+                data[r][c] = v
+        return data
+
+    # The two numpy conversions below have no caller in cychom; they stay
+    # only because perfbench/tracer.py names them, and import numpy
+    # themselves so that importing cychom does not.
+    def to_object_array(self):
+        import numpy as np
         a = np.zeros((self.rows, self.cols), dtype=object)
         for c, col in self._cols.items():
             for r, v in col.items():
                 a[r, c] = v
         return a
 
-    def to_int64_array(self) -> np.ndarray:
+    def to_int64_array(self):
+        import numpy as np
         a = np.zeros((self.rows, self.cols), dtype=np.int64)
         for c, col in self._cols.items():
             for r, v in col.items():

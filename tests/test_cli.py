@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -170,6 +173,35 @@ def test_exit_code_non_integer_json_numbers(capsys, tmp_path, domain, obj):
     code, out, err = run(capsys, "hh", "--input", str(path), "--domain", domain,
                          "--max-degree", "1")
     assert code == 2 and out == "" and "must be" in err
+
+
+@pytest.mark.parametrize("obj", [
+    {"preset": 3},
+    {"preset": ["cyclic:2"]},
+    {"table": [[True, False], [False, True]]},
+    {"table": [[0, 1], [1, False]]},
+    {"table": 5},
+    {"table": [5]},
+])
+def test_exit_code_malformed_group_json(capsys, tmp_path, obj):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "homology", "--preset", "bg", "--input", str(path),
+                         "--max-degree", "1")
+    assert code == 2 and out == "" and "must be" in err
+
+
+def test_cli_does_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import sys, cychom.cli\n"
+              "code = cychom.cli.main(['hh', '--preset', 'truncpoly:2', '--domain', 'zp:5',"
+              " '--max-degree', '2'])\n"
+              "assert code == 0, code\n"
+              "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_internal_value_error_is_not_reported_as_bad_input(capsys, monkeypatch):

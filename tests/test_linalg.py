@@ -44,7 +44,7 @@ def test_rank_matches_dense_oracle_modp(rows, p):
     assert rank(m) == dense_rank_modp(rows, p)
 
 
-# the largest p with (p - 1)^2 < 2^63, so the int64 kernel's products of residues fit
+# the largest p with (p - 1)^2 < 2^63, the largest prime F_p accepts
 BIG_P = 3037000493
 
 
@@ -160,6 +160,29 @@ def test_rref_rows_q_is_the_rref_of_the_same_span(rows):
         assert all(other[pc] == 0 for k, other in enumerate(red) if k != i)
     assert all(in_span(rows, row) for row in red)
     assert all(in_span(red, row) for row in rows)
+
+
+def _fp_rows(p):
+    # zeros keep the rows sparse; entries just below p make products of residues large
+    entry = st.one_of(st.just(0), st.integers(1, 4), st.integers(p - 4, p - 1))
+    row = st.lists(entry, min_size=WIDTH, max_size=WIDTH)
+    return st.tuples(st.just(p), st.lists(row, min_size=1, max_size=8))
+
+
+@settings(max_examples=60)
+@given(st.one_of(_fp_rows(5), _fp_rows(BIG_P)))
+def test_rref_rows_fp_is_the_rref_of_the_same_span(p_rows):
+    p, rows = p_rows
+    red, pivots = rref_rows(rows, Fp(p))
+    r = dense_rank_modp(rows, p)
+    assert len(red) == len(pivots) == r
+    assert pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(red, pivots)):
+        assert len(row) == WIDTH and all(type(v) is int and 0 <= v < p for v in row)
+        assert row[pc] == 1 and not any(row[:pc])
+        assert all(other[pc] == 0 for k, other in enumerate(red) if k != i)
+    # the same span: the reduced rows add nothing to the rank of the input
+    assert dense_rank_modp(rows + red, p) == r
 
 
 @pytest.mark.parametrize("dom", [Q, Z])
