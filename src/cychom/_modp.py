@@ -40,7 +40,7 @@ def rref_modp(m, p: int):
                 break
             row = _subtract(row, piv, c, p)
     pivots = sorted(ech)
-    # back-substitute from the last pivot up, as linalg.rref_rows does over Q
+    # back-substitute from the last pivot up, as linalg.rref does over Q
     for pc in reversed(pivots):
         row = ech[pc]
         for c in [c for c in row if c != pc and c in ech]:

@@ -8,7 +8,7 @@ downstream is matrices over an exact domain.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import combinations
 
 from . import linalg
 from .domains import ScalarDomain
@@ -200,53 +200,34 @@ def exactness_at(f: Matrix, g: Matrix) -> bool:
 class PresentedModule:
     """A quotient of a based module by the span of relation vectors.
 
-    The quotient basis is the set of non-pivot coordinates of the reduced
-    relation span; proj and sect are the corresponding projection and
-    section matrices, with proj @ sect = identity.
+    Relations are sparse rows {ambient index: coefficient}.  The quotient
+    basis is the set of non-pivot coordinates of their reduced row echelon
+    form, whose rows are kept as the columns of the matrix relations; proj
+    and sect are the projection and section, with proj @ sect = identity.
     """
 
     def __init__(self, ambient: int, relations, dom: ScalarDomain, labels=None):
         self.ambient = ambient
         self.dom = dom
-        if relations:
-            if dom.kind == "Z":
-                # valid only when the reduced span is integral with unit
-                # pivots (true for degenerate subcomplexes of simplicial
-                # sets, whose relations are standard basis vectors); the
-                # RREF over Q has Fraction entries
-                from .domains import Q as QDOM
-                red, pivots = linalg.rref_rows(relations, QDOM)
-                if any(v.denominator != 1 for row in red for v in row):
-                    raise DomainMismatch("relation span is not saturated over the integers")
-                red = [[v.numerator for v in row] for row in red]
-            else:
-                red, pivots = linalg.rref_rows(relations, dom)
-        else:
-            red, pivots = [], []
-        self.rel_rref = red
-        self.pivots = list(pivots)
+        red, pivots = linalg.rref(relations, ambient, dom)
+        # over Z the span is reduced as over Q; that is valid only when the
+        # reduced rows are integral (true for degenerate subcomplexes of
+        # simplicial sets, whose relations are standard basis vectors)
+        if dom.kind == "Z" and any(v.denominator != 1 for row in red for v in row.values()):
+            raise DomainMismatch("relation span is not saturated over the integers")
+        self.relations = Matrix.from_columns(red, ambient, dom)
         pivset = set(pivots)
         self.free = [c for c in range(ambient) if c not in pivset]
         self.dim = len(self.free)
         self.labels = [labels[c] for c in self.free] if labels else None
-        proj = Matrix.zeros(self.dim, ambient, dom)
-        for k, c in enumerate(self.free):
-            proj._set(k, c, dom.one)
-        # a pivot coordinate is minus the free part of its relation row,
-        # which is sparse: compress skips its zeros at C speed
-        for row, pc in zip(red, self.pivots):
-            part = [row[c] for c in self.free]
-            for k in compress(range(self.dim), part):
-                proj._set(k, pc, dom.neg(part[k]))
-        self.proj = proj
-        sect = Matrix.zeros(ambient, self.dim, dom)
-        for k, c in enumerate(self.free):
-            sect._set(c, k, dom.one)
-        self.sect = sect
-
-    def contains_relation(self, vector) -> bool:
-        """Whether the ambient vector lies in the relation span."""
-        return all(x == 0 for x in self.proj.apply(list(vector)))
+        # proj keeps a free coordinate and sends a pivot coordinate to
+        # minus the free part of its reduced relation
+        position = {c: k for k, c in enumerate(self.free)}
+        cols = {c: {k: dom.one} for c, k in position.items()}
+        for pc, rel in zip(pivots, red):
+            cols[pc] = {position[c]: dom.neg(v) for c, v in rel.items() if c != pc}
+        self.proj = Matrix.from_columns([cols[c] for c in range(ambient)], self.dim, dom)
+        self.sect = Matrix.from_columns([{c: dom.one} for c in self.free], ambient, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +299,9 @@ class SimplicialModule:
         return out
 
     def degenerate_relations(self, n):
-        """Spanning vectors of the degenerate submodule in degree n."""
-        rels = []
-        for j in range(n):
-            s = self.degeneracy(n - 1, j)
-            for c in range(s.cols):
-                rels.append(s.column_vector(c))
-        return rels
+        """Spanning vectors of the degenerate submodule in degree n: the
+        columns of every s_j as sparse dicts {index: coefficient}."""
+        return [col for j in range(n) for col in self.degeneracy(n - 1, j).sparse_columns()]
 
     def normalized_quotient(self, n) -> PresentedModule:
         key = ("nq", n)

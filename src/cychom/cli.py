@@ -110,9 +110,10 @@ def _get_algebra(args, dom):
 
 
 def _spec_budget_guard(spec, top, budget):
+    # count lazily, so the guard never builds the degree that crosses it
     total = 0
     for n in range(top + 1):
-        total += len(spec.elements(n))
+        total += spec.count(n, budget - total + 1)
         if total > budget:
             raise BudgetExceeded(
                 f"simplicial set has more than {budget} cells up to degree {top}")
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     if getattr(args, "budget", 1) <= 0:
         print("error: --budget must be positive", file=sys.stderr)
+        return EXIT_PARSE
+    if getattr(args, "window", 1) < 1:
+        print("error: --window must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     try:
         return _COMMANDS[args.command](args)

@@ -24,9 +24,9 @@ def _require_commutative(A: FiniteAlgebra):
 
 
 def _leibniz_relations(A: FiniteAlgebra, n: int):
-    """Leibniz-rule vectors in A tensor (n+1), for every slot and triple."""
+    """Leibniz-rule relations in A tensor (n+1), for every slot and triple,
+    as sparse dicts {tensor index: coefficient}."""
     dom, d = A.dom, A.dim
-    amb = d ** (n + 1)
     rels = []
     for k in range(1, n + 1):
         others = [range(d)] * (n - 1)  # slots 1..n except k
@@ -41,28 +41,21 @@ def _leibniz_relations(A: FiniteAlgebra, n: int):
                             slots = list(rest)
                             slots.insert(k - 1, val)
                             return tensor_index((lead,) + tuple(slots), d)
-                        vec = [dom.zero] * amb
                         # a0 d(bc) - (a0 b) dc - (a0 c) db = 0
-                        for m, coef in enumerate(bc):
-                            if coef != 0:
-                                vec[put(a0, m)] = dom.add(vec[put(a0, m)], coef)
-                        for m, coef in enumerate(a0b):
-                            if coef != 0:
-                                i = put(m, c)
-                                vec[i] = dom.sub(vec[i], coef)
-                        for m, coef in enumerate(a0c):
-                            if coef != 0:
-                                i = put(m, b)
-                                vec[i] = dom.sub(vec[i], coef)
-                        if any(v != 0 for v in vec):
-                            rels.append(vec)
+                        terms = [(put(a0, m), v) for m, v in enumerate(bc) if v != 0]
+                        terms += [(put(m, c), dom.neg(v)) for m, v in enumerate(a0b) if v != 0]
+                        terms += [(put(m, b), dom.neg(v)) for m, v in enumerate(a0c) if v != 0]
+                        rel = {}
+                        for i, v in terms:
+                            rel[i] = dom.add(rel.get(i, dom.zero), v)
+                        if any(rel.values()):
+                            rels.append(rel)
     return rels
 
 
 def _square_relations(A: FiniteAlgebra, n: int):
-    """Adjacent-slot squares: db db and db dc + dc db."""
+    """Adjacent-slot squares: db db and db dc + dc db, as sparse dicts."""
     dom, d = A.dom, A.dim
-    amb = d ** (n + 1)
     rels = []
     for k in range(1, n):
         others = [range(d)] * (n - 2)
@@ -75,11 +68,9 @@ def _square_relations(A: FiniteAlgebra, n: int):
                     return tensor_index((a0,) + tuple(slots), d)
                 for b in range(d):
                     for c in range(b, d):
-                        vec = [dom.zero] * amb
-                        vec[put(b, c)] = dom.add(vec[put(b, c)], dom.one)
-                        i = put(c, b)
-                        vec[i] = dom.add(vec[i], dom.one)
-                        rels.append(vec)
+                        i, j = put(b, c), put(c, b)
+                        rels.append({i: dom.add(dom.one, dom.one)} if i == j
+                                    else {i: dom.one, j: dom.one})
     return rels
 
 
@@ -132,12 +123,10 @@ def derham_d(omega_n: PresentedModule, omega_n1: PresentedModule) -> Matrix:
     """
     A = omega_n.algebra
     n = omega_n.form_degree
-    amb = extra_degeneracy(A, n)
-    for row in omega_n.rel_rref:
-        image = amb.apply(list(row))
-        if not omega_n1.contains_relation(image):
-            raise RelationFailure("differential not well-defined on the quotient")
-    return omega_n1.proj @ amb @ omega_n.sect
+    amb = omega_n1.proj @ extra_degeneracy(A, n)
+    if not (amb @ omega_n.relations).is_zero():
+        raise RelationFailure("differential not well-defined on the quotient")
+    return amb @ omega_n.sect
 
 
 class DeRhamResult:

@@ -196,6 +196,8 @@ def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
             for c in cell:
                 _json_int(c, "a structure constant")
     unit = obj.get("unit")
+    if unit is None and not dom.is_field:
+        raise InputFormatError(f"over {dom} the algebra input needs a 'unit' key")
     if unit is not None:
         if not isinstance(unit, list):
             raise InputFormatError("'unit' must be a list of integers")

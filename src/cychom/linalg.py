@@ -1,9 +1,10 @@
 """Exact linear algebra: rank, kernel, image, canonical subspaces, SNF.
 
-Rank over Q and Z and reduced row echelon forms over Q come from one
-sparse fraction-free echelon on integer rows {col: int}, kept primitive
-so coefficients stay small; over prime fields the same elimination on
-sparse rows of residues is ``_modp.rref_modp``.  Subspaces are
+Rank over Q and Z and reduced row echelon forms over Q (and over Z,
+reduced as Q) come from one sparse fraction-free echelon on integer rows
+{col: int}, kept primitive so coefficients stay small; over prime fields
+the same elimination on sparse rows of residues is ``_modp.rref_modp``;
+``rref`` is their one sparse reduced echelon entry.  Subspaces are
 fingerprinted by their reduced row echelon form, which makes equality of
 spans a plain tuple comparison.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, prod
 
 from . import _modp
@@ -25,13 +27,14 @@ from .matrix import Matrix
 # ---------------------------------------------------------------------------
 
 def _primitive(row: dict) -> dict:
-    """The primitive integer multiple of a sparse row {col: int | Fraction}.
+    """The primitive integer multiple of a sparse row {col: int | Fraction},
+    without its zero entries.
 
     Scaling a row does not change the span it contributes to, and keeping
     rows primitive bounds coefficient growth in fraction-free elimination.
     """
     den = prod({v.denominator for v in row.values()})
-    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    ints = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
     g = gcd(*ints.values())
     return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
@@ -73,33 +76,43 @@ def _echelon(rows) -> dict:
     return ech
 
 
-def rref_rows(rows: list[list], dom: ScalarDomain):
-    """Reduced row echelon form of a list of row vectors over a field.
+def rref(rows: list[dict], cols: int, dom: ScalarDomain):
+    """Reduced row echelon form of sparse rows {col: value} over dom (Z as Q).
 
-    Returns (rref rows without trailing zero rows, pivot columns).
+    Returns (the nonzero reduced rows as sparse dicts {col: value}, in
+    order of their pivots, and the pivot column list).  Values are
+    Fractions over Q and Z, residues over F_p.
+    """
+    if dom.kind == PRIME_FIELD:
+        return _modp.rref_modp(Matrix.from_rows(rows, dom, cols=cols), dom.p)
+    ech = _echelon(rows)
+    pivots = sorted(ech)
+    # back-substitute from the last pivot up: a reduced row is zero at
+    # every other pivot column, so subtracting it clears one entry of a
+    # row above
+    for pc in reversed(pivots):
+        row = ech[pc]
+        for c in [c for c in row if c != pc and c in ech]:
+            row = _subtract(row, ech[c], c)
+        ech[pc] = row
+    return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
+
+
+def rref_rows(rows: list[list], dom: ScalarDomain):
+    """Reduced row echelon form of a list of dense row vectors over a field.
+
+    Returns (dense rref rows without trailing zero rows, pivot columns).
     """
     dom.require_field()
     if not rows or not rows[0]:
         return [], []
-    if dom.kind == PRIME_FIELD:
-        red, pivots = _modp.rref_modp(Matrix.from_rows(rows, dom), dom.p)
-        zero = 0
-    else:
-        ech = _echelon({j: v for j, v in enumerate(row) if v} for row in rows)
-        pivots = sorted(ech)
-        # back-substitute from the last pivot up: a reduced row is zero at
-        # every other pivot column, so subtracting it clears one entry of a
-        # row above
-        for pc in reversed(pivots):
-            row = ech[pc]
-            for c in [c for c in row if c != pc and c in ech]:
-                row = _subtract(row, ech[c], c)
-            ech[pc] = row
-        red = [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots]
-        zero = Fraction(0)
+    width = len(rows[0])
+    red, pivots = rref([{j: row[j] for j in compress(range(width), row)} for row in rows],
+                       width, dom)
+    zero = 0 if dom.kind == PRIME_FIELD else Fraction(0)
     out = []
     for row in red:
-        dense = [zero] * len(rows[0])
+        dense = [zero] * width
         for j, v in row.items():
             dense[j] = v
         out.append(dense)

@@ -13,23 +13,22 @@ from .domains import ScalarDomain
 from .errors import DomainMismatch
 
 
-def _nonzero(vec):
-    """Indices of the nonzero entries of a dense vector, found at C speed."""
-    return compress(range(len(vec)), vec)
+def _entries(vec):
+    """(index, value) of the nonzero entries of a dense list or a sparse dict."""
+    if isinstance(vec, dict):
+        return vec.items()
+    # both found at C speed: compress keeps the entries that are nonzero
+    return zip(compress(range(len(vec)), vec), compress(vec, vec))
 
 
 class Matrix:
     __slots__ = ("rows", "cols", "dom", "_cols")
 
-    def __init__(self, rows: int, cols: int, dom: ScalarDomain, entries=None):
-        """entries: optional {(r, c): value} mapping; zeros are dropped."""
+    def __init__(self, rows: int, cols: int, dom: ScalarDomain):
         self.rows = rows
         self.cols = cols
         self.dom = dom
         self._cols: dict[int, dict[int, object]] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                self._set(r, c, dom.coerce(v))
 
     # -- construction --------------------------------------------------
     def _set(self, r, c, v):
@@ -60,23 +59,26 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, data, dom, cols=None):
+        """Rows given as dense lists or as sparse dicts {col: value};
+        sparse rows need cols."""
         rows = len(data)
         if cols is None:
             cols = len(data[0]) if rows else 0
         m = cls(rows, cols, dom)
         for r, row in enumerate(data):
-            for c in _nonzero(row):
-                v = dom.coerce(row[c])
+            for c, v in _entries(row):
+                v = dom.coerce(v)
                 if v != 0:
                     m._set(r, c, v)
         return m
 
     @classmethod
     def from_columns(cls, vectors, rows, dom):
+        """Columns given as dense lists or as sparse dicts {row: value}."""
         m = cls(rows, len(vectors), dom)
         for c, vec in enumerate(vectors):
-            for r in _nonzero(vec):
-                v = dom.coerce(vec[r])
+            for r, v in _entries(vec):
+                v = dom.coerce(v)
                 if v != 0:
                     m._set(r, c, v)
         return m
@@ -220,6 +222,10 @@ class Matrix:
             for r, v in col.items():
                 data[r][c] = v
         return data
+
+    def sparse_columns(self) -> list[dict]:
+        """The columns as fresh dicts {row: value}, as they are stored."""
+        return [dict(self._cols.get(c, ())) for c in range(self.cols)]
 
     # The two numpy conversions below have no caller in cychom; they stay
     # only because perfbench/tracer.py names them, and import numpy

@@ -8,6 +8,8 @@ checked on every element, and check_identities does exactly that.
 
 from __future__ import annotations
 
+from itertools import islice, product
+
 from .delta import (
     MonotoneMap,
     compose_cyclic,
@@ -50,6 +52,10 @@ class SimplicialSetSpec:
                 raise ValueError(f"degree {n} outside truncation {self.truncation}")
             self._cache[n] = list(self._elements_fn(n))
         return self._cache[n]
+
+    def count(self, n, limit):
+        """The number of degree-n elements, counted lazily up to limit."""
+        return sum(1 for _ in islice(self._cache.get(n) or self._elements_fn(n), limit))
 
     def face(self, n, i, x):
         if not 0 <= i <= n:
@@ -266,8 +272,7 @@ def classifying_space(G: FiniteGroup, N: int, central=None) -> SimplicialSetSpec
         G.require_central(central)
 
     def elements(n):
-        from itertools import product
-        return [tuple(p) for p in product(range(G.order), repeat=n)]
+        yield from product(range(G.order), repeat=n)
 
     def face(n, i, x):
         if i == 0:
@@ -294,8 +299,7 @@ def classifying_space(G: FiniteGroup, N: int, central=None) -> SimplicialSetSpec
 def cyclic_bar(G: FiniteGroup, N: int) -> SimplicialSetSpec:
     """The cyclic bar construction: degree n is G^{n+1}, t rotates."""
     def elements(n):
-        from itertools import product
-        return [tuple(p) for p in product(range(G.order), repeat=n + 1)]
+        yield from product(range(G.order), repeat=n + 1)
 
     def face(n, i, x):
         if i == n:

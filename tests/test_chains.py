@@ -2,6 +2,8 @@
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cychom.chains import (
     Bicomplex,
@@ -21,13 +23,13 @@ from cychom.chains import (
     total_complex,
 )
 from cychom.domains import Fp, Q, Z
-from cychom.errors import NotAChainMap, RangeExceedsComplex, SignCheckFailed
+from cychom.errors import DomainMismatch, NotAChainMap, RangeExceedsComplex, SignCheckFailed
 from cychom.hochschild import hochschild_module, truncated_polynomial
 from cychom.groups import cyclic_group
 from cychom.matrix import Matrix
-from cychom.simplicial import circle, classifying_space, cyclic_bar, standard_simplex
+from cychom.simplicial import circle, classifying_space, cyclic_bar, free_cyclic, standard_simplex
 
-from .oracle import dense_homology_dim
+from .oracle import dense_homology_dim, dense_rank, dense_rank_modp
 
 
 def _rows(m):
@@ -85,19 +87,55 @@ def test_chain_complex_rejects_nonzero_d_squared():
 
 
 def test_presented_module_projection_section():
-    pm = PresentedModule(3, [[1, 1, 0]], Q)
+    pm = PresentedModule(3, [{0: 1, 1: 1}], Q)
     assert pm.dim == 2
     prod = pm.proj @ pm.sect
     assert prod == Matrix.identity(2, Q)
-    assert pm.contains_relation([2, 2, 0])
-    assert not pm.contains_relation([1, 0, 0])
+    assert not any(pm.proj.apply([2, 2, 0]))
+    assert any(pm.proj.apply([1, 0, 0]))
 
 
 def test_presented_module_over_z_keeps_integrality():
-    pm = PresentedModule(2, [[1, 1]], Z)
+    pm = PresentedModule(2, [{0: 1, 1: 1}], Z)
     image = pm.proj.apply([3, 0])
     assert all(isinstance(v, int) or getattr(v, "denominator", 1) == 1
                for v in image)
+
+
+def test_presented_module_over_z_rejects_an_unsaturated_span():
+    # the reduced relation e0 + e1/2 is not integral
+    with pytest.raises(DomainMismatch):
+        PresentedModule(2, [{0: 2, 1: 1}], Z)
+
+
+AMBIENT = 6
+sparse_relation = st.dictionaries(st.integers(0, AMBIENT - 1),
+                                  st.integers(-4, 4).filter(bool), max_size=3)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([Q, Fp(5)]), st.lists(sparse_relation, max_size=8))
+def test_presented_module_matches_the_dense_oracle(dom, relations):
+    pm = PresentedModule(AMBIENT, relations, dom)
+    dense = [[r.get(c, 0) for c in range(AMBIENT)] for r in relations]
+    rk = dense_rank(dense) if dom == Q else dense_rank_modp(dense, 5)
+    assert pm.dim == AMBIENT - rk
+    assert pm.proj @ pm.sect == Matrix.identity(pm.dim, dom)
+    for row in dense:
+        assert not any(pm.proj.apply([dom.coerce(v) for v in row]))
+
+
+@pytest.mark.parametrize("spec", [
+    circle(4), classifying_space(cyclic_group(2), 4), cyclic_bar(cyclic_group(2), 4),
+    standard_simplex(2, 4), free_cyclic(circle(4))], ids=lambda s: s.name)
+def test_normalized_basis_is_the_nondegenerate_simplices(spec):
+    # x is degenerate iff x = s_j d_j x for some j, since d_j s_j = id
+    sm = linearize_module(spec, Q)
+    for n in range(spec.truncation + 1):
+        nondegenerate = [k for k, x in enumerate(spec.elements(n))
+                         if all(spec.degeneracy(n - 1, j, spec.face(n, j, x)) != x
+                                for j in range(n))]
+        assert sm.normalized_quotient(n).free == nondegenerate
 
 
 def test_exactness_at():

@@ -10,8 +10,10 @@ import pytest
 
 from cychom import chains, cli
 from cychom.domains import Q
+from cychom.errors import BudgetExceeded
 from cychom.hochschild import group_algebra, hh
 from cychom.groups import cyclic_group
+from cychom.simplicial import SimplicialSetSpec
 
 
 def run(capsys, *argv):
@@ -123,12 +125,39 @@ def test_exit_code_parse_errors(capsys):
                "--max-degree", "-1")[0] == 2
     for preset in ("truncpoly:x", "productfield:x"):
         assert run(capsys, "hh", "--preset", preset, "--max-degree", "1")[0] == 2
+    for window in ("0", "-1"):
+        assert run(capsys, "hc", "--preset", "unit", "--variant", "periodic",
+                   "--window", window, "--max-degree", "1")[0] == 2
 
 
 def test_exit_code_budget(capsys):
     code, _, err = run(capsys, "hh", "--preset", "group:symmetric:3",
                        "--max-degree", "6", "--budget", "100")
     assert code == 3
+
+
+def test_budget_guard_counts_lazily():
+    # the guard must not enumerate the degree that crosses the budget
+    yielded = [0]
+
+    def elements(n):
+        for x in range(10 ** n):
+            yielded[0] += 1
+            yield x
+
+    spec = SimplicialSetSpec(6, elements, None, None)
+    with pytest.raises(BudgetExceeded):
+        cli._spec_budget_guard(spec, 6, 500)
+    assert yielded[0] <= 501
+
+
+def test_exit_code_integral_algebra_without_unit(capsys, tmp_path):
+    # over Z the unit cannot be solved for, so it is part of the input
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"table": [[[1]]]}))
+    code, out, err = run(capsys, "hh", "--input", str(path), "--domain", "z",
+                         "--max-degree", "1")
+    assert code == 2 and out == "" and "'unit'" in err
 
 
 def test_exit_code_verification_failure(capsys, tmp_path):
