@@ -284,19 +284,13 @@ class SimplicialModule:
 
     def boundary(self, n) -> Matrix:
         """The alternating face sum b: C_n -> C_{n-1}."""
-        out = Matrix.zeros(self.rank(n - 1), self.rank(n), self.dom)
-        for i in range(n + 1):
-            m = self.face(n, i)
-            out = out + m if i % 2 == 0 else out - m
-        return out
+        return Matrix.signed_sum(self.rank(n - 1), self.rank(n), self.dom,
+                                 (((-1) ** i, self.face(n, i)) for i in range(n + 1)))
 
     def bprime(self, n) -> Matrix:
         """The truncated boundary omitting the last face."""
-        out = Matrix.zeros(self.rank(n - 1), self.rank(n), self.dom)
-        for i in range(n):
-            m = self.face(n, i)
-            out = out + m if i % 2 == 0 else out - m
-        return out
+        return Matrix.signed_sum(self.rank(n - 1), self.rank(n), self.dom,
+                                 (((-1) ** i, self.face(n, i)) for i in range(n)))
 
     def degenerate_relations(self, n):
         """Spanning vectors of the degenerate submodule in degree n: the
@@ -539,9 +533,7 @@ def total_complex(b: Bicomplex) -> ChainComplex:
                                     ((p - 1, q), b.h(p, q))):
                 if b.rank(tp, tq) == 0:
                     continue
-                row0 = offsets[(tp, tq)]
-                for (r, c), v in block.items():
-                    mat._add_to(row0 + r, col0 + c, v)
+                mat.add_block(block, offsets[(tp, tq)], col0)
         diffs[n] = mat
     # pad missing degrees inside the covered range with zero ranks
     if cells:
@@ -622,10 +614,16 @@ def _aw_block(C, D, n, p):
 def _ez_block(C, D, n, p):
     """The shuffle sum from bidegree (p, n-p) back to the diagonal."""
     q = n - p
-    out = Matrix.zeros(C.rank(n) * D.rank(n), C.rank(p) * D.rank(q), C.dom)
+    return Matrix.signed_sum(C.rank(n) * D.rank(n), C.rank(p) * D.rank(q), C.dom,
+                             _shuffle_terms(C, D, n, p))
+
+
+def _shuffle_terms(C, D, n, p):
+    """(sign, s_nu (x) s_mu) for each (p, n-p) shuffle (mu, nu)."""
+    q = n - p
     for mu in combinations(range(n), p):
         nu = [k for k in range(n) if k not in mu]
-        sign = sum(m - i for i, m in enumerate(mu)) % 2
+        sign = (-1) ** sum(m - i for i, m in enumerate(mu))
         left = Matrix.identity(C.rank(p), C.dom)
         deg = p
         for j in nu:
@@ -636,9 +634,7 @@ def _ez_block(C, D, n, p):
         for j in mu:
             right = D.degeneracy(deg, j) @ right
             deg += 1
-        term = left.kron(right)
-        out = out - term if sign else out + term
-    return out
+        yield sign, left.kron(right)
 
 
 def _tensor_pair_complexes(C, D, mode, top):
@@ -666,9 +662,7 @@ def aw_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
             if mode == "normalized":
                 block = C.normalized_quotient(p).proj.kron(
                     D.normalized_quotient(q).proj) @ block @ pre
-            row0 = tot.offsets[(p, q)]
-            for (r, c), v in block.items():
-                mat._add_to(row0 + r, c, v)
+            mat.add_block(block, tot.offsets[(p, q)], 0)
         mats[n] = mat
     return ChainMap(src, tot, mats, name=f"AW({C.name},{D.name})")
 
@@ -691,8 +685,6 @@ def ez_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
             if mode == "normalized":
                 block = post @ block @ C.normalized_quotient(p).sect.kron(
                     D.normalized_quotient(q).sect)
-            col0 = tot.offsets[(p, q)]
-            for (r, c), v in block.items():
-                mat._add_to(r, col0 + c, v)
+            mat.add_block(block, 0, tot.offsets[(p, q)])
         mats[n] = mat
     return ChainMap(tot, tgt, mats, name=f"EZ({C.name},{D.name})")

@@ -10,6 +10,8 @@ the honest objects are limits.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .chains import (
     Bicomplex,
     ChainComplex,
@@ -35,12 +37,9 @@ def one_minus_t(sm: SimplicialModule, n: int) -> Matrix:
 
 def norm_map(sm: SimplicialModule, n: int) -> Matrix:
     """N = 1 + t + ... + t^n on degree n (signed t)."""
-    power = Matrix.identity(sm.rank(n), sm.dom)
-    out = power
-    for _ in range(n):
-        power = sm.t(n) @ power
-        out = out + power
-    return out
+    powers = accumulate(range(n), lambda power, _: sm.t(n) @ power,
+                        initial=Matrix.identity(sm.rank(n), sm.dom))
+    return Matrix.signed_sum(sm.rank(n), sm.rank(n), sm.dom, ((1, m) for m in powers))
 
 
 def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
@@ -176,9 +175,7 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
     for n in range(top + 1):
         inc = Matrix.zeros(tot.rank(n), cc_h.rank(n), dom)
         if (0, n) in tot.offsets:
-            off = tot.offsets[(0, n)]
-            for r in range(cc_h.rank(n)):
-                inc._add_to(off + r, r, dom.one)
+            inc.add_block(Matrix.identity(cc_h.rank(n), dom), tot.offsets[(0, n)], 0)
         i_mats[n] = inc
     i_map = ChainMap(cc_h, tot, i_mats, name="I")
     s_map = _s_chain_map(sm, tot)
@@ -227,9 +224,8 @@ def _s_chain_map(sm: SimplicialModule, tot: ChainComplex) -> ChainMap:
         for (p, q) in tot.cells.get(n, []):
             if p < 2 or (p - 2, q) not in tot.offsets:
                 continue
-            src, dst = tot.offsets[(p, q)], tot.offsets[(p - 2, q)]
-            for r in range(sm.rank(q)):
-                proj._add_to(dst + r, src + r, dom.one)
+            proj.add_block(Matrix.identity(sm.rank(q), dom),
+                           tot.offsets[(p - 2, q)], tot.offsets[(p, q)])
         s_mats[n] = proj
     return ChainMap(tot, tot, s_mats, shift=-2, name="S")
 

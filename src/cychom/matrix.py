@@ -1,8 +1,12 @@
 """Sparse exact matrices with dense semantics.
 
 Storage is column-major (``{col: {row: value}}``) because boundary and
-operator matrices are built column by column from basis elements.  All
-arithmetic stays in the matrix's scalar domain.
+operator matrices are built column by column from basis elements.  No
+stored value is zero, no stored column is empty, and over F_p every value
+is a residue in [0, p).  The arithmetic kernels work on the column dicts
+with the native ``+`` and ``*`` of the stored Python values and reduce
+each output column at most once, with ``_reduced``, so the invariants hold
+without a domain call per entry.
 """
 
 from __future__ import annotations
@@ -19,6 +23,13 @@ def _entries(vec):
         return vec.items()
     # both found at C speed: compress keeps the entries that are nonzero
     return zip(compress(range(len(vec)), vec), compress(vec, vec))
+
+
+def _reduced(col: dict, p) -> dict:
+    """col without its zero entries, values reduced mod p when p is set (F_p)."""
+    if p:
+        return {r: w for r, v in col.items() if (w := v % p)}
+    return {r: v for r, v in col.items() if v}
 
 
 class Matrix:
@@ -43,8 +54,38 @@ class Matrix:
             col[r] = v
 
     def _add_to(self, r, c, v):
-        cur = self.entry(r, c)
-        self._set(r, c, self.dom.add(cur, v))
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError((r, c))
+        col = self._cols.setdefault(c, {})
+        w = col.get(r, 0) + v
+        if self.dom.p:
+            w %= self.dom.p
+        if w:
+            col[r] = w
+        else:
+            col.pop(r, None)
+            if not col:
+                del self._cols[c]
+
+    def add_block(self, block: Matrix, row0: int, col0: int):
+        """Add block into self in place, its entry (0, 0) at (row0, col0)."""
+        self._check_dom(block)
+        if not (0 <= row0 <= self.rows - block.rows and 0 <= col0 <= self.cols - block.cols):
+            raise IndexError(f"a {block.rows}x{block.cols} block at ({row0}, {col0})"
+                             f" leaves the {self.rows}x{self.cols} matrix")
+        for c, col in block._cols.items():
+            c += col0
+            tgt = self._cols.get(c)
+            if tgt is None:
+                self._cols[c] = {row0 + r: v for r, v in col.items()}
+                continue
+            for r, v in col.items():
+                tgt[row0 + r] = tgt.get(row0 + r, 0) + v
+            tgt = _reduced(tgt, self.dom.p)
+            if tgt:
+                self._cols[c] = tgt
+            else:
+                del self._cols[c]
 
     @classmethod
     def zeros(cls, rows, cols, dom):
@@ -53,8 +94,7 @@ class Matrix:
     @classmethod
     def identity(cls, n, dom):
         m = cls(n, n, dom)
-        for i in range(n):
-            m._set(i, i, dom.one)
+        m._cols = {i: {i: dom.one} for i in range(n)}
         return m
 
     @classmethod
@@ -63,6 +103,8 @@ class Matrix:
         sparse rows need cols."""
         rows = len(data)
         if cols is None:
+            if any(isinstance(row, dict) for row in data):
+                raise ValueError("sparse dict rows need cols, the number of columns")
             cols = len(data[0]) if rows else 0
         m = cls(rows, cols, dom)
         for r, row in enumerate(data):
@@ -82,6 +124,28 @@ class Matrix:
                 if v != 0:
                     m._set(r, c, v)
         return m
+
+    @classmethod
+    def signed_sum(cls, rows, cols, dom, terms):
+        """The sum of s * m over the pairs (s, m) of terms, s an integer
+        (a sign +-1 for every caller), of rows x cols matrices over dom, in
+        one pass; terms may be lazy."""
+        out = cls(rows, cols, dom)
+        acc = {}
+        for s, m in terms:
+            out._check_dom(m)
+            if (m.rows, m.cols) != (rows, cols):
+                raise ValueError("shape mismatch")
+            for c, col in m._cols.items():
+                a = acc.get(c)
+                if a is None:
+                    acc[c] = dict(col) if s == 1 else {r: s * v for r, v in col.items()}
+                else:
+                    for r, v in col.items():
+                        a[r] = a.get(r, 0) + s * v
+        p = dom.p
+        out._cols = {c: col for c, a in acc.items() if (col := _reduced(a, p))}
+        return out
 
     # -- queries ---------------------------------------------------------
     @property
@@ -103,6 +167,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self._cols
 
+    # no caller in cychom; perfbench/tracer.py keys linalg.rank spans by it
     def items(self):
         for c in sorted(self._cols):
             for r in sorted(self._cols[c]):
@@ -111,15 +176,9 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if self.dom != other.dom:
-            return False
-        cs = set(self._cols) | set(other._cols)
-        for c in cs:
-            if self._cols.get(c, {}) != other._cols.get(c, {}):
-                return False
-        return True
+        # no stored zeros or empty columns: equal matrices store equal dicts
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and self.dom == other.dom and self._cols == other._cols)
 
     def __hash__(self):
         raise TypeError("matrices are not hashable")
@@ -129,54 +188,56 @@ class Matrix:
 
     # -- arithmetic ------------------------------------------------------
     def _check_dom(self, other):
-        if self.dom != other.dom:
+        if self.dom is not other.dom and self.dom != other.dom:
             raise DomainMismatch(f"{self.dom} vs {other.dom}")
 
     def __add__(self, other):
-        self._check_dom(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = Matrix(self.rows, self.cols, self.dom)
-        for c in set(self._cols) | set(other._cols):
-            a, b = self._cols.get(c, {}), other._cols.get(c, {})
-            for r in set(a) | set(b):
-                v = self.dom.add(a.get(r, 0), b.get(r, 0))
-                if v != 0:
-                    out._set(r, c, v)
-        return out
+        return Matrix.signed_sum(self.rows, self.cols, self.dom, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Matrix.signed_sum(self.rows, self.cols, self.dom, ((1, self), (-1, other)))
 
     def __neg__(self):
-        out = Matrix(self.rows, self.cols, self.dom)
-        for c, col in self._cols.items():
-            for r, v in col.items():
-                out._set(r, c, self.dom.neg(v))
-        return out
+        return self.scale(-1)
 
     def scale(self, k):
         k = self.dom.coerce(k)
+        p = self.dom.p
         out = Matrix(self.rows, self.cols, self.dom)
-        if k == 0:
-            return out
-        for c, col in self._cols.items():
-            for r, v in col.items():
-                out._set(r, c, self.dom.mul(v, k))
+        out._cols = {c: col for c, a in self._cols.items()
+                     if (col := _reduced({r: v * k for r, v in a.items()}, p))}
         return out
 
     def __matmul__(self, other):
         self._check_dom(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        dom = self.dom
-        out = Matrix(self.rows, other.cols, dom)
+        p = self.dom.p
+        left = self._cols
+        out = Matrix(self.rows, other.cols, self.dom)
         for c, bcol in other._cols.items():
-            acc: dict[int, object] = {}
-            for k, bv in bcol.items():
-                for r, av in self._cols.get(k, {}).items():
-                    acc[r] = dom.add(acc.get(r, 0), dom.mul(av, bv))
-            col = {r: v for r, v in acc.items() if v != 0}
+            if len(bcol) == 1:
+                # one nonzero: a multiple of one column of self, in which no
+                # entry vanishes, so only F_p has anything to reduce
+                (k, bv), = bcol.items()
+                acol = left.get(k)
+                if acol is None:
+                    continue
+                if bv == 1:
+                    out._cols[c] = dict(acol)
+                    continue
+                acc = {r: av * bv for r, av in acol.items()}
+                if not p:
+                    out._cols[c] = acc
+                    continue
+            else:
+                acc = {}
+                for k, bv in bcol.items():
+                    acol = left.get(k)
+                    if acol is not None:
+                        for r, av in acol.items():
+                            acc[r] = acc.get(r, 0) + av * bv
+            col = _reduced(acc, p)
             if col:
                 out._cols[c] = col
         return out
@@ -185,26 +246,33 @@ class Matrix:
         """Matrix times a dense column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        dom = self.dom
         out = [0] * self.rows
         for c, v in enumerate(vec):
             if v == 0:
                 continue
             for r, av in self._cols.get(c, {}).items():
-                out[r] = dom.add(out[r], dom.mul(av, v))
-        return out
+                out[r] += av * v
+        p = self.dom.p
+        return [w % p for w in out] if p else out
 
     def kron(self, other):
         """Kronecker product; row/col index = self_index * other_dim + other_index."""
         self._check_dom(other)
-        dom = self.dom
-        out = Matrix(self.rows * other.rows, self.cols * other.cols, dom)
+        nr, nc = other.rows, other.cols
+        out = Matrix(self.rows * nr, self.cols * nc, self.dom)
+        right = [(c2, col2.items()) for c2, col2 in other._cols.items()]
         for c1, col1 in self._cols.items():
-            for c2, col2 in other._cols.items():
-                c = c1 * other.cols + c2
-                for r1, v1 in col1.items():
-                    for r2, v2 in col2.items():
-                        out._set(r1 * other.rows + r2, c, dom.mul(v1, v2))
+            for r1, v1 in col1.items():
+                # each entry of self places a scaled copy of other; copies
+                # from one column of self fill disjoint rows
+                for c2, items2 in right:
+                    block = {r1 * nr + r2: v1 * v2 for r2, v2 in items2}
+                    col = out._cols.setdefault(c1 * nc + c2, block)
+                    if col is not block:
+                        col.update(block)
+        # a product of nonzero scalars is nonzero, so only F_p has anything to reduce
+        if self.dom.p:
+            out._cols = {c: _reduced(col, self.dom.p) for c, col in out._cols.items()}
         return out
 
     # -- conversions -----------------------------------------------------

@@ -53,9 +53,14 @@ class SimplicialSetSpec:
             self._cache[n] = list(self._elements_fn(n))
         return self._cache[n]
 
+    def iter_elements(self, n):
+        """The degree-n elements in order, from the cache when it is filled,
+        else generated lazily without filling it."""
+        return iter(self._cache.get(n) or self._elements_fn(n))
+
     def count(self, n, limit):
         """The number of degree-n elements, counted lazily up to limit."""
-        return sum(1 for _ in islice(self._cache.get(n) or self._elements_fn(n), limit))
+        return sum(1 for _ in islice(self.iter_elements(n), limit))
 
     def face(self, n, i, x):
         if not 0 <= i <= n:
@@ -341,7 +346,8 @@ def free_cyclic(Y: SimplicialSetSpec) -> SimplicialSetSpec:
     N = Y.truncation
 
     def elements(n):
-        return [(g, y) for g in range(n + 1) for y in Y.elements(n)]
+        # lazy, so that counting a degree builds neither it nor Y's
+        return ((g, y) for g in range(n + 1) for y in Y.iter_elements(n))
 
     def twisted(alpha: MonotoneMap, g, y):
         comp = compose_cyclic(tau_power(alpha.target, g), cyclic_from_monotone(alpha))

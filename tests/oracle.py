@@ -104,3 +104,14 @@ def dense_homology_dim(d_out_rows, d_in_rows, ncols_out, p=None):
     r_out = rk(d_out_rows) if d_out_rows and d_out_rows[0] else 0
     r_in = rk(d_in_rows) if d_in_rows and d_in_rows[0] else 0
     return ncols_out - r_out - r_in
+
+
+def dense_matmul(a, b, ncols):
+    """The product of dense row lists a (m x k) and b (k x ncols)."""
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(ncols)]
+            for row in a]
+
+
+def dense_kron(a, b):
+    """The Kronecker product of dense row lists, row (i, k) at i * len(b) + k."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]

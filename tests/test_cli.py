@@ -151,6 +151,26 @@ def test_budget_guard_counts_lazily():
     assert yielded[0] <= 501
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_budget_guard_counts_free_cyclic_lazily():
+    # degree 3 of F(BZ/60) has 864 000 cells; counting it must build neither
+    # that degree nor the 216 000 of BZ/60 it is made from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    # VmHWM is the peak RSS of this process image; ru_maxrss would carry
+    # over the peak of the test process that forked it
+    script = ("import cychom.cli\n"
+              "code = cychom.cli.main(['homology', '--preset', 'fbg', '--group', 'cyclic:60',"
+              " '--max-degree', '2', '--budget', '20000'])\n"
+              "peak = [l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')]\n"
+              "print(code, *peak)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 3, proc.stderr
+    assert peak_kb < 30 * 1024
+
+
 def test_exit_code_integral_algebra_without_unit(capsys, tmp_path):
     # over Z the unit cannot be solved for, so it is part of the input
     path = tmp_path / "algebra.json"
