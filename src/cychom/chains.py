@@ -188,9 +188,14 @@ def exactness_at(f: Matrix, g: Matrix) -> bool:
     im f lies in ker g iff g f = 0, and then they are equal iff their
     dimensions agree.
     """
+    return _exactness(f, g, rank)
+
+
+def _exactness(f: Matrix, g: Matrix, rank_of) -> bool:
+    """exactness_at with the ranks taken by rank_of, which may reuse them."""
     if g.cols != f.rows:
         raise BasisMismatch(f"middle space mismatch: {f.rows} vs {g.cols}")
-    return (g @ f).is_zero() and rank(f) == g.cols - rank(g)
+    return (g @ f).is_zero() and rank_of(f) == g.cols - rank_of(g)
 
 
 # ---------------------------------------------------------------------------
@@ -264,33 +269,33 @@ class SimplicialModule:
     def labels(self, n):
         return self._labels(n) if self._labels else None
 
-    def face(self, n, i) -> Matrix:
-        key = ("d", n, i)
+    def cached(self, key, build):
+        """The value stored under key, built by build() on first use;
+        it is shared by every caller, so none may modify it in place."""
         if key not in self._cache:
-            self._cache[key] = self._face(n, i)
+            self._cache[key] = build()
         return self._cache[key]
+
+    def face(self, n, i) -> Matrix:
+        return self.cached(("d", n, i), lambda: self._face(n, i))
 
     def degeneracy(self, n, j) -> Matrix:
-        key = ("s", n, j)
-        if key not in self._cache:
-            self._cache[key] = self._degeneracy(n, j)
-        return self._cache[key]
+        return self.cached(("s", n, j), lambda: self._degeneracy(n, j))
 
     def t(self, n) -> Matrix:
-        key = ("t", n)
-        if key not in self._cache:
-            self._cache[key] = self._t(n)
-        return self._cache[key]
+        return self.cached(("t", n), lambda: self._t(n))
 
     def boundary(self, n) -> Matrix:
         """The alternating face sum b: C_n -> C_{n-1}."""
-        return Matrix.signed_sum(self.rank(n - 1), self.rank(n), self.dom,
-                                 (((-1) ** i, self.face(n, i)) for i in range(n + 1)))
+        return self.cached(("b", n), lambda: Matrix.signed_sum(
+            self.rank(n - 1), self.rank(n), self.dom,
+            (((-1) ** i, self.face(n, i)) for i in range(n + 1))))
 
     def bprime(self, n) -> Matrix:
         """The truncated boundary omitting the last face."""
-        return Matrix.signed_sum(self.rank(n - 1), self.rank(n), self.dom,
-                                 (((-1) ** i, self.face(n, i)) for i in range(n)))
+        return self.cached(("b'", n), lambda: Matrix.signed_sum(
+            self.rank(n - 1), self.rank(n), self.dom,
+            (((-1) ** i, self.face(n, i)) for i in range(n))))
 
     def degenerate_relations(self, n):
         """Spanning vectors of the degenerate submodule in degree n: the
@@ -298,12 +303,8 @@ class SimplicialModule:
         return [col for j in range(n) for col in self.degeneracy(n - 1, j).sparse_columns()]
 
     def normalized_quotient(self, n) -> PresentedModule:
-        key = ("nq", n)
-        if key not in self._cache:
-            self._cache[key] = PresentedModule(
-                self.rank(n), self.degenerate_relations(n), self.dom,
-                labels=self.labels(n))
-        return self._cache[key]
+        return self.cached(("nq", n), lambda: PresentedModule(
+            self.rank(n), self.degenerate_relations(n), self.dom, labels=self.labels(n)))
 
     def chain_complex(self, mode="unnormalized", top=None) -> ChainComplex:
         """The associated complex, optionally normalized.
@@ -487,17 +488,32 @@ class Bicomplex:
             (p, q), Matrix.zeros(self.rank(p - 1, q), self.rank(p, q), self.dom))
 
     def verify(self):
+        """Check each distinct identity once: columns that share their maps
+        (as in the cyclic bicomplex) repeat the same products of the same
+        objects.  The memo holds the operands, so no id in a key is reused
+        by a later temporary zero from v() or h()."""
         dq = self.qstep
+        checked = {}
+
+        def vanishes(*pairs):
+            """Whether the sum of a @ b over the pairs (a, b) is zero."""
+            key = tuple(id(m) for pair in pairs for m in pair)
+            if key not in checked:
+                (a, b), *rest = pairs
+                total = sum((c @ d for c, d in rest), a @ b)
+                checked[key] = (pairs, total.is_zero())
+            return checked[key][1]
+
         for (p, q) in self.ranks:
             if self.rank(p, q + dq) and self.rank(p, q + 2 * dq):
-                if not (self.v(p, q + dq) @ self.v(p, q)).is_zero():
+                if not vanishes((self.v(p, q + dq), self.v(p, q))):
                     raise SignCheckFailed(f"vertical d^2 at ({p},{q})")
             if self.rank(p - 1, q) and self.rank(p - 2, q):
-                if not (self.h(p - 1, q) @ self.h(p, q)).is_zero():
+                if not vanishes((self.h(p - 1, q), self.h(p, q))):
                     raise SignCheckFailed(f"horizontal d^2 at ({p},{q})")
             if self.rank(p - 1, q) and self.rank(p, q + dq):
-                anti = self.v(p - 1, q) @ self.h(p, q) + self.h(p, q + dq) @ self.v(p, q)
-                if not anti.is_zero():
+                if not vanishes((self.v(p - 1, q), self.h(p, q)),
+                                (self.h(p, q + dq), self.v(p, q))):
                     raise SignCheckFailed(f"anticommutation at ({p},{q})")
 
     def degree(self, p, q):

@@ -18,28 +18,30 @@ from .chains import (
     ChainMap,
     HomologyResult,
     SimplicialModule,
+    _exactness,
     check_module_identities,
     class_coordinates,
-    exactness_at,
     homology,
     induced_map,
     total_complex,
 )
 from .errors import NoUnitStructure, NotAChainMap, RelationFailure, WindowTooSmall
-from .hochschild import DEFAULT_BUDGET, FiniteAlgebra, extra_degeneracy, hh, hochschild_module
+from .hochschild import DEFAULT_BUDGET, FiniteAlgebra, extra_degeneracy, hochschild_module
 from .linalg import rank
 from .matrix import Matrix
 
 
 def one_minus_t(sm: SimplicialModule, n: int) -> Matrix:
-    return Matrix.identity(sm.rank(n), sm.dom) - sm.t(n)
+    return sm.cached(("1-t", n), lambda: Matrix.identity(sm.rank(n), sm.dom) - sm.t(n))
 
 
 def norm_map(sm: SimplicialModule, n: int) -> Matrix:
     """N = 1 + t + ... + t^n on degree n (signed t)."""
-    powers = accumulate(range(n), lambda power, _: sm.t(n) @ power,
-                        initial=Matrix.identity(sm.rank(n), sm.dom))
-    return Matrix.signed_sum(sm.rank(n), sm.rank(n), sm.dom, ((1, m) for m in powers))
+    def build():
+        powers = accumulate(range(n), lambda power, _: sm.t(n) @ power,
+                            initial=Matrix.identity(sm.rank(n), sm.dom))
+        return Matrix.signed_sum(sm.rank(n), sm.rank(n), sm.dom, ((1, m) for m in powers))
+    return sm.cached(("N", n), build)
 
 
 def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
@@ -49,7 +51,8 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
     Columns run over pmin..columns, rows over 0..qtop.  Dropping columns
     on the left is harmless: the discarded columns form a subcomplex, so
     the window is a quotient complex.  The cyclic relations are verified
-    unless check=False.
+    unless check=False.  Every column of a parity holds the same maps,
+    built once per row and cached on sm for later bicomplexes.
     """
     if not sm.has_cyclic:
         raise RelationFailure("cyclic bicomplex needs a cyclic operator")
@@ -63,8 +66,8 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
         for q in range(qtop + 1):
             ranks[(p, q)] = sm.rank(q)
             if q >= 1:
-                b = sm.boundary(q) if p % 2 == 0 else -sm.bprime(q)
-                vert[(p, q)] = b
+                vert[(p, q)] = (sm.boundary(q) if p % 2 == 0
+                                else sm.cached(("-b'", q), lambda: -sm.bprime(q)))
             if p > pmin:
                 horiz[(p, q)] = one_minus_t(sm, q) if p % 2 == 1 else norm_map(sm, q)
     return Bicomplex(sm.dom, ranks, vert, horiz, rows="chain",
@@ -150,7 +153,7 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
 
     B^2 = 0 and bB + Bb = 0 are checked as matrix identities before any
     homology is taken; exactness verdicts come from the composites and
-    ranks of the induced maps (``exactness_at``).
+    ranks of the induced maps, each map ranked once.
     """
     degrees = sorted(degrees)
     top = max(degrees) + 1
@@ -195,24 +198,23 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
     rep.b_maps[-1] = Matrix.zeros(h_hh.betti[0], 0, dom)
     rep.b_maps[-2] = Matrix.zeros(0, 0, dom)
 
+    ranks = {}  # id -> (map, rank): each map is ranked once, and held
+
+    def rank_once(m):
+        if id(m) not in ranks:
+            ranks[id(m)] = (m, rank(m))
+        return ranks[id(m)][1]
+
     for n in degrees:
         # ... -> HH_n -I-> HC_n -S-> HC_{n-2} -B-> HH_{n-1} -> ...
-        node_hh = exactness_at(rep.b_maps.get(n - 1, Matrix.zeros(
-            rep.i_maps[n].cols, 0, dom)), rep.i_maps[n])
-        rep.nodes.append(("HH", n, rank(rep.b_maps[n - 1]) if n - 1 in rep.b_maps
-                          else 0, _ker_dim(rep.i_maps[n]), node_hh))
-        node_hc = exactness_at(rep.i_maps[n], rep.s_maps[n])
-        rep.nodes.append(("HC", n, rank(rep.i_maps[n]),
-                          _ker_dim(rep.s_maps[n]), node_hc))
+        nodes = [("HH", n, rep.b_maps[n - 1], rep.i_maps[n]),
+                 ("HC", n, rep.i_maps[n], rep.s_maps[n])]
         if n >= 2:
-            node_lo = exactness_at(rep.s_maps[n], rep.b_maps[n - 2])
-            rep.nodes.append(("HC", n - 2, rank(rep.s_maps[n]),
-                              _ker_dim(rep.b_maps[n - 2]), node_lo))
+            nodes.append(("HC", n - 2, rep.s_maps[n], rep.b_maps[n - 2]))
+        for label, deg, f, g in nodes:
+            exact = _exactness(f, g, rank_once)
+            rep.nodes.append((label, deg, rank_once(f), g.cols - rank_once(g), exact))
     return rep
-
-
-def _ker_dim(m: Matrix) -> int:
-    return m.cols - rank(m)
 
 
 def _s_chain_map(sm: SimplicialModule, tot: ChainComplex) -> ChainMap:
@@ -303,9 +305,9 @@ def hc_window(variant: str, arg, degrees, window: int,
 
     check_top = maxdeg + 1
     half = (check_top + 1) // 2
-    A = getattr(sm, "algebra", None)
-    if A is not None:
-        hh_res = hh(A, range(half, check_top + 1), budget=budget)
+    if getattr(sm, "algebra", None) is not None:
+        hh_res = homology(sm.chain_complex("normalized", top=check_top + 1),
+                          range(half, check_top + 1))
         vanished = all(hh_res.betti[m] == 0 for m in range(half, check_top + 1))
         report.stable = vanished
         if vanished:

@@ -83,6 +83,8 @@ def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     order of their pivots, and the pivot column list).  Values are
     Fractions over Q and Z, residues over F_p.
     """
+    if not rows:
+        return [], []
     if dom.kind == PRIME_FIELD:
         return _modp.rref_modp(Matrix.from_rows(rows, dom, cols=cols), dom.p)
     ech = _echelon(rows)
@@ -109,14 +111,16 @@ def rref_rows(rows: list[list], dom: ScalarDomain):
     width = len(rows[0])
     red, pivots = rref([{j: row[j] for j in compress(range(width), row)} for row in rows],
                        width, dom)
-    zero = 0 if dom.kind == PRIME_FIELD else Fraction(0)
-    out = []
-    for row in red:
-        dense = [zero] * width
+    return _dense(red, width, dom), pivots
+
+
+def _dense(red: list[dict], width: int, dom: ScalarDomain) -> list[list]:
+    """The sparse rows of ``rref`` as dense lists (zeros Fraction(0) over Q)."""
+    out = [[0 if dom.kind == PRIME_FIELD else Fraction(0)] * width for _ in red]
+    for dense, row in zip(out, red):
         for j, v in row.items():
             dense[j] = v
-        out.append(dense)
-    return out, pivots
+    return out
 
 
 def rank(m: Matrix) -> int:
@@ -180,34 +184,36 @@ def kernel_vectors(m: Matrix) -> list[list]:
         return []
     if m.rows == 0:
         return [[dom.one if i == j else dom.zero for i in range(m.cols)] for j in range(m.cols)]
-    red, pivots = rref_rows([row[::-1] for row in m.to_dense_rows()], dom)
     last = m.cols - 1
+    red, pivots = rref([{last - c: v for c, v in row.items()} for row in m.sparse_rows()],
+                       m.cols, dom)
     pivset = set(pivots)
-    out = []
+    out = {}
     for f in reversed(range(m.cols)):
-        if f in pivset:
-            continue
-        v = [dom.zero] * m.cols
-        v[last - f] = dom.one
-        for i, pc in enumerate(pivots):
-            coef = red[i][f]
-            if coef != 0:
-                v[last - pc] = dom.neg(coef)
-        out.append(v)
-    return out
+        if f not in pivset:
+            out[f] = [dom.zero] * m.cols
+            out[f][last - f] = dom.one
+    # a reduced row is nonzero only at its pivot and at free columns
+    for row, pc in zip(red, pivots):
+        for f, coef in row.items():
+            if f != pc:
+                out[f][last - pc] = dom.neg(coef)
+    return list(out.values())
 
 
 def rank_kernel_image(m: Matrix):
     """Rank, canonical kernel basis and canonical image basis over a field.
 
     The image is the canonical span of the rank-many non-free columns,
-    the free ones being where the kernel vectors lead with 1.
+    the free ones being where the kernel vectors lead with 1; they are
+    reduced as the sparse columns they are stored as.
     """
     kern = kernel_vectors(m)
     free = {v.index(m.dom.one) for v in kern}
     kernel = SubspaceBasis(m.cols, m.dom, tuple(tuple(v) for v in kern))
-    image = SubspaceBasis.from_spanning(
-        [m.column_vector(c) for c in range(m.cols) if c not in free], m.rows, m.dom)
+    red, _ = rref([col for c, col in enumerate(m.sparse_columns()) if c not in free],
+                  m.rows, m.dom)
+    image = SubspaceBasis(m.rows, m.dom, tuple(map(tuple, _dense(red, m.rows, m.dom))))
     return image.dim, kernel, image
 
 

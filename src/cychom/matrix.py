@@ -107,22 +107,29 @@ class Matrix:
                 raise ValueError("sparse dict rows need cols, the number of columns")
             cols = len(data[0]) if rows else 0
         m = cls(rows, cols, dom)
+        coerce, store = dom.coerce, m._cols
         for r, row in enumerate(data):
             for c, v in _entries(row):
-                v = dom.coerce(v)
-                if v != 0:
-                    m._set(r, c, v)
+                if not 0 <= c < cols:
+                    raise IndexError((r, c))
+                if v := coerce(v):
+                    store.setdefault(c, {})[r] = v
         return m
 
     @classmethod
     def from_columns(cls, vectors, rows, dom):
         """Columns given as dense lists or as sparse dicts {row: value}."""
         m = cls(rows, len(vectors), dom)
+        coerce, store = dom.coerce, m._cols
         for c, vec in enumerate(vectors):
+            col = {}
             for r, v in _entries(vec):
-                v = dom.coerce(v)
-                if v != 0:
-                    m._set(r, c, v)
+                if not 0 <= r < rows:
+                    raise IndexError((r, c))
+                if v := coerce(v):
+                    col[r] = v
+            if col:
+                store[c] = col
         return m
 
     @classmethod

@@ -96,21 +96,22 @@ def test_kernel_vectors_are_the_canonical_kernel_basis(rows, dom):
     assert len(ks) == 4 - (dense_rank(rows) if dom == Q else dense_rank_modp(rows, 5))
 
 
-def _count_rref_rows(monkeypatch):
+def _count_reductions(monkeypatch, name):
+    """Record the number of rows of each call to linalg.<name>."""
     calls = []
-    orig = linalg.rref_rows
+    orig = getattr(linalg, name)
 
-    def counted(rows, dom):
+    def counted(rows, *args):
         calls.append(len(rows))
-        return orig(rows, dom)
+        return orig(rows, *args)
 
-    monkeypatch.setattr(linalg, "rref_rows", counted)
+    monkeypatch.setattr(linalg, name, counted)
     return calls
 
 
 def test_rank_kernel_image_is_one_reduction_plus_the_pivot_columns(monkeypatch):
     m = Matrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]], Q)
-    calls = _count_rref_rows(monkeypatch)
+    calls = _count_reductions(monkeypatch, "rref")
     r, kern, img = rank_kernel_image(m)
     # the rows of m, then one row per pivot column
     assert calls == [3, 2]
@@ -120,7 +121,7 @@ def test_rank_kernel_image_is_one_reduction_plus_the_pivot_columns(monkeypatch):
 
 
 def test_solve_in_span_is_one_reduction_for_all_targets(monkeypatch):
-    calls = _count_rref_rows(monkeypatch)
+    calls = _count_reductions(monkeypatch, "rref_rows")
     xs = solve_in_span([[1, 0, 1], [0, 1, 1]], [[1, 1, 2], [2, 0, 2], [0, 0, 0]], Q)
     assert calls == [3]
     assert xs == [[1, 1], [2, 0], [0, 0]]

@@ -230,3 +230,19 @@ def test_from_rows_sparse_needs_cols():
             Matrix.from_rows(rows, Q)
     assert Matrix.from_rows([{3: Fraction(1, 2)}], Q, cols=5).to_dense_rows() == \
         [[0, 0, 0, Fraction(1, 2), 0]]
+
+
+def test_from_rows_and_from_columns_check_each_index_and_value():
+    for build in (lambda: Matrix.from_rows([{5: 1}], Q, cols=5),
+                  lambda: Matrix.from_rows([{-1: 1}], Q, cols=5),
+                  lambda: Matrix.from_rows([[1, 2, 3]], Q, cols=2),
+                  lambda: Matrix.from_columns([{2: 1}], 2, Q),
+                  lambda: Matrix.from_columns([[0, 1, 1]], 2, Q)):
+        with pytest.raises(IndexError):
+            build()
+    with pytest.raises(TypeError):
+        Matrix.from_columns([[0.5]], 1, Q)
+    # residues are reduced, and an entry that vanishes mod p is not stored
+    m = Matrix.from_columns([{0: 5, 1: 7}, {1: 10}], 2, Fp(5))
+    agrees(m, [[0, 0], [2, 0]])
+    assert m == Matrix.from_rows([{}, {0: 7, 1: 10}], Fp(5), cols=2)
