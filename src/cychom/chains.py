@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import linalg
+from .delta import simplicial_identities
 from .domains import ScalarDomain
 from .errors import (
     BasisMismatch,
@@ -33,7 +34,7 @@ class ChainComplex:
     """
 
     def __init__(self, dom: ScalarDomain, ranks: dict, diffs: dict,
-                 labels=None, name="", check=True):
+                 labels=None, name=""):
         self.dom = dom
         self.ranks = dict(ranks)
         self.diffs = dict(diffs)
@@ -41,11 +42,9 @@ class ChainComplex:
         self.name = name
         degs = sorted(self.ranks)
         self.lo, self.hi = (degs[0], degs[-1]) if degs else (0, -1)
-        if check:
-            for n in range(self.lo + 2, self.hi + 1):
-                prod = self.d(n - 1) @ self.d(n)
-                if not prod.is_zero():
-                    raise SignCheckFailed(f"d{n - 1} d{n} != 0 in {name or 'complex'}")
+        for n in range(self.lo + 2, self.hi + 1):
+            if not (self.d(n - 1) @ self.d(n)).is_zero():
+                raise SignCheckFailed(f"d{n - 1} d{n} != 0 in {name or 'complex'}")
 
     def rank(self, n) -> int:
         return self.ranks.get(n, 0)
@@ -243,8 +242,9 @@ class SimplicialModule:
     """A truncated simplicial module by explicit operator matrices.
 
     face(n, i): rank(n) -> rank(n-1); degeneracy(n, j): rank(n) -> rank(n+1);
-    optional t(n) (possibly signed).  Everything is lazy and cached, since
-    top-degree matrices can be large.
+    optional t(n), always the signed rotation (-1)^n t that the cyclic
+    bicomplex needs.  Everything is lazy and cached, since top-degree
+    matrices can be large.
     """
 
     def __init__(self, dom, truncation, rank_fn, face_fn, degeneracy_fn,
@@ -332,8 +332,9 @@ class SimplicialModule:
                             name=f"N({self.name})")
 
 
-def linearize_module(spec, dom: ScalarDomain, signed_t=False) -> SimplicialModule:
-    """Free module on a simplicial set spec, with operator matrices."""
+def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
+    """Free module on a simplicial set spec, with operator matrices; the
+    rotation of a cyclic spec becomes the signed one, (-1)^n t."""
     index = {}
 
     def idx(n):
@@ -362,9 +363,7 @@ def linearize_module(spec, dom: ScalarDomain, signed_t=False) -> SimplicialModul
     if spec.has_cyclic:
         def t_fn(n):
             m = op_matrix(n, n, lambda x: spec.t(n, x))
-            if signed_t and n % 2 == 1:
-                m = -m
-            return m
+            return -m if n % 2 else m
 
     return SimplicialModule(dom, spec.truncation, rank, face, degeneracy,
                             t_fn=t_fn, labels_fn=lambda n: list(spec.elements(n)),
@@ -376,75 +375,38 @@ def linearize(spec, dom: ScalarDomain, mode="unnormalized") -> ChainComplex:
     return linearize_module(spec, dom).chain_complex(mode)
 
 
-def check_module_identities(sm: SimplicialModule, cyclic=False, signed=False,
-                            top=None):
-    """Verify the simplicial (and cyclic) identities as matrix equalities.
+def check_module_identities(sm: SimplicialModule, top=None):
+    """Verify the identities of delta.simplicial_identities as matrix
+    equalities, the cyclic ones too when sm has a rotation.
 
-    For a signed rotation the mixed relations pick up minus signs; both
-    conventions reduce to t^{n+1} = id.  Raises nothing: returns a list
-    of violated instance descriptions (empty means pass).
+    The rotation is the signed one, (-1)^n t, so a relation holds up to
+    (-1) to the sum of the degrees of its t's.  Raises nothing: returns a
+    list of violated instance descriptions (empty means pass).
     """
     top = sm.truncation if top is None else top
+    table = list(simplicial_identities(top, sm.has_cyclic))
+    ops = {tok: sm.t(tok[1]) if tok[0] == "tau" else
+           (sm.face if tok[0] == "delta" else sm.degeneracy)(tok[2], tok[1])
+           for tok in dict.fromkeys(tok for _, _, lhs, rhs in table for tok in lhs + rhs)}
+    identities = {}  # degree -> identity matrix
+
+    def product(word, n):
+        if not word:
+            if n not in identities:
+                identities[n] = Matrix.identity(sm.rank(n), sm.dom)
+            return identities[n]
+        out = ops[word[0]]
+        for tok in word[1:]:
+            out = out @ ops[tok]
+        return out
+
     bad = []
-
-    def eq(a, b, msg):
-        if a != b:
-            bad.append(msg)
-
-    for n in range(top + 1):
-        if n >= 2:
-            for j in range(n + 1):
-                for i in range(j):
-                    eq(sm.face(n - 1, i) @ sm.face(n, j),
-                       sm.face(n - 1, j - 1) @ sm.face(n, i),
-                       f"d{i} d{j} deg {n}")
-        if n + 2 <= top:
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    eq(sm.degeneracy(n + 1, i) @ sm.degeneracy(n, j),
-                       sm.degeneracy(n + 1, j + 1) @ sm.degeneracy(n, i),
-                       f"s{i} s{j} deg {n}")
-        if n + 1 <= top:
-            ident = Matrix.identity(sm.rank(n), sm.dom)
-            for j in range(n + 1):
-                s = sm.degeneracy(n, j)
-                for i in range(n + 2):
-                    got = sm.face(n + 1, i) @ s
-                    if i == j or i == j + 1:
-                        eq(got, ident, f"d{i} s{j} = id deg {n}")
-                    elif i < j:
-                        eq(got, sm.degeneracy(n - 1, j - 1) @ sm.face(n, i),
-                           f"d{i} s{j} deg {n}")
-                    else:
-                        eq(got, sm.degeneracy(n - 1, j) @ sm.face(n, i - 1),
-                           f"d{i} s{j} deg {n}")
-        if cyclic:
-            t = sm.t(n)
-            power = Matrix.identity(sm.rank(n), sm.dom)
-            for _ in range(n + 1):
-                power = t @ power
-            eq(power, Matrix.identity(sm.rank(n), sm.dom), f"t^{n + 1} deg {n}")
-            sign = -1 if signed else 1
-            if n >= 1:
-                d0t = sm.face(n, 0) @ t
-                dn = sm.face(n, n)
-                eq(d0t, dn.scale(sm.dom.coerce(sign ** n)) if signed and n % 2 else dn,
-                   f"d0 t deg {n}")
-                for i in range(1, n + 1):
-                    lhs = sm.face(n, i) @ t
-                    rhs = sm.t(n - 1) @ sm.face(n, i - 1)
-                    eq(lhs, rhs.scale(sm.dom.coerce(sign)) if signed else rhs,
-                       f"d{i} t deg {n}")
-            if n + 1 <= top:
-                lhs = sm.degeneracy(n, 0) @ t
-                rhs = sm.t(n + 1) @ sm.t(n + 1) @ sm.degeneracy(n, n)
-                eq(lhs, rhs.scale(sm.dom.coerce(sign ** n)) if signed and n % 2 else rhs,
-                   f"s0 t deg {n}")
-                for i in range(1, n + 1):
-                    lhs = sm.degeneracy(n, i) @ t
-                    rhs = sm.t(n + 1) @ sm.degeneracy(n, i - 1)
-                    eq(lhs, rhs.scale(sm.dom.coerce(sign)) if signed else rhs,
-                       f"s{i} t deg {n}")
+    for label, n, lhs, rhs in table:
+        expected = product(rhs, n)
+        if sum(tok[1] for tok in lhs + rhs if tok[0] == "tau") % 2:
+            expected = -expected
+        if product(lhs, n) != expected:
+            bad.append(f"{label} deg {n}")
     return bad
 
 
@@ -455,33 +417,26 @@ def check_module_identities(sm: SimplicialModule, cyclic=False, signed=False,
 class Bicomplex:
     """A finite grid of modules with vertical and horizontal differentials.
 
-    horiz[(p, q)] maps M(p, q) -> M(p-1, q).  With rows="chain",
-    vert[(p, q)] maps M(p, q) -> M(p, q-1) and total degree is p+q; with
-    rows="cochain" it maps to M(p, q+1) and total degree is p-q.  Signs
-    are the caller's responsibility: the stored maps must already satisfy
-    d_v d_v = 0, d_h d_h = 0 and d_v d_h + d_h d_v = 0.
+    horiz[(p, q)] maps M(p, q) -> M(p-1, q) and vert[(p, q)] maps M(p, q)
+    -> M(p, q-1); total degree is p+q.  Signs are the caller's
+    responsibility: the stored maps must already satisfy d_v d_v = 0,
+    d_h d_h = 0 and d_v d_h + d_h d_v = 0, which is checked here.
     """
 
-    def __init__(self, dom, ranks: dict, vert: dict, horiz: dict,
-                 rows="chain", name="", check=True):
-        if rows not in ("chain", "cochain"):
-            raise ValueError(f"unknown row orientation {rows!r}")
+    def __init__(self, dom, ranks: dict, vert: dict, horiz: dict, name=""):
         self.dom = dom
         self.ranks = {k: v for k, v in ranks.items() if v}
         self.vert = dict(vert)
         self.horiz = dict(horiz)
-        self.rows = rows
-        self.qstep = -1 if rows == "chain" else 1
         self.name = name
-        if check:
-            self.verify()
+        self.verify()
 
     def rank(self, p, q):
         return self.ranks.get((p, q), 0)
 
     def v(self, p, q) -> Matrix:
         return self.vert.get(
-            (p, q), Matrix.zeros(self.rank(p, q + self.qstep), self.rank(p, q), self.dom))
+            (p, q), Matrix.zeros(self.rank(p, q - 1), self.rank(p, q), self.dom))
 
     def h(self, p, q) -> Matrix:
         return self.horiz.get(
@@ -492,7 +447,6 @@ class Bicomplex:
         (as in the cyclic bicomplex) repeat the same products of the same
         objects.  The memo holds the operands, so no id in a key is reused
         by a later temporary zero from v() or h()."""
-        dq = self.qstep
         checked = {}
 
         def vanishes(*pairs):
@@ -505,29 +459,26 @@ class Bicomplex:
             return checked[key][1]
 
         for (p, q) in self.ranks:
-            if self.rank(p, q + dq) and self.rank(p, q + 2 * dq):
-                if not vanishes((self.v(p, q + dq), self.v(p, q))):
+            if self.rank(p, q - 1) and self.rank(p, q - 2):
+                if not vanishes((self.v(p, q - 1), self.v(p, q))):
                     raise SignCheckFailed(f"vertical d^2 at ({p},{q})")
             if self.rank(p - 1, q) and self.rank(p - 2, q):
                 if not vanishes((self.h(p - 1, q), self.h(p, q))):
                     raise SignCheckFailed(f"horizontal d^2 at ({p},{q})")
-            if self.rank(p - 1, q) and self.rank(p, q + dq):
+            if self.rank(p - 1, q) and self.rank(p, q - 1):
                 if not vanishes((self.v(p - 1, q), self.h(p, q)),
-                                (self.h(p, q + dq), self.v(p, q))):
+                                (self.h(p, q - 1), self.v(p, q))):
                     raise SignCheckFailed(f"anticommutation at ({p},{q})")
-
-    def degree(self, p, q):
-        return p + q if self.rows == "chain" else p - q
 
 
 def total_complex(b: Bicomplex) -> ChainComplex:
-    """Totalize over p+q = n (chain rows) or p-q = n (cochain rows).
+    """Totalize over p+q = n.
 
     The result carries cells/offsets describing the block layout.
     """
     cells = {}
-    for (p, q), r in b.ranks.items():
-        cells.setdefault(b.degree(p, q), []).append((p, q))
+    for (p, q) in b.ranks:
+        cells.setdefault(p + q, []).append((p, q))
     for n in cells:
         cells[n].sort()
     offsets = {}
@@ -545,7 +496,7 @@ def total_complex(b: Bicomplex) -> ChainComplex:
         mat = Matrix.zeros(ranks[n - 1], ranks[n], b.dom)
         for (p, q) in cells[n]:
             col0 = offsets[(p, q)]
-            for (tp, tq), block in (((p, q + b.qstep), b.v(p, q)),
+            for (tp, tq), block in (((p, q - 1), b.v(p, q)),
                                     ((p - 1, q), b.h(p, q))):
                 if b.rank(tp, tq) == 0:
                     continue

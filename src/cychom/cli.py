@@ -9,6 +9,7 @@ the documented schema.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,7 +53,9 @@ EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_RESOURCE = 0, 1, 2, 3
 SIMPLICIAL_PRESETS = ("circle", "bg", "cyclicbar", "fcircle", "fbg")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     top = argparse.ArgumentParser(prog="cychom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -208,7 +211,7 @@ def _suite_relations(args) -> int:
         return EXIT_OK if report.passed else EXIT_FAIL
     A = _get_algebra(args, dom)
     sm = hochschild_module(A, top, budget=args.budget)
-    bad = check_module_identities(sm, cyclic=True, signed=True, top=top)
+    bad = check_module_identities(sm, top=top)
     print(f"relations [cyclic module]: degrees <= {top},"
           f" {len(bad)} failures")
     for msg in bad[:10]:
@@ -289,6 +292,8 @@ def _suite_adjunction(args) -> int:
     top = args.max_degree
     X = _simplicial_spec(args, top) if args.preset else circle(top)
     FX = free_cyclic(X)
+    # degree n of F(X) has n+1 cells per cell of X, so this bounds X too
+    _spec_budget_guard(FX, top, args.budget)
     unit = unit_section(X)
     unit_ok = check_map(unit, mode="simplicial").passed
     counit_ok = True

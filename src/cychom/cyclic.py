@@ -58,7 +58,7 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
         raise RelationFailure("cyclic bicomplex needs a cyclic operator")
     qtop = sm.truncation if qtop is None else qtop
     if check:
-        bad = check_module_identities(sm, cyclic=True, signed=True, top=qtop)
+        bad = check_module_identities(sm, top=qtop)
         if bad:
             raise RelationFailure(f"cyclic relations fail: {bad[:3]}")
     ranks, vert, horiz = {}, {}, {}
@@ -70,15 +70,14 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
                                 else sm.cached(("-b'", q), lambda: -sm.bprime(q)))
             if p > pmin:
                 horiz[(p, q)] = one_minus_t(sm, q) if p % 2 == 1 else norm_map(sm, q)
-    return Bicomplex(sm.dom, ranks, vert, horiz, rows="chain",
-                     name=f"CC({sm.name})")
+    return Bicomplex(sm.dom, ranks, vert, horiz, name=f"CC({sm.name})")
 
 
 def _as_module(arg, top, budget=DEFAULT_BUDGET) -> SimplicialModule:
     if isinstance(arg, SimplicialModule):
         return arg
     if isinstance(arg, FiniteAlgebra):
-        return hochschild_module(arg, top, signed_cyclic=True, budget=budget)
+        return hochschild_module(arg, top, budget=budget)
     raise TypeError(f"expected an algebra or simplicial module, got {type(arg)!r}")
 
 

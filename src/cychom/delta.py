@@ -228,6 +228,52 @@ def cyclic_normal_form(word) -> CyclicMorphism:
     return cyclic_factorize(out)
 
 
+def simplicial_identities(top: int, cyclic: bool):
+    """The defining relations of the simplex category (and, when cyclic,
+    of the cyclic category) on objects of degree at most top.
+
+    Yields (label, n, lhs, rhs): two words of operators on a degree-n
+    object, outermost first, in the tokens of cyclic_normal_form;
+    ("delta", i, m) acts as the face d_i out of degree m, ("sigma", j, m)
+    as the degeneracy s_j out of degree m and ("tau", m) as the rotation
+    t of degree m.  The empty word is the identity.  The operators act
+    contravariantly, so each word reversed is a morphism word, and the two
+    sides of a relation have the same cyclic normal form.
+    """
+    for n in range(top + 1):
+        if n >= 2:
+            for j in range(n + 1):
+                for i in range(j):
+                    yield (f"d{i} d{j}", n, (("delta", i, n - 1), ("delta", j, n)),
+                           (("delta", j - 1, n - 1), ("delta", i, n)))
+        if n + 2 <= top:
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    yield (f"s{i} s{j}", n, (("sigma", i, n + 1), ("sigma", j, n)),
+                           (("sigma", j + 1, n + 1), ("sigma", i, n)))
+        if n + 1 <= top:
+            for j in range(n + 1):
+                for i in range(n + 2):
+                    lhs = (("delta", i, n + 1), ("sigma", j, n))
+                    if i == j or i == j + 1:
+                        yield f"d{i} s{j} = id", n, lhs, ()
+                    elif i < j:
+                        yield f"d{i} s{j}", n, lhs, (("sigma", j - 1, n - 1), ("delta", i, n))
+                    else:
+                        yield f"d{i} s{j}", n, lhs, (("sigma", j, n - 1), ("delta", i - 1, n))
+        if cyclic:
+            t = ("tau", n)
+            yield f"t^{n + 1} = id", n, (t,) * (n + 1), ()
+            if n >= 1:
+                yield "d0 t", n, (("delta", 0, n), t), (("delta", n, n),)
+                for i in range(1, n + 1):
+                    yield f"d{i} t", n, (("delta", i, n), t), (("tau", n - 1), ("delta", i - 1, n))
+            if n + 1 <= top:
+                yield "s0 t", n, (("sigma", 0, n), t), (("tau", n + 1),) * 2 + (("sigma", n, n),)
+                for i in range(1, n + 1):
+                    yield f"s{i} t", n, (("sigma", i, n), t), (("tau", n + 1), ("sigma", i - 1, n))
+
+
 def hom_delta_c(m: int, n: int):
     """All cyclic-category morphisms [m] -> [n] in normal form."""
     return [CyclicMorphism(phi, r) for phi in hom_delta(m, n) for r in range(m + 1)]

@@ -242,13 +242,12 @@ def tensor_index(idx_tuple, dim):
     return out
 
 
-def hochschild_module(A: FiniteAlgebra, N: int, signed_cyclic=True,
+def hochschild_module(A: FiniteAlgebra, N: int,
                       budget=DEFAULT_BUDGET) -> SimplicialModule:
     """The simplicial module [n] -> A tensor (n+1), with cyclic structure.
 
     Basis tensors are indexed slot-major (first slot most significant).
-    The rotation carries the sign (-1)^n when signed_cyclic is set, which
-    is the convention the cyclic bicomplex needs.
+    The rotation carries the sign (-1)^n, as every module rotation does.
     """
     dom = A.dom
     d = A.dim
@@ -290,7 +289,7 @@ def hochschild_module(A: FiniteAlgebra, N: int, signed_cyclic=True,
 
     def t(n):
         m = Matrix.zeros(rank(n), rank(n), dom)
-        sign = dom.coerce(-1) if (signed_cyclic and n % 2 == 1) else dom.one
+        sign = dom.coerce(-1) if n % 2 else dom.one
         for col, idx in enumerate(tensors(n)):
             m._add_to(tensor_index((idx[n],) + idx[:n], d), col, sign)
         return m

@@ -104,8 +104,8 @@ def test_criterion_01_relation_suites():
         group_algebra(g3, Q),
     ]
     for A in algebras:
-        sm = hochschild_module(A, 6, signed_cyclic=True)
-        bad = check_module_identities(sm, cyclic=True, signed=True, top=5)
+        sm = hochschild_module(A, 6)
+        bad = check_module_identities(sm, top=5)
         assert not bad, (A.name, bad[:3])
     assert time.time() - t0 < 60
 
@@ -175,7 +175,7 @@ def test_criterion_03_homology_values():
     A = truncated_polynomial(1, Q)
     res = hc(A, range(6))
     assert [res.betti[n] for n in range(6)] == [1, 0, 1, 0, 1, 0]
-    sm = hochschild_module(A, 7, signed_cyclic=True)
+    sm = hochschild_module(A, 7)
     tot = total_complex(cyclic_bicomplex(sm, 7, qtop=7))
     for n in range(6):
         assert res.betti[n] == oracle_betti(tot, n)

@@ -10,6 +10,7 @@ from cychom.chains import (
     ChainComplex,
     ChainMap,
     PresentedModule,
+    SimplicialModule,
     aw_map,
     check_module_identities,
     diagonal_tensor,
@@ -238,5 +239,23 @@ def test_aw_ez_unnormalized_not_a_retraction_in_general():
 
 
 def test_module_identities_of_linearized_circle():
-    sm = linearize_module(circle(4), Q, signed_t=True)
-    assert check_module_identities(sm, cyclic=True, signed=True) == []
+    sm = linearize_module(circle(4), Q)
+    assert check_module_identities(sm) == []
+
+
+def test_module_identities_report_a_corrupted_hochschild_module():
+    sm = hochschild_module(truncated_polynomial(2, Q), 4)
+    neg_t3 = SimplicialModule(Q, 4, sm.rank, sm.face, sm.degeneracy,
+                              t_fn=lambda n: -sm.t(n) if n == 3 else sm.t(n))
+    assert check_module_identities(neg_t3) == [
+        "s1 t deg 2", "s2 t deg 2", "d0 t deg 3", "d1 t deg 3", "d2 t deg 3",
+        "d3 t deg 3", "s0 t deg 3", "s1 t deg 3", "s2 t deg 3", "s3 t deg 3",
+        "d1 t deg 4", "d2 t deg 4", "d3 t deg 4", "d4 t deg 4"]
+    swapped = SimplicialModule(
+        Q, 4, sm.rank,
+        lambda n, i: sm.face(n, 1 - i) if n == 2 and i < 2 else sm.face(n, i),
+        sm.degeneracy, t_fn=sm.t)
+    assert check_module_identities(swapped) == [
+        "d0 s1 deg 1", "d1 s1 = id deg 1", "d2 s0 deg 2", "d0 s1 deg 2",
+        "d0 s2 deg 2", "d1 s2 deg 2", "d0 t deg 2", "d1 t deg 2", "d2 t deg 2",
+        "d0 d1 deg 3", "d0 d2 deg 3", "d1 d2 deg 3", "d0 d3 deg 3", "d1 d3 deg 3"]

@@ -95,6 +95,10 @@ def test_verify_relations(capsys):
                        "--max-degree", "3")
     assert code == 0
     assert "0 failures" in out
+    assert run(capsys, "verify", "relations", "--preset", "circle",
+               "--max-degree", "5")[1] == "relations [cyclic]: 684 instances, 0 failures\n"
+    assert run(capsys, "verify", "relations", "--preset", "bg", "--group", "cyclic:3",
+               "--max-degree", "3")[1] == "relations [cyclic]: 542 instances, 0 failures\n"
 
 
 def test_verify_sbi(capsys):
@@ -134,6 +138,38 @@ def test_exit_code_budget(capsys):
     code, _, err = run(capsys, "hh", "--preset", "group:symmetric:3",
                        "--max-degree", "6", "--budget", "100")
     assert code == 3
+
+
+def test_verify_adjunction_respects_budget():
+    # F(BZ/30) has 110 761 cells up to degree 3, so the suite must not start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cychom.cli", "verify", "adjunction", "--preset", "bg",
+         "--group", "cyclic:30", "--max-degree", "3", "--budget", "1000"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stdout
+    assert proc.stdout == "" and "1000 cells" in proc.stderr
+
+
+def test_main_reuses_one_parser(capsys):
+    argvs = [
+        ("homology", "--preset", "circle", "--max-degree", "2", "--json"),
+        ("hh", "--preset", "truncpoly:2", "--unnormalized", "--max-degree", "2"),
+        ("hc", "--preset", "unit", "--variant", "periodic", "--window", "1",
+         "--max-degree", "1"),
+        ("verify", "relations", "--preset", "bg", "--group", "cyclic:2",
+         "--max-degree", "2"),
+        ("homology", "--preset", "circle", "--max-degree", "2"),
+        ("hh", "--preset", "truncpoly:2", "--domain", "zp:5", "--max-degree", "1",
+         "--budget", "3"),
+    ]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_budget_guard_counts_lazily():

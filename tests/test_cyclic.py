@@ -39,7 +39,7 @@ def test_hc_of_ground_field():
 def test_hc_betti_matches_dense_oracle():
     A = truncated_polynomial(1, Q)
     top = 4
-    sm = hochschild_module(A, top + 1, signed_cyclic=True)
+    sm = hochschild_module(A, top + 1)
     tot = total_complex(cyclic_bicomplex(sm, top + 1, qtop=top + 1))
     res = homology(tot, range(top))
     for n in range(top):
@@ -58,7 +58,7 @@ def test_hc_of_group_algebra_vs_oracle():
     A = group_algebra(cyclic_group(2), Q)
     res = hc(A, range(3))
     top = 3
-    sm = hochschild_module(A, top + 1, signed_cyclic=True)
+    sm = hochschild_module(A, top + 1)
     tot = total_complex(cyclic_bicomplex(sm, top + 1, qtop=top + 1))
     for n in range(3):
         d_in = tot.d(n + 1).to_dense_rows()
@@ -79,13 +79,13 @@ def test_hc_window_too_small():
 
 def test_bprime_contraction():
     for A in (truncated_polynomial(2, Q), group_algebra(cyclic_group(3), Q)):
-        sm = hochschild_module(A, 5, signed_cyclic=True)
+        sm = hochschild_module(A, 5)
         assert bprime_homotopy_check(sm, range(4))
 
 
 def test_norm_and_one_minus_t_compose_to_zero():
     A = truncated_polynomial(2, Q)
-    sm = hochschild_module(A, 4, signed_cyclic=True)
+    sm = hochschild_module(A, 4)
     for n in range(3):
         assert (norm_map(sm, n) @ one_minus_t(sm, n)).is_zero()
         assert (one_minus_t(sm, n) @ norm_map(sm, n)).is_zero()
@@ -96,7 +96,7 @@ def test_hc_accepts_linearized_cyclic_sets():
     # module as the group algebra, so HC must agree
     G = cyclic_group(2)
     top = 3
-    sm = linearize_module(cyclic_bar(G, top + 2), Q, signed_t=True)
+    sm = linearize_module(cyclic_bar(G, top + 2), Q)
     res_set = hc(sm, range(top))
     res_alg = hc(group_algebra(G, Q), range(top))
     assert all(res_set.betti[n] == res_alg.betti[n] for n in range(top))
@@ -104,7 +104,7 @@ def test_hc_accepts_linearized_cyclic_sets():
 
 def test_connes_b_squares_to_zero():
     A = truncated_polynomial(2, Q)
-    sm = hochschild_module(A, 5, signed_cyclic=True)
+    sm = hochschild_module(A, 5)
     for n in range(3):
         assert (connes_b(sm, n + 1) @ connes_b(sm, n)).is_zero()
         anti = sm.boundary(n + 1) @ connes_b(sm, n)
@@ -147,7 +147,7 @@ def test_hc_window_negative_of_field():
 
 
 def _dual_numbers_module():
-    return hochschild_module(truncated_polynomial(2, Q), 3, signed_cyclic=True)
+    return hochschild_module(truncated_polynomial(2, Q), 3)
 
 
 def test_cyclic_bicomplex_stores_one_map_per_parity_and_row():
@@ -209,10 +209,10 @@ def test_bicomplex_verify_still_checks_every_column():
 
 def test_cached_operators_are_not_modified_by_their_users():
     A = truncated_polynomial(2, Q)
-    sm = hochschild_module(A, 4, signed_cyclic=True)
+    sm = hochschild_module(A, 4)
     assert connes_maps(sm, range(3)).passed
     hc_window("periodic", sm, range(2), window=1)
-    fresh = hochschild_module(A, 4, signed_cyclic=True)
+    fresh = hochschild_module(A, 4)
     build = {"d": fresh.face, "s": fresh.degeneracy, "t": fresh.t,
              "b": fresh.boundary, "b'": fresh.bprime,
              "-b'": lambda n: -fresh.bprime(n),

@@ -19,6 +19,7 @@ from cychom.delta import (
     hom_delta_c,
     identity_map,
     sigma,
+    simplicial_identities,
     tau,
     word_to_map,
 )
@@ -225,3 +226,13 @@ def test_delta_embeds_in_cyclic():
             for f in hom_delta(m, n):
                 nf = cyclic_factorize(cyclic_from_monotone(f))
                 assert nf == CyclicMorphism(f, 0)
+
+
+@pytest.mark.parametrize("top", range(6))
+def test_simplicial_identities_hold_in_the_cyclic_category(top):
+    # operator words act contravariantly: reversed, each is a morphism word
+    for label, n, lhs, rhs in simplicial_identities(top, True):
+        forms = [cyclic_normal_form(tuple(reversed(w))) if w
+                 else CyclicMorphism(identity_map(n), 0) for w in (lhs, rhs)]
+        assert forms[0] == forms[1], (label, n)
+        assert forms[0].target == n, (label, n)

@@ -79,7 +79,7 @@ def test_signed_cyclic_module_relations():
     for preset in ("truncpoly:2", "group:cyclic:3"):
         A = algebra_from_preset(preset, Q)
         sm = hochschild_module(A, 4)
-        assert check_module_identities(sm, cyclic=True, signed=True) == []
+        assert check_module_identities(sm) == []
 
 
 def test_bprime_homotopy_small():
