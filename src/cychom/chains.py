@@ -16,13 +16,14 @@ from .domains import ScalarDomain
 from .errors import (
     BasisMismatch,
     DomainMismatch,
+    LatticeMismatch,
     NotAChainMap,
     RangeExceedsComplex,
     SignCheckFailed,
     TruncationMismatch,
     TruncationTooSmall,
 )
-from .linalg import SubspaceBasis, integer_kernel_basis, rank, rank_kernel_image, solve_in_span, z_quotient_invariants
+from .linalg import SubspaceBasis, integer_kernel_basis, invariant_factors, rank, rank_kernel_image, solve_in_span
 from .matrix import Matrix
 
 
@@ -92,28 +93,44 @@ def _representatives(kernel: SubspaceBasis, image: SubspaceBasis, dom):
     return [list(kernel.vectors[j - image.dim]) for j in pivots if j >= image.dim]
 
 
-def homology(c: ChainComplex, degrees) -> HomologyResult:
-    """Homology of the complex; field case by rank, integral case by SNF.
+def _certified_kernel(d: Matrix, nullity: int) -> list[list]:
+    """integer_kernel_basis(d), certified: nullity many vectors that d kills
+    with all invariant factors 1 span a saturated lattice, so all of ker d."""
+    kern = integer_kernel_basis(d)
+    k = Matrix.from_columns(kern, d.cols, d.dom)
+    if not (d @ k).is_zero():
+        raise LatticeMismatch("integral kernel basis has a vector outside the kernel")
+    if len(kern) != nullity:
+        raise LatticeMismatch(f"integral kernel basis has {len(kern)} vectors, kernel rank {nullity}")
+    if invariant_factors(k) != [1] * nullity:
+        raise LatticeMismatch("integral kernel basis not saturated")
+    return kern
 
-    Over a field each boundary matrix is reduced once per call: d_{n+1}
-    gives the image for H_n and the kernel for H_{n+1}.
+
+def homology(c: ChainComplex, degrees) -> HomologyResult:
+    """Homology of the complex; field case by rank, integral case by invariant factors.
+
+    Each boundary matrix is reduced once per call: d_{n+1} gives the image
+    for H_n and the kernel for H_{n+1}.  Over Z, with f_k the nonzero
+    invariant factors of d_k, betti_n = rank C_n - #f_n - #f_{n+1} and the
+    torsion of H_n is the f_{n+1} above 1: C_n / ker d_n embeds in C_{n-1},
+    so it is free, and H_n has the torsion of C_n / im d_{n+1}.
     """
     res = HomologyResult(c.dom, name=c.name)
-    reduced = {}  # k -> rank_kernel_image(d_k)
+    reduced = {}  # k -> invariant_factors(d_k) over Z, rank_kernel_image(d_k) otherwise
     for n in degrees:
         if not c.lo <= n < c.hi and not (n == c.hi == c.lo):
             raise RangeExceedsComplex(
                 f"degree {n} needs boundaries d_{n} and d_{n + 1}; complex covers [{c.lo},{c.hi}]")
+        for k in (n, n + 1):
+            if k not in reduced:
+                reduced[k] = (invariant_factors if c.dom.kind == "Z" else rank_kernel_image)(c.d(k))
         if c.dom.kind == "Z":
-            kern = integer_kernel_basis(c.d(n)) if c.rank(n) else []
-            betti, tors = z_quotient_invariants(kern, c.d(n + 1))
-            res.betti[n] = betti
-            res.torsion[n] = tors
-            res.reps[n] = kern
+            nullity = c.rank(n) - len(reduced[n])
+            res.betti[n] = nullity - len(reduced[n + 1])
+            res.torsion[n] = [v for v in reduced[n + 1] if v > 1]
+            res.reps[n] = _certified_kernel(c.d(n), nullity) if c.rank(n) else []
         else:
-            for k in (n, n + 1):
-                if k not in reduced:
-                    reduced[k] = rank_kernel_image(c.d(k))
             kernel, image = reduced[n][1], reduced[n + 1][2]
             res.betti[n] = kernel.dim - image.dim
             res.torsion[n] = []

@@ -6,7 +6,9 @@ reduced as Q) come from one sparse fraction-free echelon on integer rows
 the same elimination on sparse rows of residues is ``_modp.rref_modp``;
 ``rref`` is their one sparse reduced echelon entry.  Subspaces are
 fingerprinted by their reduced row echelon form, which makes equality of
-spans a plain tuple comparison.
+spans a plain tuple comparison.  Over Z, homology reads the invariant
+factors of each boundary matrix from a sparse elimination on unit pivots
+followed by a Smith form of the remainder (``invariant_factors``).
 """
 
 from __future__ import annotations
@@ -356,6 +358,43 @@ def smith_normal_form(m: Matrix) -> SmithForm:
     return SmithForm(d=d, rank=len(d), left=lm, right=rm)
 
 
+def invariant_factors(m: Matrix) -> list[int]:
+    """The nonzero invariant factors of an integer matrix, each dividing the next.
+
+    Rows are taken sparsest first; a ±1 entry, in the column fewest rows
+    use, clears that column from the other rows by unimodular row
+    operations, and its row and column then split off as one factor 1.
+    Only rows left with no unit entry go, compacted, to the Smith form.
+    """
+    rows = {i: row for i, row in enumerate(m.sparse_rows()) if row}
+    users = {c: set(col) for c, col in enumerate(m.sparse_columns()) if col}  # rows using c
+    ones, progress = 0, True
+    while progress:  # fill-in can give a row a unit entry for a later pass
+        progress = False
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            units = [c for c, v in rows.get(i, {}).items() if v in (1, -1)]
+            if not units:
+                continue
+            ones, progress, piv = ones + 1, True, rows.pop(i)
+            for k in piv:
+                users[k].discard(i)
+            c = min(units, key=lambda c: len(users[c]))
+            pc = piv.pop(c)
+            for j in users.pop(c):
+                row = rows[j]
+                f = row.pop(c) * pc
+                for k, v in piv.items():
+                    if w := row.get(k, 0) - f * v:
+                        row[k] = w
+                        users[k].add(j)
+                    else:
+                        del row[k]
+                        users[k].discard(j)
+    cols = {c: k for k, c in enumerate(sorted(c for c, u in users.items() if u))}
+    rest = [{cols[c]: v for c, v in row.items()} for row in rows.values() if row]
+    return [1] * ones + smith_normal_form(Matrix.from_rows(rest, m.dom, cols=len(cols))).d
+
+
 def integer_kernel_basis(m: Matrix) -> list[list]:
     """Basis of the kernel lattice of an integer matrix (saturated)."""
     snf = smith_normal_form(m)
@@ -363,6 +402,7 @@ def integer_kernel_basis(m: Matrix) -> list[list]:
     return [snf.right.column_vector(c) for c in range(r, m.cols)]
 
 
+# no caller in cychom; perfbench/tracer.py wraps it by name
 def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
     """Betti and torsion of (lattice spanned by kernel_basis) / im(boundary).
 

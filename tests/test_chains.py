@@ -26,7 +26,7 @@ from cychom.chains import (
 from cychom.domains import Fp, Q, Z
 from cychom.errors import DomainMismatch, NotAChainMap, RangeExceedsComplex, SignCheckFailed
 from cychom.hochschild import hochschild_module, truncated_polynomial
-from cychom.groups import cyclic_group
+from cychom.groups import cyclic_group, group_from_preset
 from cychom.matrix import Matrix
 from cychom.simplicial import circle, classifying_space, cyclic_bar, free_cyclic, standard_simplex
 
@@ -198,6 +198,67 @@ def test_homology_reduces_each_boundary_matrix_once(monkeypatch):
     # d_0 .. d_5, each once
     assert len(reduced) == 6
     assert [h.betti[n] for n in range(5)] == [2, 1, 1, 1, 1]
+
+
+SLOW = ("cyclic:5", "cyclic:6", "symmetric:3")
+
+
+def _bg(preset, top):
+    G = group_from_preset(preset)
+    return classifying_space(G, top, central=G.identity if G.is_abelian() else None)
+
+
+# (name, integral chain complex in a mode, slow); a slow complex is
+# compared up to degree 2 when unnormalized, where the kernel lattice
+# route takes 0.8-6.7 s on its degree 3
+Z_COMPLEXES = [
+    *[(f"bg {g}", lambda mode, g=g: linearize(_bg(g, 4), Z, mode), g in SLOW)
+      for g in ("cyclic:2", "cyclic:3", "cyclic:4", *SLOW)],
+    ("cyclicbar cyclic:3", lambda mode: linearize(cyclic_bar(cyclic_group(3), 4), Z, mode), False),
+    ("fbg cyclic:2",
+     lambda mode: linearize(free_cyclic(classifying_space(cyclic_group(2), 4)), Z, mode), False),
+    ("circle", lambda mode: linearize(circle(4), Z, mode), False),
+    ("hh truncpoly:3",
+     lambda mode: hochschild_module(truncated_polynomial(3, Z), 4).chain_complex(mode), False),
+]
+
+
+@pytest.mark.parametrize("mode", ["normalized", "unnormalized"])
+@pytest.mark.parametrize("build,slow", [(b, s) for _, b, s in Z_COMPLEXES],
+                         ids=[name for name, _, _ in Z_COMPLEXES])
+def test_integral_homology_matches_the_kernel_lattice_route(build, slow, mode):
+    from cychom.linalg import integer_kernel_basis, z_quotient_invariants
+    top = 2 if slow and mode == "unnormalized" else 3
+    cc = build(mode)
+    res = homology(cc, range(top + 1))
+    for n in range(top + 1):
+        kern = integer_kernel_basis(cc.d(n)) if cc.rank(n) else []
+        assert (res.betti[n], res.torsion[n]) == z_quotient_invariants(kern, cc.d(n + 1))
+
+
+def test_integral_homology_reduces_each_boundary_matrix_once(monkeypatch):
+    from cychom import chains, linalg
+    calls = []
+    orig = chains.invariant_factors
+
+    def counted(m):
+        calls.append(m)
+        return orig(m)
+
+    def forbidden(*args):
+        raise AssertionError("integral homology solved in a span")
+
+    monkeypatch.setattr(chains, "invariant_factors", counted)
+    for owner, name in [(chains, "solve_in_span"), (linalg, "solve_in_span"),
+                        (linalg, "z_quotient_invariants")]:
+        monkeypatch.setattr(owner, name, forbidden)
+    cc = linearize(_bg("cyclic:3", 5), Z, "unnormalized")
+    h = homology(cc, range(5))
+    assert [h.torsion[n] for n in range(5)] == [[], [3], [], [3], []]
+    # d_1 .. d_5 once each, d_0 (zero, not stored) once, and one
+    # certification of the cycle basis per degree
+    assert all(sum(m is cc.diffs[k] for m in calls) == 1 for k in range(1, 6))
+    assert len(calls) == 6 + 5
 
 
 def test_bicomplex_rejects_broken_anticommutation():

@@ -38,6 +38,15 @@ def test_homology_bg_over_z_torsion(capsys):
     assert "H_3: betti 0  torsion Z/2" in out
 
 
+def test_homology_bs3_over_z_has_composite_torsion(capsys):
+    # Z, Z/2 (the abelianization), 0 (the Schur multiplier), Z/6, 0
+    code, out, _ = run(capsys, "homology", "--preset", "bg", "--group", "symmetric:3",
+                       "--domain", "z", "--max-degree", "4", "--json")
+    assert code == 0
+    assert [(r["betti"], r["torsion"]) for r in json.loads(out)] == [
+        (1, []), (0, [2]), (0, []), (0, [6]), (0, [])]
+
+
 def test_homology_json_round_trip(capsys):
     code, out, _ = run(capsys, "homology", "--preset", "circle",
                        "--max-degree", "2", "--json")
@@ -315,3 +324,27 @@ def test_exit_code_internal_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "homology", "--preset", "bg", "--group", "cyclic:2",
                        "--domain", "z", "--max-degree", "2")
     assert code == 1 and "saturated" in err
+
+
+def _drop_last(m, basis):
+    return basis[:-1]
+
+
+def _off_kernel(m, basis):
+    # add a unit vector that d does not kill to the first basis vector
+    moved = [c for c in range(m.cols) if any(m.column_vector(c))]
+    if not basis or not moved:
+        return basis
+    return [[x + (k == moved[0]) for k, x in enumerate(basis[0])]] + basis[1:]
+
+
+@pytest.mark.parametrize("tamper,argv,message", [
+    (_drop_last, ["--preset", "circle", "--max-degree", "1"], "kernel rank"),
+    (_drop_last, ["--preset", "bg", "--group", "cyclic:2", "--max-degree", "2"], "kernel rank"),
+    (_off_kernel, ["--preset", "fcircle", "--max-degree", "2"], "outside the kernel"),
+])
+def test_exit_code_uncertified_cycle_basis(capsys, monkeypatch, tamper, argv, message):
+    real = chains.integer_kernel_basis
+    monkeypatch.setattr(chains, "integer_kernel_basis", lambda m: tamper(m, real(m)))
+    code, _, err = run(capsys, "homology", "--domain", "z", *argv)
+    assert code == 1 and message in err

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cychom.domains import Fp, Q, Z
@@ -11,6 +11,7 @@ from cychom.errors import DomainNotField, LatticeMismatch
 from cychom.linalg import (
     SubspaceBasis,
     integer_kernel_basis,
+    invariant_factors,
     kernel_vectors,
     rank,
     rank_kernel_image,
@@ -233,6 +234,23 @@ def test_snf_matches_minor_oracle(rows):
     prod = snf.left @ m @ snf.right
     diag = snf.diagonal_matrix(m.rows, m.cols, Z)
     assert prod == diag
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 5).flatmap(lambda nc: st.tuples(
+           st.just(nc), st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
+                                 max_size=4))),
+       st.sampled_from([1, 2]))
+@example((3, [[1, 2, 0], [1, 0, 2]]), 1)  # the unit pivot fills in a 2: factors 1, 2
+@example((3, [[2, 3, 0], [1, 2, 5]]), 1)  # row 0 gets its unit only after row 1 pivots
+@example((3, [[0, 0, 0], [0, 0, 0]]), 1)
+@example((0, [[], []]), 1)
+@example((4, []), 1)
+def test_invariant_factors_match_minor_oracle(shape, scale):
+    # scale 2 leaves no unit entry, so everything goes to the Smith form
+    nc, rows = shape
+    rows = [[scale * v for v in row] for row in rows]
+    assert invariant_factors(Matrix.from_rows(rows, Z, cols=nc)) == snf_diagonal_by_minors(rows)
 
 
 def test_snf_transforms_unimodular():
