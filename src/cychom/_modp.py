@@ -23,12 +23,9 @@ def _subtract(row: dict, piv: dict, c: int, p: int) -> dict:
     return row
 
 
-def rref_modp(m, p: int):
-    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
-
-    Returns (the nonzero rows as sparse dicts {col: residue}, in order of
-    their pivots, and the pivot column list).
-    """
+def _echelon_modp(m, p: int) -> dict:
+    """Row echelon form mod p of a Matrix over F_p: {leading column: row
+    scaled to lead with 1}, as ``linalg._echelon`` is over Q."""
     ech = {}
     for row in sorted(m.sparse_rows(), key=len):
         while row:
@@ -39,6 +36,16 @@ def rref_modp(m, p: int):
                 ech[c] = {k: v * inv % p for k, v in row.items()}
                 break
             row = _subtract(row, piv, c, p)
+    return ech
+
+
+def rref_modp(m, p: int):
+    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
+
+    Returns (the nonzero rows as sparse dicts {col: residue}, in order of
+    their pivots, and the pivot column list).
+    """
+    ech = _echelon_modp(m, p)
     pivots = sorted(ech)
     # back-substitute from the last pivot up, as linalg.rref does over Q
     for pc in reversed(pivots):

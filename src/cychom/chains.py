@@ -8,7 +8,10 @@ downstream is matrices over an exact domain.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
 from . import linalg
 from .delta import simplicial_identities
@@ -58,26 +61,48 @@ class ChainComplex:
 
 
 class HomologyResult:
-    """Betti numbers, torsion (integral case) and cycle representatives."""
+    """Betti numbers and torsion as dicts by degree.
+
+    ``reps`` (cycle representatives) and ``boundary_image`` (a basis of
+    im d_{n+1}, over a field only) are read-only mappings by degree; over
+    a field a degree's bases are built on its first read."""
 
     def __init__(self, dom, name=""):
         self.dom = dom
         self.name = name
         self.betti = {}
         self.torsion = {}
-        self.reps = {}         # degree -> list of cycle vectors
-        self.boundary_image = {}  # degree -> SubspaceBasis of im d_{n+1}
-
-    def degrees(self):
-        return sorted(self.betti)
+        self.reps = self.boundary_image = MappingProxyType({})
 
     def rows(self):
         out = []
-        for n in self.degrees():
+        for n in sorted(self.betti):
             out.append({"degree": n, "betti": self.betti[n],
                         "torsion": list(self.torsion.get(n, [])),
                         "domain": str(self.dom)})
         return out
+
+
+class _PerDegree(Mapping):
+    """A read-only {degree: value} over fixed degrees; build(n) makes each
+    value on its first read."""
+
+    def __init__(self, degrees, build):
+        self._degrees, self._build = tuple(degrees), cache(build)
+
+    def __getitem__(self, n):
+        if n not in self._degrees:
+            raise KeyError(n)
+        return self._build(n)
+
+    def __contains__(self, n):
+        return n in self._degrees
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self):
+        return len(self._degrees)
 
 
 def _representatives(kernel: SubspaceBasis, image: SubspaceBasis, dom):
@@ -85,8 +110,10 @@ def _representatives(kernel: SubspaceBasis, image: SubspaceBasis, dom):
 
     A kernel vector is kept iff it is independent of the image and of the
     kernel vectors before it, i.e. iff its column is a pivot column of
-    [image basis | kernel basis].
+    [image basis | kernel basis]; with no image, that is every one of them.
     """
+    if not image.dim:
+        return [list(v) for v in kernel.vectors]
     cols = image.vectors + kernel.vectors
     rows = [[v[i] for v in cols] for i in range(kernel.ambient)]
     _, pivots = linalg.rref_rows(rows, dom)
@@ -108,34 +135,52 @@ def _certified_kernel(d: Matrix, nullity: int) -> list[list]:
 
 
 def homology(c: ChainComplex, degrees) -> HomologyResult:
-    """Homology of the complex; field case by rank, integral case by invariant factors.
+    """Homology of the complex: Betti numbers from ranks over a field and
+    from invariant factors over Z; bases over a field on first read.
 
-    Each boundary matrix is reduced once per call: d_{n+1} gives the image
-    for H_n and the kernel for H_{n+1}.  Over Z, with f_k the nonzero
-    invariant factors of d_k, betti_n = rank C_n - #f_n - #f_{n+1} and the
-    torsion of H_n is the f_{n+1} above 1: C_n / ker d_n embeds in C_{n-1},
-    so it is free, and H_n has the torsion of C_n / im d_{n+1}.
+    Each boundary matrix is ranked (over Z: factored) once per call, and
+    d_{n+1} serves both H_n and H_{n+1}.  Over a field betti_n = rank C_n - rank d_n -
+    rank d_{n+1}; the first read of reps[n] or boundary_image[n] runs
+    rank_kernel_image on d_n and d_{n+1} (once per boundary), and their
+    bases must have the dimensions those ranks give.  Over Z, with f_k the
+    nonzero invariant factors of d_k, betti_n = rank C_n - #f_n - #f_{n+1}
+    and the torsion of H_n is the f_{n+1} above 1: C_n / ker d_n embeds in
+    C_{n-1}, so it is free, and H_n has the torsion of C_n / im d_{n+1}.
+    The cycle bases over Z are built and certified on every call.
     """
     res = HomologyResult(c.dom, name=c.name)
-    reduced = {}  # k -> invariant_factors(d_k) over Z, rank_kernel_image(d_k) otherwise
+    field = c.dom.kind != "Z"
+    reduced = {}  # k -> rank(d_k) over a field, invariant_factors(d_k) over Z
     for n in degrees:
         if not c.lo <= n < c.hi and not (n == c.hi == c.lo):
             raise RangeExceedsComplex(
                 f"degree {n} needs boundaries d_{n} and d_{n + 1}; complex covers [{c.lo},{c.hi}]")
         for k in (n, n + 1):
             if k not in reduced:
-                reduced[k] = (invariant_factors if c.dom.kind == "Z" else rank_kernel_image)(c.d(k))
-        if c.dom.kind == "Z":
-            nullity = c.rank(n) - len(reduced[n])
-            res.betti[n] = nullity - len(reduced[n + 1])
-            res.torsion[n] = [v for v in reduced[n + 1] if v > 1]
-            res.reps[n] = _certified_kernel(c.d(n), nullity) if c.rank(n) else []
-        else:
-            kernel, image = reduced[n][1], reduced[n + 1][2]
-            res.betti[n] = kernel.dim - image.dim
+                reduced[k] = (rank if field else invariant_factors)(c.d(k))
+        if field:
+            res.betti[n] = c.rank(n) - reduced[n] - reduced[n + 1]
             res.torsion[n] = []
-            res.reps[n] = _representatives(kernel, image, c.dom)
-            res.boundary_image[n] = image
+        else:
+            res.betti[n] = c.rank(n) - len(reduced[n]) - len(reduced[n + 1])
+            res.torsion[n] = [v for v in reduced[n + 1] if v > 1]
+
+    @cache
+    def basis(k):
+        """(kernel, image) of d_k over a field, checked against its rank."""
+        r, kernel, image = rank_kernel_image(c.d(k))
+        if r != reduced[k] or kernel.dim != c.rank(k) - r:
+            raise BasisMismatch(f"d_{k} has rank {reduced[k]}, but bases of a"
+                                f" {kernel.dim}-dim kernel and {r}-dim image")
+        return kernel, image
+
+    if field:
+        res.reps = _PerDegree(res.betti, lambda n: _representatives(
+            basis(n)[0], basis(n + 1)[1], c.dom))
+        res.boundary_image = _PerDegree(res.betti, lambda n: basis(n + 1)[1])
+    else:  # every degree's cycle basis is built and certified now
+        res.reps = MappingProxyType({n: _certified_kernel(c.d(n), c.rank(n) - len(reduced[n]))
+                                     if c.rank(n) else [] for n in res.betti})
     return res
 
 

@@ -294,13 +294,13 @@ def _suite_adjunction(args) -> int:
     FX = free_cyclic(X)
     # degree n of F(X) has n+1 cells per cell of X, so this bounds X too
     _spec_budget_guard(FX, top, args.budget)
-    unit = unit_section(X)
+    unit = unit_section(X, FX)
     unit_ok = check_map(unit, mode="simplicial").passed
     counit_ok = True
     tri1_ok = True
     checked = 0
     if X.has_cyclic:
-        ev = evaluation_map(X)
+        ev = evaluation_map(X, FX)
         counit_ok = check_map(ev, mode="cyclic").passed
         # triangle: ev_X . unit_X = id elementwise
         for n in range(top + 1):

@@ -258,44 +258,50 @@ def hochschild_module(A: FiniteAlgebra, N: int,
     def rank(n):
         return d ** (n + 1)
 
-    def tensors(n):
-        return product(range(d), repeat=n + 1)
+    # the nonzero (k, c) of each product e_a e_b and of the unit; the table
+    # is coerced, so the operators store each c as it is, and the targets
+    # within a column are distinct
+    terms = [[[(k, c) for k, c in enumerate(A.table[a][b]) if c] for b in range(d)]
+             for a in range(d)]
+    unit = [(k, c) for k, c in enumerate(A.unit) if c]
+
+    def matrix(rows, cols, columns):
+        m = Matrix.zeros(rows, cols, dom)
+        m._cols = columns
+        return m
 
     def face(n, i):
-        m = Matrix.zeros(rank(n - 1), rank(n), dom)
-        for col, idx in enumerate(tensors(n)):
-            if i < n:
-                coeffs = A.table[idx[i]][idx[i + 1]]
-                rest_pre, rest_post = idx[:i], idx[i + 2:]
-                for k, c in enumerate(coeffs):
-                    if c != 0:
-                        m._add_to(tensor_index(rest_pre + (k,) + rest_post, d), col, c)
-            else:
-                coeffs = A.table[idx[n]][idx[0]]
-                rest = idx[1:n]
-                for k, c in enumerate(coeffs):
-                    if c != 0:
-                        m._add_to(tensor_index((k,) + rest, d), col, c)
-        return m
+        # slot i times slot i + 1: col = (pre * d^2 + a * d + b) * size + post;
+        # the last face is face 0 after slot n moves to the front
+        size = d ** (n - 1 - i) if i < n else d ** (n - 1)
+        cols = {}
+        for col in range(rank(n)):
+            x = col if i < n else (col % d) * d ** n + col // d
+            head, post = divmod(x, size)
+            pre, ab = divmod(head, d * d)
+            if prods := terms[ab // d][ab % d]:
+                cols[col] = {(pre * d + k) * size + post: c for k, c in prods}
+        return matrix(rank(n - 1), rank(n), cols)
 
     def degeneracy(n, j):
-        m = Matrix.zeros(rank(n + 1), rank(n), dom)
-        for col, idx in enumerate(tensors(n)):
-            pre, post = idx[:j + 1], idx[j + 1:]
-            for k, c in enumerate(A.unit):
-                if c != 0:
-                    m._add_to(tensor_index(pre + (k,) + post, d), col, c)
-        return m
+        # the unit goes between slots j and j + 1: col = pre * size + post
+        size = d ** (n - j)
+        cols = {}
+        for col in range(rank(n)):
+            pre, post = divmod(col, size)
+            cols[col] = {(pre * d + k) * size + post: c for k, c in unit}
+        return matrix(rank(n + 1), rank(n), cols)
 
     def t(n):
-        m = Matrix.zeros(rank(n), rank(n), dom)
+        # slot n moves to the front: col = head * d + last
         sign = dom.coerce(-1) if n % 2 else dom.one
-        for col, idx in enumerate(tensors(n)):
-            m._add_to(tensor_index((idx[n],) + idx[:n], d), col, sign)
-        return m
+        top = d ** n
+        return matrix(rank(n), rank(n), {col: {(col % d) * top + col // d: sign}
+                                         for col in range(rank(n))})
 
     def labels(n):
-        return ["(" + ",".join(A.labels[i] for i in idx) + ")" for idx in tensors(n)]
+        return ["(" + ",".join(A.labels[i] for i in idx) + ")"
+                for idx in product(range(d), repeat=n + 1)]
 
     sm = SimplicialModule(dom, N, rank, face, degeneracy, t_fn=t,
                           labels_fn=labels, name=f"Hoch({A.name})")
@@ -309,12 +315,10 @@ def extra_degeneracy(A: FiniteAlgebra, n: int) -> Matrix:
     On the Hochschild complex this is the homotopy h; on tensors
     presenting forms it is the ambient de Rham differential.
     """
-    d = A.dim
-    m = Matrix.zeros(d ** (n + 2), d ** (n + 1), A.dom)
-    for col in range(d ** (n + 1)):
-        for k, c in enumerate(A.unit):
-            if c != 0:
-                m._add_to(k * d ** (n + 1) + col, col, c)
+    size = A.dim ** (n + 1)
+    m = Matrix.zeros(A.dim * size, size, A.dom)
+    m._cols = {col: {k * size + col: c for k, c in enumerate(A.unit) if c}
+               for col in range(size)}
     return m
 
 

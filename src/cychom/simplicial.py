@@ -328,11 +328,11 @@ def free_cyclic(Y: SimplicialSetSpec) -> SimplicialSetSpec:
                              name=f"F({Y.name or 'Y'})")
 
 
-def evaluation_map(X: SimplicialSetSpec) -> SimplicialMapSpec:
-    """The counit free_cyclic(X) -> X, evaluating the rotation action."""
+def evaluation_map(X: SimplicialSetSpec, FX=None) -> SimplicialMapSpec:
+    """The counit FX = free_cyclic(X) -> X, evaluating the rotation action."""
     if not X.has_cyclic:
         raise NotCyclic("evaluation needs a cyclic spec")
-    FX = free_cyclic(X)
+    FX = free_cyclic(X) if FX is None else FX
 
     def fn(n, x):
         g, y = x
@@ -343,9 +343,9 @@ def evaluation_map(X: SimplicialSetSpec) -> SimplicialMapSpec:
     return SimplicialMapSpec(FX, X, fn, name=f"ev({X.name})")
 
 
-def unit_section(X: SimplicialSetSpec) -> SimplicialMapSpec:
-    """The degreewise section x -> (0, x) of the evaluation map."""
-    FX = free_cyclic(X)
+def unit_section(X: SimplicialSetSpec, FX=None) -> SimplicialMapSpec:
+    """The degreewise section x -> (0, x) of X -> FX = free_cyclic(X)."""
+    FX = free_cyclic(X) if FX is None else FX
     return SimplicialMapSpec(X, FX, lambda n, x: (0, x), name=f"unit({X.name})")
 
 

@@ -6,7 +6,7 @@ it shares code with the package's optimized paths.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 
@@ -115,3 +115,53 @@ def dense_matmul(a, b, ncols):
 def dense_kron(a, b):
     """The Kronecker product of dense row lists, row (i, k) at i * len(b) + k."""
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def hochschild_operators(table, unit, top, p=None):
+    """Every operator of the Hochschild module of a structure-constant table,
+    built slot by slot from basis tuples, as sparse columns {row: value}.
+
+    Keys: ("d", n, i) faces and ("t", n) signed rotations for n <= top,
+    ("s", n, j) degeneracies and ("h", n) the unit inserted in front for
+    n < top.  Tuples are ordered slot-major (first slot most significant);
+    values are reduced mod p when p is given.
+    """
+    dim = len(table)
+
+    def index(slots):
+        out = 0
+        for s in slots:
+            out = out * dim + s
+        return out
+
+    def build(n, images):
+        cols = []
+        for x in product(range(dim), repeat=n + 1):
+            col = {}
+            for y, c in images(x):
+                r = index(y)
+                col[r] = col.get(r, 0) + c
+            if p:
+                col = {r: v % p for r, v in col.items()}
+            cols.append({r: v for r, v in col.items() if v})
+        return cols
+
+    def mul(a, b):
+        return [(k, c) for k, c in enumerate(table[a][b]) if c]
+
+    units = [(k, c) for k, c in enumerate(unit) if c]
+    ops = {}
+    for n in range(top + 1):
+        for i in range(n):
+            ops[("d", n, i)] = build(n, lambda x, i=i: [
+                (x[:i] + (k,) + x[i + 2:], c) for k, c in mul(x[i], x[i + 1])])
+        if n:
+            ops[("d", n, n)] = build(n, lambda x, n=n: [
+                ((k,) + x[1:n], c) for k, c in mul(x[n], x[0])])
+        ops[("t", n)] = build(n, lambda x, n=n: [(x[n:] + x[:n], (-1) ** n)])
+        if n < top:
+            for j in range(n + 1):
+                ops[("s", n, j)] = build(n, lambda x, j=j: [
+                    (x[:j + 1] + (k,) + x[j + 1:], c) for k, c in units])
+            ops[("h", n)] = build(n, lambda x: [((k,) + x, c) for k, c in units])
+    return ops

@@ -185,19 +185,52 @@ def test_representatives_are_the_greedy_echelon_completion():
 
 def test_homology_reduces_each_boundary_matrix_once(monkeypatch):
     from cychom import chains
-    reduced = []
-    orig = chains.rank_kernel_image
+    ranked, reduced = [], []
+    orig_rank, orig_rki = chains.rank, chains.rank_kernel_image
 
-    def counted(m):
-        reduced.append((m.rows, m.cols))
-        return orig(m)
+    def counted_rank(m):
+        ranked.append(m)
+        return orig_rank(m)
 
-    monkeypatch.setattr(chains, "rank_kernel_image", counted)
+    def counted_rki(m):
+        reduced.append(m)
+        return orig_rki(m)
+
+    monkeypatch.setattr(chains, "rank", counted_rank)
+    monkeypatch.setattr(chains, "rank_kernel_image", counted_rki)
     sm = hochschild_module(truncated_polynomial(2, Q), 5)
-    h = homology(sm.chain_complex("unnormalized"), range(5))
-    # d_0 .. d_5, each once
-    assert len(reduced) == 6
+    cc = sm.chain_complex("unnormalized")
+    h = homology(cc, range(5))
+    # the Betti numbers rank d_0 .. d_5 once each and build no basis
     assert [h.betti[n] for n in range(5)] == [2, 1, 1, 1, 1]
+    assert len(ranked) == 6 and not reduced
+    assert all(sum(m is cc.diffs[k] for m in ranked) == 1 for k in range(1, 6))
+    # reading every degree's representatives reduces d_0 .. d_5 once each
+    assert all(len(h.reps[n]) == h.betti[n] for n in range(5))
+    assert len(reduced) == 6 and len(ranked) == 6
+    assert all(sum(m is cc.diffs[k] for m in reduced) == 1 for k in range(1, 6))
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(3)], ids=str)
+@pytest.mark.parametrize("build", [
+    lambda dom: linearize(classifying_space(cyclic_group(3), 5), dom, "normalized"),
+    lambda dom: hochschild_module(truncated_polynomial(3, dom), 4).chain_complex("unnormalized"),
+    lambda dom: total_complex(tensor_bicomplex(*[linearize_module(circle(3), dom)] * 2, top=3)),
+], ids=["bz3", "hh truncpoly:3", "torus"])
+def test_lazy_representatives_are_independent_cycles(build, dom):
+    rk = dense_rank if dom == Q else (lambda rows: dense_rank_modp(rows, dom.p))
+    cc = build(dom)
+    h = homology(cc, range(cc.hi))
+    assert len(h.reps) == len(h.boundary_image) == cc.hi
+    assert list(h.reps) == list(range(cc.hi))
+    assert 0 in h.reps and cc.hi not in h.reps and h.reps.get(cc.hi) is None
+    for n, reps in zip(h.reps, h.reps.values()):
+        assert len(reps) == h.betti[n]
+        assert not any(any(cc.d(n).apply(list(r))) for r in reps)
+        # independent modulo the boundaries: they add betti_n to the rank
+        image = [list(v) for v in h.boundary_image[n].vectors]
+        assert rk(image) == len(image) == rk(cc.d(n + 1).to_dense_rows())
+        assert rk(image + [list(r) for r in reps]) == len(image) + h.betti[n]
 
 
 SLOW = ("cyclic:5", "cyclic:6", "symmetric:3")

@@ -161,6 +161,22 @@ def test_verify_adjunction_respects_budget():
     assert proc.stdout == "" and "1000 cells" in proc.stderr
 
 
+def test_verify_adjunction_shares_one_free_cyclic_set(capsys, monkeypatch):
+    checked = []
+    real = cli.check_map
+
+    def recorded(m, mode):
+        checked.append(m)
+        return real(m, mode=mode)
+
+    monkeypatch.setattr(cli, "check_map", recorded)
+    code, out, _ = run(capsys, "verify", "adjunction", "--preset", "bg", "--group",
+                       "cyclic:3", "--max-degree", "2")
+    assert code == 0 and "triangles pass" in out
+    unit, ev = checked
+    assert unit.target is ev.source
+
+
 def test_main_reuses_one_parser(capsys):
     argvs = [
         ("homology", "--preset", "circle", "--max-degree", "2", "--json"),
@@ -348,3 +364,12 @@ def test_exit_code_uncertified_cycle_basis(capsys, monkeypatch, tamper, argv, me
     monkeypatch.setattr(chains, "integer_kernel_basis", lambda m: tamper(m, real(m)))
     code, _, err = run(capsys, "homology", "--domain", "z", *argv)
     assert code == 1 and message in err
+
+
+def test_exit_code_rank_disagrees_with_bases(capsys, monkeypatch):
+    # a Betti number from a wrong rank is caught when the SBI maps read bases
+    real = chains.rank
+    monkeypatch.setattr(chains, "rank", lambda m: real(m) + 1)
+    code, out, err = run(capsys, "verify", "sbi", "--preset", "truncpoly:2",
+                         "--max-degree", "2")
+    assert code == 1 and "has rank" in err and not out

@@ -1,3 +1,4 @@
+import functools
 from itertools import combinations_with_replacement
 
 import pytest
@@ -53,32 +54,42 @@ def _gen_periodic():
 
 def _compose_vals(fvals, n_f, gvals, m_g):
     # (f . g)(i) = f(g(i)) via periodic extension of f
-    def fval(x):
-        q, r = divmod(x, len(fvals))
-        return fvals[r] + q * (n_f + 1)
-    raw = [fval(v) for v in gvals]
-    shift = (raw[0] // (n_f + 1)) * (n_f + 1)
+    size, period = len(fvals), n_f + 1
+    raw = [fvals[x % size] + x // size * period for x in gvals]
+    shift = (raw[0] // period) * period
     return tuple(v - shift for v in raw)
 
 
+@functools.cache
 def closure_hom_counts():
-    gens = _gen_periodic()
-    homs = {k: set(v) for k, v in gens.items()}
-    changed = True
-    while changed:
-        changed = False
-        items = [(k, tuple(v)) for k, v in homs.items()]
-        for (gm, gn), gset in items:
-            for (fm, fn), fset in items:
+    """Hom sets (m, n) -> set of value tuples, closed under composition.
+
+    Semi-naive: each round composes only the morphisms new in the last
+    round with all the others, on either side.  Cached for the session,
+    so callers must treat the result as read-only.
+    """
+    homs = {k: set(v) for k, v in _gen_periodic().items()}
+    new = {k: set(v) for k, v in homs.items()}
+
+    def compose_into(fresh, g_sets, f_sets):
+        for (gm, gn), gset in g_sets.items():
+            for (fm, fn), fset in f_sets.items():
                 if fm != gn or fn > MAXDIM:
                     continue
-                tgt = homs.setdefault((gm, fn), set())
+                known = homs.get((gm, fn), ())
                 for g in gset:
                     for f in fset:
                         c = _compose_vals(f, fn, g, gm)
-                        if c not in tgt:
-                            tgt.add(c)
-                            changed = True
+                        if c not in known:
+                            fresh.setdefault((gm, fn), set()).add(c)
+
+    while new:
+        fresh = {}
+        compose_into(fresh, new, homs)
+        compose_into(fresh, homs, new)
+        for k, v in fresh.items():
+            homs.setdefault(k, set()).update(v)
+        new = fresh
     return homs
 
 

@@ -20,7 +20,7 @@ from cychom.hochschild import (
 )
 from cychom.matrix import Matrix
 
-from .oracle import dense_homology_dim
+from .oracle import dense_homology_dim, hochschild_operators
 
 
 def test_algebra_validation_rejects_nonassociative_table():
@@ -123,3 +123,27 @@ def test_hh_over_z_of_group_algebra():
     res = hh(A, range(3))
     assert res.betti == {0: 2, 1: 0, 2: 0}
     assert res.torsion == {0: [], 1: [2, 2], 2: []}
+
+
+# the seed-1 benchmark inputs: K[x]/(x^2) and K^2 in a random unimodular basis
+REBASED = {
+    "truncpoly2": {"table": [[[2, 1], [-1, 0]], [[-1, 0], [0, -1]]], "unit": [0, -1]},
+    "productfield2": {"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]], "unit": [-2, 1]},
+}
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(7)], ids=str)
+@pytest.mark.parametrize("build", [
+    lambda dom: truncated_polynomial(3, dom),
+    lambda dom: group_algebra(symmetric_3(), dom),
+    *[lambda dom, obj=obj: algebra_from_json(obj, dom) for obj in REBASED.values()],
+], ids=["truncpoly:3", "group:symmetric:3", *[f"{name} rebased" for name in REBASED]])
+def test_operators_match_the_tuple_oracle(build, dom):
+    A = build(dom)
+    sm = hochschild_module(A, 4)
+    ops = hochschild_operators(A.table, A.unit, 4, p=dom.p)
+    for key, cols in ops.items():
+        kind, n = key[:2]
+        m = {"d": lambda: sm.face(n, key[2]), "s": lambda: sm.degeneracy(n, key[2]),
+             "t": lambda: sm.t(n), "h": lambda: extra_degeneracy(A, n)}[kind]()
+        assert m.sparse_columns() == cols, key
