@@ -23,9 +23,13 @@ def _subtract(row: dict, piv: dict, c: int, p: int) -> dict:
     return row
 
 
-def _echelon_modp(m, p: int) -> dict:
-    """Row echelon form mod p of a Matrix over F_p: {leading column: row
-    scaled to lead with 1}, as ``linalg._echelon`` is over Q."""
+def rref_modp(m, p: int, reduce: bool = True):
+    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
+
+    Returns (the nonzero rows as sparse dicts {col: residue}, in order of
+    their pivots, and the pivot column list).  With reduce=False the rows
+    are not back-substituted, which is all a rank needs.
+    """
     ech = {}
     for row in sorted(m.sparse_rows(), key=len):
         while row:
@@ -36,20 +40,10 @@ def _echelon_modp(m, p: int) -> dict:
                 ech[c] = {k: v * inv % p for k, v in row.items()}
                 break
             row = _subtract(row, piv, c, p)
-    return ech
-
-
-def rref_modp(m, p: int):
-    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
-
-    Returns (the nonzero rows as sparse dicts {col: residue}, in order of
-    their pivots, and the pivot column list).
-    """
-    ech = _echelon_modp(m, p)
     pivots = sorted(ech)
-    # back-substitute from the last pivot up, as linalg.rref does over Q
-    for pc in reversed(pivots):
-        row = ech[pc]
-        for c in [c for c in row if c != pc and c in ech]:
-            _subtract(row, ech[c], c, p)
+    if reduce:  # back-substitute from the last pivot up, as linalg.rref does over Q
+        for pc in reversed(pivots):
+            row = ech[pc]
+            for c in [c for c in row if c != pc and c in ech]:
+                _subtract(row, ech[c], c, p)
     return [ech[pc] for pc in pivots], pivots

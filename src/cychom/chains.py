@@ -8,8 +8,8 @@ downstream is matrices over an exact domain.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from functools import cache
+from collections.abc import Mapping, Sequence
+from functools import cache, partial
 from itertools import combinations
 from types import MappingProxyType
 
@@ -64,8 +64,9 @@ class HomologyResult:
     """Betti numbers and torsion as dicts by degree.
 
     ``reps`` (cycle representatives) and ``boundary_image`` (a basis of
-    im d_{n+1}, over a field only) are read-only mappings by degree; over
-    a field a degree's bases are built on its first read."""
+    im d_{n+1}, over a field only) are read-only mappings by degree.  Over
+    a field len(reps[n]) is betti[n] from the start, and a degree's bases
+    are built when its first vector or its boundary_image is read."""
 
     def __init__(self, dom, name=""):
         self.dom = dom
@@ -95,9 +96,6 @@ class _PerDegree(Mapping):
             raise KeyError(n)
         return self._build(n)
 
-    def __contains__(self, n):
-        return n in self._degrees
-
     def __iter__(self):
         return iter(self._degrees)
 
@@ -105,15 +103,30 @@ class _PerDegree(Mapping):
         return len(self._degrees)
 
 
+class _Representatives(Sequence):
+    """A read-only sequence of known length whose items build() makes on
+    the first read of any of them."""
+
+    def __init__(self, count, build):
+        self._count, self._build = count, cache(build)
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        return self._build()[i]
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 def _representatives(kernel: SubspaceBasis, image: SubspaceBasis, dom):
     """Deterministic cycle representatives: echelon completion of the image.
 
     A kernel vector is kept iff it is independent of the image and of the
     kernel vectors before it, i.e. iff its column is a pivot column of
-    [image basis | kernel basis]; with no image, that is every one of them.
+    [image basis | kernel basis].
     """
-    if not image.dim:
-        return [list(v) for v in kernel.vectors]
     cols = image.vectors + kernel.vectors
     rows = [[v[i] for v in cols] for i in range(kernel.ambient)]
     _, pivots = linalg.rref_rows(rows, dom)
@@ -138,15 +151,14 @@ def homology(c: ChainComplex, degrees) -> HomologyResult:
     """Homology of the complex: Betti numbers from ranks over a field and
     from invariant factors over Z; bases over a field on first read.
 
-    Each boundary matrix is ranked (over Z: factored) once per call, and
-    d_{n+1} serves both H_n and H_{n+1}.  Over a field betti_n = rank C_n - rank d_n -
-    rank d_{n+1}; the first read of reps[n] or boundary_image[n] runs
-    rank_kernel_image on d_n and d_{n+1} (once per boundary), and their
-    bases must have the dimensions those ranks give.  Over Z, with f_k the
-    nonzero invariant factors of d_k, betti_n = rank C_n - #f_n - #f_{n+1}
-    and the torsion of H_n is the f_{n+1} above 1: C_n / ker d_n embeds in
-    C_{n-1}, so it is free, and H_n has the torsion of C_n / im d_{n+1}.
-    The cycle bases over Z are built and certified on every call.
+    Each boundary d_k is ranked (over Z: factored) once per call.  Over a
+    field betti_n = rank C_n - rank d_n - rank d_{n+1} = len(reps[n]); the
+    first read of a vector of reps[n] or of boundary_image[n] runs
+    rank_kernel_image on d_n and d_{n+1}, whose bases must have the
+    dimensions those ranks give.  Over Z, with f_k the nonzero invariant
+    factors of d_k, betti_n = rank C_n - #f_n - #f_{n+1} and the torsion of
+    H_n is the f_{n+1} above 1 (C_n / ker d_n embeds in C_{n-1}, so it is
+    free); every cycle basis is built and certified on every call.
     """
     res = HomologyResult(c.dom, name=c.name)
     field = c.dom.kind != "Z"
@@ -174,9 +186,12 @@ def homology(c: ChainComplex, degrees) -> HomologyResult:
                                 f" {kernel.dim}-dim kernel and {r}-dim image")
         return kernel, image
 
+    def representatives(n):
+        return _representatives(basis(n)[0], basis(n + 1)[1], c.dom)
+
     if field:
-        res.reps = _PerDegree(res.betti, lambda n: _representatives(
-            basis(n)[0], basis(n + 1)[1], c.dom))
+        res.reps = MappingProxyType({n: _Representatives(b, partial(representatives, n))
+                                     for n, b in res.betti.items()})
         res.boundary_image = _PerDegree(res.betti, lambda n: basis(n + 1)[1])
     else:  # every degree's cycle basis is built and certified now
         res.reps = MappingProxyType({n: _certified_kernel(c.d(n), c.rank(n) - len(reduced[n]))

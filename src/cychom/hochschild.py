@@ -258,17 +258,11 @@ def hochschild_module(A: FiniteAlgebra, N: int,
     def rank(n):
         return d ** (n + 1)
 
-    # the nonzero (k, c) of each product e_a e_b and of the unit; the table
-    # is coerced, so the operators store each c as it is, and the targets
-    # within a column are distinct
+    # the nonzero (k, c) of each product e_a e_b and of the unit: canonical
+    # scalars, since FiniteAlgebra coerces its table, with distinct k
     terms = [[[(k, c) for k, c in enumerate(A.table[a][b]) if c] for b in range(d)]
              for a in range(d)]
     unit = [(k, c) for k, c in enumerate(A.unit) if c]
-
-    def matrix(rows, cols, columns):
-        m = Matrix.zeros(rows, cols, dom)
-        m._cols = columns
-        return m
 
     def face(n, i):
         # slot i times slot i + 1: col = (pre * d^2 + a * d + b) * size + post;
@@ -279,25 +273,23 @@ def hochschild_module(A: FiniteAlgebra, N: int,
             x = col if i < n else (col % d) * d ** n + col // d
             head, post = divmod(x, size)
             pre, ab = divmod(head, d * d)
-            if prods := terms[ab // d][ab % d]:
-                cols[col] = {(pre * d + k) * size + post: c for k, c in prods}
-        return matrix(rank(n - 1), rank(n), cols)
+            cols[col] = {(pre * d + k) * size + post: c for k, c in terms[ab // d][ab % d]}
+        return Matrix.from_canonical_columns(cols, rank(n - 1), rank(n), dom)
 
     def degeneracy(n, j):
         # the unit goes between slots j and j + 1: col = pre * size + post
         size = d ** (n - j)
-        cols = {}
-        for col in range(rank(n)):
-            pre, post = divmod(col, size)
-            cols[col] = {(pre * d + k) * size + post: c for k, c in unit}
-        return matrix(rank(n + 1), rank(n), cols)
+        return Matrix.from_canonical_columns(
+            {col: {(col // size * d + k) * size + col % size: c for k, c in unit}
+             for col in range(rank(n))}, rank(n + 1), rank(n), dom)
 
     def t(n):
         # slot n moves to the front: col = head * d + last
         sign = dom.coerce(-1) if n % 2 else dom.one
         top = d ** n
-        return matrix(rank(n), rank(n), {col: {(col % d) * top + col // d: sign}
-                                         for col in range(rank(n))})
+        return Matrix.from_canonical_columns(
+            {col: {(col % d) * top + col // d: sign} for col in range(rank(n))},
+            rank(n), rank(n), dom)
 
     def labels(n):
         return ["(" + ",".join(A.labels[i] for i in idx) + ")"
@@ -316,10 +308,9 @@ def extra_degeneracy(A: FiniteAlgebra, n: int) -> Matrix:
     presenting forms it is the ambient de Rham differential.
     """
     size = A.dim ** (n + 1)
-    m = Matrix.zeros(A.dim * size, size, A.dom)
-    m._cols = {col: {k * size + col: c for k, c in enumerate(A.unit) if c}
-               for col in range(size)}
-    return m
+    return Matrix.from_canonical_columns(
+        {col: {k * size + col: c for k, c in enumerate(A.unit) if c} for col in range(size)},
+        A.dim * size, size, A.dom)
 
 
 def hh(A: FiniteAlgebra, degrees, mode="normalized", budget=DEFAULT_BUDGET):

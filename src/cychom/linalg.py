@@ -3,9 +3,8 @@
 Rank over Q and Z and reduced row echelon forms over Q (and over Z,
 reduced as Q) come from one sparse fraction-free echelon on integer rows
 {col: int}, kept primitive so coefficients stay small; over prime fields
-the same elimination on sparse rows of residues is ``_modp._echelon_modp``,
-back-substituted by ``_modp.rref_modp``; ``rank`` needs only the echelon,
-and ``rref`` is the one sparse reduced echelon entry.  Subspaces are
+the same elimination on sparse rows of residues is ``_modp.rref_modp``;
+``rref`` is their one sparse reduced echelon entry.  Subspaces are
 fingerprinted by their reduced row echelon form, which makes equality of
 spans a plain tuple comparison.  Over Z, homology reads the invariant
 factors of each boundary matrix from a sparse elimination on unit pivots
@@ -131,7 +130,7 @@ def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.dom.kind == PRIME_FIELD:
-        return len(_modp._echelon_modp(m, m.dom.p))
+        return len(_modp.rref_modp(m, m.dom.p, reduce=False)[1])
     return len(_echelon(m.sparse_rows()))
 
 
@@ -185,7 +184,7 @@ def kernel_vectors(m: Matrix) -> list[list]:
     dom.require_field()
     if m.cols == 0:
         return []
-    if m.is_zero():
+    if m.rows == 0:
         return [[dom.one if i == j else dom.zero for i in range(m.cols)] for j in range(m.cols)]
     last = m.cols - 1
     red, pivots = rref([{last - c: v for c, v in row.items()} for row in m.sparse_rows()],
@@ -212,10 +211,8 @@ def rank_kernel_image(m: Matrix):
     reduced as the sparse columns they are stored as.
     """
     kern = kernel_vectors(m)
-    kernel = SubspaceBasis(m.cols, m.dom, tuple(tuple(v) for v in kern))
-    if m.is_zero():  # no elimination: the kernel is everything, the image 0
-        return 0, kernel, SubspaceBasis(m.rows, m.dom, ())
     free = {v.index(m.dom.one) for v in kern}
+    kernel = SubspaceBasis(m.cols, m.dom, tuple(tuple(v) for v in kern))
     red, _ = rref([col for c, col in enumerate(m.sparse_columns()) if c not in free],
                   m.rows, m.dom)
     image = SubspaceBasis(m.rows, m.dom, tuple(map(tuple, _dense(red, m.rows, m.dom))))

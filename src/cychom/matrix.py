@@ -93,8 +93,15 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, dom):
-        m = cls(n, n, dom)
-        m._cols = {i: {i: dom.one} for i in range(n)}
+        return cls.from_canonical_columns({i: {i: dom.one} for i in range(n)}, n, n, dom)
+
+    @classmethod
+    def from_canonical_columns(cls, columns, rows, cols, dom):
+        """Columns {col: {row: value}} taken as they are, so every value must
+        be nonzero and canonical (as ``dom.coerce`` returns it) and every
+        index in range; empty columns are dropped."""
+        m = cls(rows, cols, dom)
+        m._cols = {c: col for c, col in columns.items() if col}
         return m
 
     @classmethod

@@ -205,8 +205,10 @@ def test_homology_reduces_each_boundary_matrix_once(monkeypatch):
     assert [h.betti[n] for n in range(5)] == [2, 1, 1, 1, 1]
     assert len(ranked) == 6 and not reduced
     assert all(sum(m is cc.diffs[k] for m in ranked) == 1 for k in range(1, 6))
-    # reading every degree's representatives reduces d_0 .. d_5 once each
-    assert all(len(h.reps[n]) == h.betti[n] for n in range(5))
+    # their count is the Betti number; reading the vectors of every
+    # degree then reduces d_0 .. d_5 once each
+    assert all(len(h.reps[n]) == h.betti[n] for n in range(5)) and not reduced
+    assert all(len(list(h.reps[n])) == h.betti[n] for n in range(5))
     assert len(reduced) == 6 and len(ranked) == 6
     assert all(sum(m is cc.diffs[k] for m in reduced) == 1 for k in range(1, 6))
 
