@@ -37,12 +37,10 @@ class ChainComplex:
     for lo < n <= hi.  d*d = 0 is checked at construction.
     """
 
-    def __init__(self, dom: ScalarDomain, ranks: dict, diffs: dict,
-                 labels=None, name=""):
+    def __init__(self, dom: ScalarDomain, ranks: dict, diffs: dict, name=""):
         self.dom = dom
         self.ranks = dict(ranks)
         self.diffs = dict(diffs)
-        self.labels = labels or {}
         self.name = name
         degs = sorted(self.ranks)
         self.lo, self.hi = (degs[0], degs[-1]) if degs else (0, -1)
@@ -63,10 +61,12 @@ class ChainComplex:
 class HomologyResult:
     """Betti numbers and torsion as dicts by degree.
 
-    ``reps`` (cycle representatives) and ``boundary_image`` (a basis of
-    im d_{n+1}, over a field only) are read-only mappings by degree.  Over
-    a field len(reps[n]) is betti[n] from the start, and a degree's bases
-    are built when its first vector or its boundary_image is read."""
+    ``reps`` and ``boundary_image`` (a basis of im d_{n+1}, over a field
+    only) are read-only mappings by degree.  The length of reps[n] is known
+    from the start, and its vectors are built on the first read of any of
+    them: over a field betti[n] cycle representatives, over Z a certified
+    Z-basis of the cycle lattice ker d_n, of rank C_n - #f_n vectors (f_n
+    the nonzero invariant factors of d_n)."""
 
     def __init__(self, dom, name=""):
         self.dom = dom
@@ -149,7 +149,7 @@ def _certified_kernel(d: Matrix, nullity: int) -> list[list]:
 
 def homology(c: ChainComplex, degrees) -> HomologyResult:
     """Homology of the complex: Betti numbers from ranks over a field and
-    from invariant factors over Z; bases over a field on first read.
+    from invariant factors over Z; bases on first read.
 
     Each boundary d_k is ranked (over Z: factored) once per call.  Over a
     field betti_n = rank C_n - rank d_n - rank d_{n+1} = len(reps[n]); the
@@ -158,11 +158,13 @@ def homology(c: ChainComplex, degrees) -> HomologyResult:
     dimensions those ranks give.  Over Z, with f_k the nonzero invariant
     factors of d_k, betti_n = rank C_n - #f_n - #f_{n+1} and the torsion of
     H_n is the f_{n+1} above 1 (C_n / ker d_n embeds in C_{n-1}, so it is
-    free); every cycle basis is built and certified on every call.
+    free); the first read of a vector of reps[n] builds and certifies the
+    rank C_n - #f_n cycle lattice basis.
     """
     res = HomologyResult(c.dom, name=c.name)
     field = c.dom.kind != "Z"
     reduced = {}  # k -> rank(d_k) over a field, invariant_factors(d_k) over Z
+    counts = {}  # n -> len(reps[n])
     for n in degrees:
         if not c.lo <= n < c.hi and not (n == c.hi == c.lo):
             raise RangeExceedsComplex(
@@ -171,10 +173,11 @@ def homology(c: ChainComplex, degrees) -> HomologyResult:
             if k not in reduced:
                 reduced[k] = (rank if field else invariant_factors)(c.d(k))
         if field:
-            res.betti[n] = c.rank(n) - reduced[n] - reduced[n + 1]
+            res.betti[n] = counts[n] = c.rank(n) - reduced[n] - reduced[n + 1]
             res.torsion[n] = []
         else:
-            res.betti[n] = c.rank(n) - len(reduced[n]) - len(reduced[n + 1])
+            counts[n] = c.rank(n) - len(reduced[n])
+            res.betti[n] = counts[n] - len(reduced[n + 1])
             res.torsion[n] = [v for v in reduced[n + 1] if v > 1]
 
     @cache
@@ -187,15 +190,14 @@ def homology(c: ChainComplex, degrees) -> HomologyResult:
         return kernel, image
 
     def representatives(n):
+        if not field:
+            return _certified_kernel(c.d(n), counts[n])
         return _representatives(basis(n)[0], basis(n + 1)[1], c.dom)
 
+    res.reps = MappingProxyType({n: _Representatives(k, partial(representatives, n))
+                                 for n, k in counts.items()})
     if field:
-        res.reps = MappingProxyType({n: _Representatives(b, partial(representatives, n))
-                                     for n, b in res.betti.items()})
         res.boundary_image = _PerDegree(res.betti, lambda n: basis(n + 1)[1])
-    else:  # every degree's cycle basis is built and certified now
-        res.reps = MappingProxyType({n: _certified_kernel(c.d(n), c.rank(n) - len(reduced[n]))
-                                     if c.rank(n) else [] for n in res.betti})
     return res
 
 
@@ -258,17 +260,12 @@ def induced_map(f: ChainMap, h_src: HomologyResult, h_tgt: HomologyResult,
     return class_coordinates(h_tgt, tdeg, images)
 
 
-def exactness_at(f: Matrix, g: Matrix) -> bool:
+def exactness_at(f: Matrix, g: Matrix, rank_of=rank) -> bool:
     """Whether im(f) = ker(g) for consecutive homology-level matrices.
 
     im f lies in ker g iff g f = 0, and then they are equal iff their
-    dimensions agree.
+    dimensions agree; the ranks are taken by rank_of, which may reuse them.
     """
-    return _exactness(f, g, rank)
-
-
-def _exactness(f: Matrix, g: Matrix, rank_of) -> bool:
-    """exactness_at with the ranks taken by rank_of, which may reuse them."""
     if g.cols != f.rows:
         raise BasisMismatch(f"middle space mismatch: {f.rows} vs {g.cols}")
     return (g @ f).is_zero() and rank_of(f) == g.cols - rank_of(g)
@@ -287,7 +284,7 @@ class PresentedModule:
     and sect are the projection and section, with proj @ sect = identity.
     """
 
-    def __init__(self, ambient: int, relations, dom: ScalarDomain, labels=None):
+    def __init__(self, ambient: int, relations, dom: ScalarDomain):
         self.ambient = ambient
         self.dom = dom
         red, pivots = linalg.rref(relations, ambient, dom)
@@ -300,7 +297,6 @@ class PresentedModule:
         pivset = set(pivots)
         self.free = [c for c in range(ambient) if c not in pivset]
         self.dim = len(self.free)
-        self.labels = [labels[c] for c in self.free] if labels else None
         # proj keeps a free coordinate and sends a pivot coordinate to
         # minus the free part of its reduced relation
         position = {c: k for k, c in enumerate(self.free)}
@@ -325,14 +321,13 @@ class SimplicialModule:
     """
 
     def __init__(self, dom, truncation, rank_fn, face_fn, degeneracy_fn,
-                 t_fn=None, labels_fn=None, name=""):
+                 t_fn=None, name=""):
         self.dom = dom
         self.truncation = truncation
         self._rank = rank_fn
         self._face = face_fn
         self._degeneracy = degeneracy_fn
         self._t = t_fn
-        self._labels = labels_fn
         self.name = name
         self._cache = {}
 
@@ -342,9 +337,6 @@ class SimplicialModule:
 
     def rank(self, n):
         return self._rank(n)
-
-    def labels(self, n):
-        return self._labels(n) if self._labels else None
 
     def cached(self, key, build):
         """The value stored under key, built by build() on first use;
@@ -381,7 +373,7 @@ class SimplicialModule:
 
     def normalized_quotient(self, n) -> PresentedModule:
         return self.cached(("nq", n), lambda: PresentedModule(
-            self.rank(n), self.degenerate_relations(n), self.dom, labels=self.labels(n)))
+            self.rank(n), self.degenerate_relations(n), self.dom))
 
     def chain_complex(self, mode="unnormalized", top=None) -> ChainComplex:
         """The associated complex, optionally normalized.
@@ -395,18 +387,14 @@ class SimplicialModule:
         if mode == "unnormalized":
             ranks = {n: self.rank(n) for n in range(top + 1)}
             diffs = {n: self.boundary(n) for n in range(1, top + 1)}
-            labels = {n: self.labels(n) for n in range(top + 1)} if self._labels else None
-            return ChainComplex(self.dom, ranks, diffs, labels=labels,
-                                name=f"C({self.name})")
+            return ChainComplex(self.dom, ranks, diffs, name=f"C({self.name})")
         if mode != "normalized":
             raise ValueError(f"unknown mode {mode!r}")
         quots = {n: self.normalized_quotient(n) for n in range(top + 1)}
         ranks = {n: quots[n].dim for n in range(top + 1)}
         diffs = {n: quots[n - 1].proj @ self.boundary(n) @ quots[n].sect
                  for n in range(1, top + 1)}
-        labels = {n: quots[n].labels for n in range(top + 1)} if self._labels else None
-        return ChainComplex(self.dom, ranks, diffs, labels=labels,
-                            name=f"N({self.name})")
+        return ChainComplex(self.dom, ranks, diffs, name=f"N({self.name})")
 
 
 def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
@@ -443,8 +431,7 @@ def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
             return -m if n % 2 else m
 
     return SimplicialModule(dom, spec.truncation, rank, face, degeneracy,
-                            t_fn=t_fn, labels_fn=lambda n: list(spec.elements(n)),
-                            name=spec.name)
+                            t_fn=t_fn, name=spec.name)
 
 
 def linearize(spec, dom: ScalarDomain, mode="unnormalized") -> ChainComplex:

@@ -18,9 +18,9 @@ from .chains import (
     ChainMap,
     HomologyResult,
     SimplicialModule,
-    _exactness,
     check_module_identities,
     class_coordinates,
+    exactness_at,
     homology,
     induced_map,
     total_complex,
@@ -211,7 +211,7 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
         if n >= 2:
             nodes.append(("HC", n - 2, rep.s_maps[n], rep.b_maps[n - 2]))
         for label, deg, f, g in nodes:
-            exact = _exactness(f, g, rank_once)
+            exact = exactness_at(f, g, rank_once)
             rep.nodes.append((label, deg, rank_once(f), g.cols - rank_once(g), exact))
     return rep
 

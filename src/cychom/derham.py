@@ -74,18 +74,13 @@ def _square_relations(A: FiniteAlgebra, n: int):
     return rels
 
 
-def _omega_labels(A: FiniteAlgebra, n: int):
-    return [A.labels[idx[0]] + "".join(f" d{A.labels[i]}" for i in idx[1:])
-            for idx in product(range(A.dim), repeat=n + 1)]
-
-
 def omega_power(A: FiniteAlgebra, n: int) -> PresentedModule:
     """Omega^n as a presented quotient of A tensor (n+1); Omega^0 = A."""
     _require_commutative(A)
     if n < 0:
         raise ValueError("negative form degree")
     rels = _leibniz_relations(A, n) + _square_relations(A, n) if n >= 1 else []
-    pm = PresentedModule(A.dim ** (n + 1), rels, A.dom, labels=_omega_labels(A, n))
+    pm = PresentedModule(A.dim ** (n + 1), rels, A.dom)
     pm.algebra = A
     pm.form_degree = n
     return pm

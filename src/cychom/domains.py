@@ -88,10 +88,6 @@ class ScalarDomain:
         c = a + b
         return c % self.p if self.kind == PRIME_FIELD else c
 
-    def sub(self, a, b):
-        c = a - b
-        return c % self.p if self.kind == PRIME_FIELD else c
-
     def mul(self, a, b):
         c = a * b
         return c % self.p if self.kind == PRIME_FIELD else c
@@ -109,9 +105,6 @@ class ScalarDomain:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def __str__(self):
         if self.kind == PRIME_FIELD:

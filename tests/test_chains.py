@@ -24,7 +24,13 @@ from cychom.chains import (
     total_complex,
 )
 from cychom.domains import Fp, Q, Z
-from cychom.errors import DomainMismatch, NotAChainMap, RangeExceedsComplex, SignCheckFailed
+from cychom.errors import (
+    DomainMismatch,
+    LatticeMismatch,
+    NotAChainMap,
+    RangeExceedsComplex,
+    SignCheckFailed,
+)
 from cychom.hochschild import hochschild_module, truncated_polynomial
 from cychom.groups import cyclic_group, group_from_preset
 from cychom.matrix import Matrix
@@ -266,9 +272,13 @@ def test_integral_homology_matches_the_kernel_lattice_route(build, slow, mode):
     top = 2 if slow and mode == "unnormalized" else 3
     cc = build(mode)
     res = homology(cc, range(top + 1))
+    counts = {n: len(reps) for n, reps in res.reps.items()}
     for n in range(top + 1):
         kern = integer_kernel_basis(cc.d(n)) if cc.rank(n) else []
         assert (res.betti[n], res.torsion[n]) == z_quotient_invariants(kern, cc.d(n + 1))
+        assert counts[n] == len(kern)
+    if not slow:  # the certified cycle basis has the length reported before the read
+        assert all(len(list(res.reps[n])) == counts[n] for n in counts)
 
 
 def test_integral_homology_reduces_each_boundary_matrix_once(monkeypatch):
@@ -290,10 +300,48 @@ def test_integral_homology_reduces_each_boundary_matrix_once(monkeypatch):
     cc = linearize(_bg("cyclic:3", 5), Z, "unnormalized")
     h = homology(cc, range(5))
     assert [h.torsion[n] for n in range(5)] == [[], [3], [], [3], []]
-    # d_1 .. d_5 once each, d_0 (zero, not stored) once, and one
-    # certification of the cycle basis per degree
+    # d_1 .. d_5 once each and d_0 (zero, not stored) once; no cycle basis yet
     assert all(sum(m is cc.diffs[k] for m in calls) == 1 for k in range(1, 6))
+    assert len(calls) == 6
+    # the length of reps[n] is rank C_n - #f_n = 3^n - rank d_n and builds nothing
+    assert [len(h.reps[n]) for n in range(5)] == [1, 3, 6, 21, 60] and len(calls) == 6
+    # reading every degree certifies each cycle basis once
+    for _ in range(2):
+        assert all(len(list(h.reps[n])) == len(h.reps[n]) for n in range(5))
     assert len(calls) == 6 + 5
+
+
+def _not_saturated(m, basis):
+    return [[3 * x for x in v] for v in basis]
+
+
+def _drop_last(m, basis):
+    return basis[:-1]
+
+
+def _off_kernel(m, basis):
+    # add a unit vector that d does not kill to the first basis vector
+    moved = [c for c in range(m.cols) if any(m.column_vector(c))]
+    if not basis or not moved:
+        return basis
+    return [[x + (k == moved[0]) for k, x in enumerate(basis[0])]] + basis[1:]
+
+
+@pytest.mark.parametrize("tamper,spec,top,degree,message", [
+    (_not_saturated, lambda: _bg("cyclic:2", 3), 2, 0, "saturated"),
+    (_drop_last, lambda: circle(2), 1, 0, "kernel rank"),
+    (_drop_last, lambda: _bg("cyclic:2", 3), 2, 0, "kernel rank"),
+    (_off_kernel, lambda: free_cyclic(circle(3)), 2, 2, "outside the kernel"),
+], ids=["not saturated bg cyclic:2", "dropped circle", "dropped bg cyclic:2",
+        "off kernel fcircle"])
+def test_tampered_integral_cycle_basis_is_refused_on_read(monkeypatch, tamper, spec, top,
+                                                         degree, message):
+    from cychom import chains
+    real = chains.integer_kernel_basis
+    monkeypatch.setattr(chains, "integer_kernel_basis", lambda m: tamper(m, real(m)))
+    h = homology(linearize(spec(), Z, "normalized"), range(top + 1))
+    with pytest.raises(LatticeMismatch, match=message):
+        h.reps[degree][0]
 
 
 def test_bicomplex_rejects_broken_anticommutation():

@@ -4,8 +4,8 @@ import pytest
 
 from cychom.chains import check_module_identities, homology
 from cychom.domains import Fp, Q, Z
-from cychom.errors import BudgetExceeded, InputFormatError, NoUnit, NotAssociative
-from cychom.groups import cyclic_group, symmetric_3
+from cychom.errors import BudgetExceeded, InputFormatError, MatrixMismatch, NoUnit, NotAssociative
+from cychom.groups import cyclic_group, product_group, symmetric_3
 from cychom.hochschild import (
     FiniteAlgebra,
     algebra_from_json,
@@ -19,6 +19,7 @@ from cychom.hochschild import (
     truncated_polynomial,
 )
 from cychom.matrix import Matrix
+from cychom.simplicial import cyclic_bar
 
 from .oracle import dense_homology_dim, hochschild_operators
 
@@ -96,8 +97,17 @@ def test_bprime_homotopy_small():
 @pytest.mark.parametrize("dom", [Q, Fp(2)])
 def test_pipeline_group_algebra_vs_cyclic_bar(dom):
     rep = hh_vs_cyclic_bar(cyclic_group(2), range(4), dom)
-    assert rep.matrices_equal
+    assert rep.passed
     assert rep.betti_algebra == rep.betti_spec
+
+
+def test_pipeline_raises_on_differing_boundaries(monkeypatch):
+    # Z/4 and Z/2 x Z/2 have cyclic bars of the same ranks but other faces
+    from cychom import hochschild
+    klein = product_group(cyclic_group(2), cyclic_group(2))
+    monkeypatch.setattr(hochschild, "cyclic_bar", lambda G, N: cyclic_bar(klein, N))
+    with pytest.raises(MatrixMismatch, match="boundary matrices differ at degree 2"):
+        hh_vs_cyclic_bar(cyclic_group(4), range(2), Q)
 
 
 def test_budget_guard():
