@@ -279,21 +279,26 @@ class PresentedModule:
     """A quotient of a based module by the span of relation vectors.
 
     Relations are sparse rows {ambient index: coefficient}.  The quotient
-    basis is the set of non-pivot coordinates of their reduced row echelon
-    form, whose rows are kept as the columns of the matrix relations; proj
-    and sect are the projection and section, with proj @ sect = identity.
+    basis ``free`` is the set of non-pivot coordinates of their reduced
+    row echelon form, whose rows are kept as the columns of the matrix
+    relations; proj and sect are the projection and section, with
+    proj @ sect = identity.  sect picks the coordinates in free, so
+    m @ sect is m.columns(free).
     """
 
     def __init__(self, ambient: int, relations, dom: ScalarDomain):
         self.ambient = ambient
         self.dom = dom
         red, pivots = linalg.rref(relations, ambient, dom)
-        # over Z the span is reduced as over Q; that is valid only when the
-        # reduced rows are integral (true for degenerate subcomplexes of
-        # simplicial sets, whose relations are standard basis vectors)
-        if dom.kind == "Z" and any(v.denominator != 1 for row in red for v in row.values()):
-            raise DomainMismatch("relation span is not saturated over the integers")
-        self.relations = Matrix.from_columns(red, ambient, dom)
+        if dom.kind == "Z":
+            # over Z the span is reduced as over Q; that is valid only when
+            # the reduced rows are integral (true for degenerate subcomplexes
+            # of simplicial sets, whose relations are standard basis vectors)
+            if any(v.denominator != 1 for row in red for v in row.values()):
+                raise DomainMismatch("relation span is not saturated over the integers")
+            red = [{j: v.numerator for j, v in row.items()} for row in red]
+        # every value below is canonical for dom and nonzero
+        self.relations = Matrix.from_canonical_columns(dict(enumerate(red)), ambient, len(red), dom)
         pivset = set(pivots)
         self.free = [c for c in range(ambient) if c not in pivset]
         self.dim = len(self.free)
@@ -303,8 +308,9 @@ class PresentedModule:
         cols = {c: {k: dom.one} for c, k in position.items()}
         for pc, rel in zip(pivots, red):
             cols[pc] = {position[c]: dom.neg(v) for c, v in rel.items() if c != pc}
-        self.proj = Matrix.from_columns([cols[c] for c in range(ambient)], self.dim, dom)
-        self.sect = Matrix.from_columns([{c: dom.one} for c in self.free], ambient, dom)
+        self.proj = Matrix.from_canonical_columns(cols, self.dim, ambient, dom)
+        self.sect = Matrix.from_canonical_columns(
+            {k: {c: dom.one} for k, c in enumerate(self.free)}, ambient, self.dim, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,10 @@ class SimplicialModule:
     face(n, i): rank(n) -> rank(n-1); degeneracy(n, j): rank(n) -> rank(n+1);
     optional t(n), always the signed rotation (-1)^n t that the cyclic
     bicomplex needs.  Everything is lazy and cached, since top-degree
-    matrices can be large.
+    matrices can be large.  face_fn(n, i, cols) builds d_i on the listed
+    cells of degree n only, as the columns of a rank(n-1) x len(cols)
+    matrix (all cells when cols is None); the normalized complex asks
+    for the nondegenerate cells alone.
     """
 
     def __init__(self, dom, truncation, rank_fn, face_fn, degeneracy_fn,
@@ -375,11 +384,23 @@ class SimplicialModule:
         return self.cached(("nq", n), lambda: PresentedModule(
             self.rank(n), self.degenerate_relations(n), self.dom))
 
+    def boundary_on(self, n, cols) -> Matrix:
+        """The columns cols of b_n, in that order: picked from b_n when it
+        is cached, else summed from the faces of those cells alone."""
+        if ("b", n) in self._cache:
+            return self.boundary(n).columns(cols)
+        return Matrix.signed_sum(self.rank(n - 1), len(cols), self.dom,
+                                 (((-1) ** i, self._face(n, i, cols)) for i in range(n + 1)))
+
     def chain_complex(self, mode="unnormalized", top=None) -> ChainComplex:
         """The associated complex, optionally normalized.
 
         Degrees [0, top] with top defaulting to the truncation; homology
-        is then reliable up to top - 1.
+        is then reliable up to top - 1.  The normalized complex is the
+        quotient by the degenerate submodule: with free_n the quotient
+        basis of normalized_quotient(n) (the nondegenerate cells, for a
+        simplicial set), its d_n is proj_{n-1} @ b_n restricted to the
+        columns free_n, so faces of the dropped cells are never built.
         """
         top = self.truncation if top is None else top
         if top > self.truncation:
@@ -392,7 +413,7 @@ class SimplicialModule:
             raise ValueError(f"unknown mode {mode!r}")
         quots = {n: self.normalized_quotient(n) for n in range(top + 1)}
         ranks = {n: quots[n].dim for n in range(top + 1)}
-        diffs = {n: quots[n - 1].proj @ self.boundary(n) @ quots[n].sect
+        diffs = {n: quots[n - 1].proj @ self.boundary_on(n, quots[n].free)
                  for n in range(1, top + 1)}
         return ChainComplex(self.dom, ranks, diffs, name=f"N({self.name})")
 
@@ -410,16 +431,16 @@ def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
     def rank(n):
         return len(spec.elements(n))
 
-    def op_matrix(n, target_deg, fn):
+    def op_matrix(n, target_deg, fn, cols=None):
         src = spec.elements(n)
+        if cols is not None:
+            src = [src[c] for c in cols]
         tgt = idx(target_deg)
-        m = Matrix.zeros(len(tgt), len(src), dom)
-        for c, x in enumerate(src):
-            m._add_to(tgt[fn(x)], c, dom.one)
-        return m
+        return Matrix.from_canonical_columns(
+            {c: {tgt[fn(x)]: dom.one} for c, x in enumerate(src)}, len(tgt), len(src), dom)
 
-    def face(n, i):
-        return op_matrix(n, n - 1, lambda x: spec.face(n, i, x))
+    def face(n, i, cols=None):
+        return op_matrix(n, n - 1, lambda x: spec.face(n, i, x), cols)
 
     def degeneracy(n, j):
         return op_matrix(n, n + 1, lambda x: spec.degeneracy(n, j, x))
@@ -596,8 +617,8 @@ def diagonal_tensor(C: SimplicialModule, D: SimplicialModule) -> SimplicialModul
     def rank(n):
         return C.rank(n) * D.rank(n)
 
-    def face(n, i):
-        return C.face(n, i).kron(D.face(n, i))
+    def face(n, i, cols=None):
+        return C.face(n, i).kron(D.face(n, i), cols)
 
     def degeneracy(n, j):
         return C.degeneracy(n, j).kron(D.degeneracy(n, j))
@@ -630,8 +651,11 @@ def tensor_bicomplex(C: SimplicialModule, D: SimplicialModule, top=None,
                      name=f"{C.name}[p](x){D.name}[q]")
 
 
-def _aw_block(C, D, n, p):
-    """The (p, n-p) Alexander-Whitney block on unnormalized modules."""
+def _aw_block(C, D, n, p, quot=None):
+    """The (p, n-p) Alexander-Whitney block.  quot is the normalized
+    quotient of the diagonal in degree n in the normalized mode (None in
+    the other): then the factors are projected to their own quotients and
+    only the columns quot.free of the product are built."""
     q = n - p
     left = Matrix.identity(C.rank(n), C.dom)
     for k in range(n, p, -1):
@@ -639,28 +663,40 @@ def _aw_block(C, D, n, p):
     right = Matrix.identity(D.rank(n), D.dom)
     for k in range(n, q, -1):
         right = D.face(k, 0) @ right
-    return left.kron(right)
+    if quot is None:
+        return left.kron(right)
+    left = C.normalized_quotient(p).proj @ left
+    right = D.normalized_quotient(q).proj @ right
+    return left.kron(right, quot.free)
 
 
-def _ez_block(C, D, n, p):
-    """The shuffle sum from bidegree (p, n-p) back to the diagonal."""
+def _ez_block(C, D, n, p, quot=None):
+    """The shuffle sum from bidegree (p, n-p) back to the diagonal.  With
+    quot as for _aw_block, each factor starts from the section of its own
+    quotient instead of the identity, so only the pairs of free cells are
+    built, and the sum is projected by quot."""
     q = n - p
-    return Matrix.signed_sum(C.rank(n) * D.rank(n), C.rank(p) * D.rank(q), C.dom,
-                             _shuffle_terms(C, D, n, p))
+    if quot is None:
+        left, right = Matrix.identity(C.rank(p), C.dom), Matrix.identity(D.rank(q), D.dom)
+    else:
+        left, right = C.normalized_quotient(p).sect, D.normalized_quotient(q).sect
+    block = Matrix.signed_sum(C.rank(n) * D.rank(n), left.cols * right.cols, C.dom,
+                              _shuffle_terms(C, D, n, p, left, right))
+    return block if quot is None else quot.proj @ block
 
 
-def _shuffle_terms(C, D, n, p):
-    """(sign, s_nu (x) s_mu) for each (p, n-p) shuffle (mu, nu)."""
+def _shuffle_terms(C, D, n, p, left0, right0):
+    """(sign, s_nu left0 (x) s_mu right0) for each (p, n-p) shuffle (mu, nu)."""
     q = n - p
     for mu in combinations(range(n), p):
         nu = [k for k in range(n) if k not in mu]
         sign = (-1) ** sum(m - i for i, m in enumerate(mu))
-        left = Matrix.identity(C.rank(p), C.dom)
+        left = left0
         deg = p
         for j in nu:
             left = C.degeneracy(deg, j) @ left
             deg += 1
-        right = Matrix.identity(D.rank(q), D.dom)
+        right = right0
         deg = q
         for j in mu:
             right = D.degeneracy(deg, j) @ right
@@ -668,11 +704,15 @@ def _shuffle_terms(C, D, n, p):
         yield sign, left.kron(right)
 
 
-def _tensor_pair_complexes(C, D, mode, top):
-    diag = diagonal_tensor(C, D)
-    src = diag.chain_complex(mode, top=top)
-    tot = total_complex(tensor_bicomplex(C, D, top=top, mode=mode))
-    return diag, src, tot
+def _tensor_pair(C, D, mode, top):
+    """(the diagonal tensor, its complex, the totalized tensor bicomplex),
+    built once per (D, mode, top) in C's cache and shared by aw_map and
+    ez_map."""
+    def build():
+        diag = diagonal_tensor(C, D)
+        return (diag, diag.chain_complex(mode, top=top),
+                total_complex(tensor_bicomplex(C, D, top=top, mode=mode)))
+    return C.cached(("C(x)D", D, mode, top), build)
 
 
 def aw_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
@@ -680,20 +720,14 @@ def aw_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
     """Alexander-Whitney: diagonal tensor complex to the totalized grid."""
     _check_pair(C, D)
     top = C.truncation if top is None else top
-    diag, src, tot = _tensor_pair_complexes(C, D, mode, top)
+    diag, src, tot = _tensor_pair(C, D, mode, top)
     mats = {}
     for n in range(top + 1):
         mat = Matrix.zeros(tot.rank(n), src.rank(n), C.dom)
-        pre = diag.normalized_quotient(n).sect if mode == "normalized" else None
+        quot = diag.normalized_quotient(n) if mode == "normalized" else None
         for p in range(n + 1):
-            q = n - p
-            if (p, q) not in tot.offsets:
-                continue
-            block = _aw_block(C, D, n, p)
-            if mode == "normalized":
-                block = C.normalized_quotient(p).proj.kron(
-                    D.normalized_quotient(q).proj) @ block @ pre
-            mat.add_block(block, tot.offsets[(p, q)], 0)
+            if (p, n - p) in tot.offsets:
+                mat.add_block(_aw_block(C, D, n, p, quot), tot.offsets[(p, n - p)], 0)
         mats[n] = mat
     return ChainMap(src, tot, mats, name=f"AW({C.name},{D.name})")
 
@@ -703,19 +737,13 @@ def ez_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
     """Eilenberg-Zilber: shuffle map from the totalized grid back."""
     _check_pair(C, D)
     top = C.truncation if top is None else top
-    diag, tgt, tot = _tensor_pair_complexes(C, D, mode, top)
+    diag, tgt, tot = _tensor_pair(C, D, mode, top)
     mats = {}
     for n in range(top + 1):
         mat = Matrix.zeros(tgt.rank(n), tot.rank(n), C.dom)
-        post = diag.normalized_quotient(n).proj if mode == "normalized" else None
+        quot = diag.normalized_quotient(n) if mode == "normalized" else None
         for p in range(n + 1):
-            q = n - p
-            if (p, q) not in tot.offsets:
-                continue
-            block = _ez_block(C, D, n, p)
-            if mode == "normalized":
-                block = post @ block @ C.normalized_quotient(p).sect.kron(
-                    D.normalized_quotient(q).sect)
-            mat.add_block(block, 0, tot.offsets[(p, q)])
+            if (p, n - p) in tot.offsets:
+                mat.add_block(_ez_block(C, D, n, p, quot), 0, tot.offsets[(p, n - p)])
         mats[n] = mat
     return ChainMap(tot, tgt, mats, name=f"EZ({C.name},{D.name})")

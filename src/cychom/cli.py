@@ -14,6 +14,7 @@ import json
 import sys
 
 from .chains import (
+    ChainMap,
     aw_map,
     check_module_identities,
     class_coordinates,
@@ -274,7 +275,6 @@ def _suite_aw_ez(args) -> int:
         retr = all((aw.mat(n) @ ez.mat(n)) ==
                    Matrix.identity(aw.target.rank(n), dom)
                    for n in range(top + 1))
-        from .chains import ChainMap
         round_trip = ChainMap(aw.source, aw.source,
                               {n: ez.mat(n) @ aw.mat(n) for n in range(top + 1)},
                               name="EZ.AW")

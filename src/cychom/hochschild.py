@@ -262,17 +262,18 @@ def hochschild_module(A: FiniteAlgebra, N: int,
              for a in range(d)]
     unit = [(k, c) for k, c in enumerate(A.unit) if c]
 
-    def face(n, i):
+    def face(n, i, cols=None):
         # slot i times slot i + 1: col = (pre * d^2 + a * d + b) * size + post;
         # the last face is face 0 after slot n moves to the front
         size = d ** (n - 1 - i) if i < n else d ** (n - 1)
-        cols = {}
-        for col in range(rank(n)):
+        cols = range(rank(n)) if cols is None else cols
+        out = {}
+        for j, col in enumerate(cols):
             x = col if i < n else (col % d) * d ** n + col // d
             head, post = divmod(x, size)
             pre, ab = divmod(head, d * d)
-            cols[col] = {(pre * d + k) * size + post: c for k, c in terms[ab // d][ab % d]}
-        return Matrix.from_canonical_columns(cols, rank(n - 1), rank(n), dom)
+            out[j] = {(pre * d + k) * size + post: c for k, c in terms[ab // d][ab % d]}
+        return Matrix.from_canonical_columns(out, rank(n - 1), len(cols), dom)
 
     def degeneracy(n, j):
         # the unit goes between slots j and j + 1: col = pre * size + post

@@ -4,11 +4,15 @@ Rank over Q and Z and reduced row echelon forms over Q (and over Z,
 reduced as Q) come from one sparse fraction-free echelon on integer rows
 {col: int}, kept primitive so coefficients stay small; over prime fields
 the same elimination on sparse rows of residues is ``_modp.rref_modp``;
-``rref`` is their one sparse reduced echelon entry.  Subspaces are
-fingerprinted by their reduced row echelon form, which makes equality of
-spans a plain tuple comparison.  Over Z, homology reads the invariant
-factors of each boundary matrix from a sparse elimination on unit pivots
-followed by a Smith form of the remainder (``invariant_factors``).
+``rref`` is their one sparse reduced echelon entry.  It takes structural
+pivots first: a row that is the first to lead at its column is a pivot
+row as it stands, so a triangular span (degeneracy relations, for one)
+is only back-substituted, and elimination is left to the rows that
+repeat a leading column.  Subspaces are fingerprinted by their reduced
+row echelon form, which makes equality of spans a plain tuple
+comparison.  Over Z, homology reads the invariant factors of each
+boundary matrix from a sparse elimination on unit pivots followed by a
+Smith form of the remainder (``invariant_factors``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ def _primitive(row: dict) -> dict:
 
     Scaling a row does not change the span it contributes to, and keeping
     rows primitive bounds coefficient growth in fraction-free elimination.
+    A one-entry row, the commonest relation, becomes its unit vector.
     """
+    if len(row) == 1:
+        (c, v), = row.items()
+        return {c: 1} if v else {}
     den = prod({v.denominator for v in row.values()})
     ints = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
     g = gcd(*ints.values())
@@ -59,15 +67,16 @@ def _subtract(row: dict, piv: dict, c: int) -> dict:
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def _echelon(rows) -> dict:
-    """Fraction-free row echelon form of sparse rows {col: int | Fraction}.
+def _echelon(rows, ech=None) -> dict:
+    """Fraction-free row echelon form of primitive integer rows {col: int}.
 
-    Rows are made primitive and taken sparsest first, so unit and two-term
-    relations become pivots before dense rows are reduced against them.
-    Returns {leading column: primitive integer row}.
+    Each row, in the given order, is reduced at its leading column against
+    the pivot rows of ech (a new dict when None) until it vanishes or leads
+    at a new column, where it becomes a pivot row.  Returns ech, {leading
+    column: primitive integer row}.
     """
-    ech = {}
-    for row in sorted((_primitive(row) for row in rows if row), key=len):
+    ech = {} if ech is None else ech
+    for row in rows:
         while row:
             c = min(row)
             piv = ech.get(c)
@@ -78,27 +87,57 @@ def _echelon(rows) -> dict:
     return ech
 
 
+def _sparsest_first(rows) -> list[dict]:
+    """The nonzero rows {col: int | Fraction} made primitive, sparsest
+    first, so unit and two-term relations lead before dense rows."""
+    return sorted((row for row in map(_primitive, rows) if row), key=len)
+
+
+def _back_substitute(ech: dict):
+    """Reduce the echelon rows {leading column: row} in place, from the
+    last pivot up: a reduced row is zero at every other pivot column, so
+    subtracting it clears one entry of a row above for good."""
+    for pc in sorted(ech, reverse=True):
+        row = ech[pc]
+        for c in [c for c in row if c != pc and c in ech]:
+            row = _subtract(row, ech[c], c)
+        ech[pc] = row
+
+
 def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     """Reduced row echelon form of sparse rows {col: value} over dom (Z as Q).
 
+    Structural pivots first (Faugere and Lachartre): of the rows, made
+    primitive and taken sparsest first, the first to lead at a column
+    becomes its pivot row with no elimination, so a one-entry row takes
+    its column, and a later one-entry row there is a multiple of it and
+    dropped.  These pivot rows are back-substituted; only the other
+    rows are then eliminated against them, and only if one of those
+    leaves a new pivot is there a second back-substitution.  Triangular
+    spans, such as degeneracy relations, leave nothing over.
+
     Returns (the nonzero reduced rows as sparse dicts {col: value}, in
     order of their pivots, and the pivot column list).  Values are
-    Fractions over Q and Z, residues over F_p.
+    Fractions over Q and Z, residues over F_p, where ``_modp.rref_modp``
+    follows the same rule.
     """
     if not rows:
         return [], []
     if dom.kind == PRIME_FIELD:
         return _modp.rref_modp(Matrix.from_rows(rows, dom, cols=cols), dom.p)
-    ech = _echelon(rows)
+    ech, rest = {}, []
+    for row in _sparsest_first(rows):
+        c = min(row)
+        if c not in ech:
+            ech[c] = row
+        elif len(row) > 1:  # a one-entry row repeats the one-entry pivot row at c
+            rest.append(row)
+    _back_substitute(ech)
+    structural = len(ech)
+    _echelon(rest, ech)
+    if len(ech) > structural:  # a row left over took a new pivot
+        _back_substitute(ech)
     pivots = sorted(ech)
-    # back-substitute from the last pivot up: a reduced row is zero at
-    # every other pivot column, so subtracting it clears one entry of a
-    # row above
-    for pc in reversed(pivots):
-        row = ech[pc]
-        for c in [c for c in row if c != pc and c in ech]:
-            row = _subtract(row, ech[c], c)
-        ech[pc] = row
     return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
 
 
@@ -131,7 +170,7 @@ def rank(m: Matrix) -> int:
         return 0
     if m.dom.kind == PRIME_FIELD:
         return len(_modp.rref_modp(m, m.dom.p, reduce=False)[1])
-    return len(_echelon(m.sparse_rows()))
+    return len(_echelon(_sparsest_first(m.sparse_rows())))
 
 
 # ---------------------------------------------------------------------------

@@ -269,24 +269,34 @@ class Matrix:
         p = self.dom.p
         return [w % p for w in out] if p else out
 
-    def kron(self, other):
-        """Kronecker product; row/col index = self_index * other_dim + other_index."""
+    def kron(self, other, cols=None):
+        """Kronecker product; row/col index = self_index * other_dim + other_index.
+
+        With cols, only those columns of the product, in that order, are
+        built: the product times the 0/1 matrix that picks them.
+        """
         self._check_dom(other)
         nr, nc = other.rows, other.cols
-        out = Matrix(self.rows * nr, self.cols * nc, self.dom)
-        right = [(c2, col2.items()) for c2, col2 in other._cols.items()]
-        for c1, col1 in self._cols.items():
-            for r1, v1 in col1.items():
-                # each entry of self places a scaled copy of other; copies
-                # from one column of self fill disjoint rows
-                for c2, items2 in right:
-                    block = {r1 * nr + r2: v1 * v2 for r2, v2 in items2}
-                    col = out._cols.setdefault(c1 * nc + c2, block)
-                    if col is not block:
-                        col.update(block)
-        # a product of nonzero scalars is nonzero, so only F_p has anything to reduce
-        if self.dom.p:
-            out._cols = {c: _reduced(col, self.dom.p) for c, col in out._cols.items()}
+        left, right = self._cols, other._cols
+        if cols is None:
+            pairs = ((c1 * nc + c2, col1, col2)
+                     for c1, col1 in left.items() for c2, col2 in right.items())
+        else:
+            pairs = ((k, left.get(c // nc), right.get(c % nc)) for k, c in enumerate(cols))
+        out = Matrix(self.rows * nr, self.cols * nc if cols is None else len(cols), self.dom)
+        p = self.dom.p
+        for k, col1, col2 in pairs:
+            if col1 and col2:
+                col = {r1 * nr + r2: v1 * v2 for r1, v1 in col1.items() for r2, v2 in col2.items()}
+                # a product of nonzero scalars is nonzero, so only F_p has anything to reduce
+                out._cols[k] = _reduced(col, p) if p else col
+        return out
+
+    def columns(self, cols) -> Matrix:
+        """The listed columns of self, in that order: self times the 0/1
+        matrix that picks them."""
+        out = Matrix(self.rows, len(cols), self.dom)
+        out._cols = {k: dict(col) for k, c in enumerate(cols) if (col := self._cols.get(c))}
         return out
 
     # -- conversions -----------------------------------------------------

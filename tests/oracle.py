@@ -10,11 +10,14 @@ from itertools import combinations, product
 from math import gcd
 
 
-def dense_rank(rows):
-    """Rank by plain fractional Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
+def dense_rref(rows, p=None):
+    """The nonzero rows of the reduced row echelon form, by plain
+    Gauss-Jordan elimination over Q (Fractions), or over F_p (residues)
+    when p is given."""
+    norm = (lambda x: int(x) % p) if p else Fraction
+    a = [[norm(x) for x in row] for row in rows]
     if not a or not a[0]:
-        return 0
+        return []
     nr, nc = len(a), len(a[0])
     r = 0
     for c in range(nc):
@@ -22,39 +25,25 @@ def dense_rank(rows):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
+        inv = pow(a[r][c], p - 2, p) if p else 1 / a[r][c]
+        a[r] = [norm(x * inv) for x in a[r]]
         for i in range(nr):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [norm(x - f * y) for x, y in zip(a[i], a[r])]
         r += 1
         if r == nr:
             break
-    return r
+    return a[:r]
+
+
+def dense_rank(rows):
+    """Rank by plain fractional Gaussian elimination."""
+    return len(dense_rref(rows))
 
 
 def dense_rank_modp(rows, p):
-    a = [[int(x) % p for x in row] for row in rows]
-    if not a or not a[0]:
-        return 0
-    nr, nc = len(a), len(a[0])
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+    return len(dense_rref(rows, p))
 
 
 def _det(sub):

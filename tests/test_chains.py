@@ -31,12 +31,13 @@ from cychom.errors import (
     RangeExceedsComplex,
     SignCheckFailed,
 )
-from cychom.hochschild import hochschild_module, truncated_polynomial
+from cychom import linalg
+from cychom.hochschild import algebra_from_json, hochschild_module, truncated_polynomial
 from cychom.groups import cyclic_group, group_from_preset
 from cychom.matrix import Matrix
 from cychom.simplicial import circle, classifying_space, cyclic_bar, free_cyclic, standard_simplex
 
-from .oracle import dense_homology_dim, dense_rank, dense_rank_modp
+from .oracle import dense_homology_dim, dense_rank, dense_rank_modp, dense_rref
 
 
 def _rows(m):
@@ -120,12 +121,33 @@ sparse_relation = st.dictionaries(st.integers(0, AMBIENT - 1),
                                   st.integers(-4, 4).filter(bool), max_size=3)
 
 
-@settings(max_examples=60)
-@given(st.sampled_from([Q, Fp(5)]), st.lists(sparse_relation, max_size=8))
+def _relation_led_at(c):
+    return st.tuples(st.integers(-4, 4).filter(bool), sparse_relation).map(
+        lambda t: {c: t[0], **{k: v for k, v in t[1].items() if k > c}})
+
+
+# relations that structural pivots treat apart: several leading at one
+# column, and one-entry relations repeated or after a longer one
+structural_relations = st.integers(0, AMBIENT - 1).flatmap(lambda c: st.lists(
+    st.one_of(_relation_led_at(c), st.integers(-4, 4).filter(bool).map(lambda v: {c: v}),
+              sparse_relation), max_size=8))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([Q, Z, Fp(5)]),
+       st.one_of(st.lists(sparse_relation, max_size=8), structural_relations))
 def test_presented_module_matches_the_dense_oracle(dom, relations):
-    pm = PresentedModule(AMBIENT, relations, dom)
     dense = [[r.get(c, 0) for c in range(AMBIENT)] for r in relations]
-    rk = dense_rank(dense) if dom == Q else dense_rank_modp(dense, 5)
+    red = dense_rref(dense, dom.p)
+    if dom == Z and any(v.denominator != 1 for row in red for v in row):
+        with pytest.raises(DomainMismatch):
+            PresentedModule(AMBIENT, relations, dom)
+        return
+    pm = PresentedModule(AMBIENT, relations, dom)
+    pivots = [row.index(1) for row in red]
+    assert pm.free == [c for c in range(AMBIENT) if c not in pivots]
+    assert pm.relations == Matrix.from_columns(red, AMBIENT, dom)
+    rk = dense_rank(dense) if dom.p is None else dense_rank_modp(dense, 5)
     assert pm.dim == AMBIENT - rk
     assert pm.proj @ pm.sect == Matrix.identity(pm.dim, dom)
     for row in dense:
@@ -143,6 +165,54 @@ def test_normalized_basis_is_the_nondegenerate_simplices(spec):
                          if all(spec.degeneracy(n - 1, j, spec.face(n, j, x)) != x
                                 for j in range(n))]
         assert sm.normalized_quotient(n).free == nondegenerate
+
+
+# K^2 in the basis f0 = e0, f1 = e1 - e0 (the seed-1 benchmark input): its
+# unit 2 f0 + f1 has no zero entry, so every degeneracy relation is dense
+DENSE_UNIT_K2 = {"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]], "unit": [-2, 1]}
+
+NORMALIZED_CASES = {
+    "circle": lambda dom: linearize_module(circle(4), dom),
+    "bg Z/3": lambda dom: linearize_module(classifying_space(cyclic_group(3), 4), dom),
+    "cyclic bar Z/2": lambda dom: linearize_module(cyclic_bar(cyclic_group(2), 4), dom),
+    "free cyclic circle": lambda dom: linearize_module(free_cyclic(circle(4)), dom),
+    "truncpoly:2": lambda dom: hochschild_module(truncated_polynomial(2, dom), 4),
+    "dense-unit productfield:2": lambda dom: hochschild_module(algebra_from_json(DENSE_UNIT_K2, dom), 4),
+    "circle (x) truncpoly:2": lambda dom: diagonal_tensor(
+        linearize_module(circle(4), dom), hochschild_module(truncated_polynomial(2, dom), 4)),
+}
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(5), Z], ids=str)
+@pytest.mark.parametrize("name", NORMALIZED_CASES)
+def test_normalized_differential_is_proj_b_sect(name, dom):
+    build = NORMALIZED_CASES[name]
+    if dom == Z and name == "dense-unit productfield:2":
+        # the reduced relation f0 + f1/2 is not integral
+        with pytest.raises(DomainMismatch):
+            build(dom).chain_complex("normalized")
+        return
+    fresh = build(dom)
+    cc = fresh.chain_complex("normalized")
+    assert not [key for key in fresh._cache if key[0] == "b"]
+    ambient = build(dom)
+    for n in range(1, 5):
+        expected = (ambient.normalized_quotient(n - 1).proj @ ambient.boundary(n)
+                    @ ambient.normalized_quotient(n).sect)
+        assert cc.d(n) == expected, n
+    # with every boundary cached, the columns are picked from it
+    assert ambient.chain_complex("normalized").diffs == cc.diffs
+
+
+def test_dense_unit_degeneracy_relations_leave_nothing_over(monkeypatch):
+    passes = []
+    orig = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute", lambda ech: passes.append(len(ech)) or orig(ech))
+    sm = hochschild_module(algebra_from_json(DENSE_UNIT_K2, Q), 6)
+    for n in range(1, 7):
+        passes.clear()
+        assert sm.normalized_quotient(n).dim == 2
+        assert passes == [2 ** (n + 1) - 2]  # one back-substitution, structural pivots only
 
 
 def test_exactness_at():

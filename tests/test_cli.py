@@ -124,6 +124,22 @@ def test_verify_hkr(capsys):
     assert "hkr: pass" in out
 
 
+def test_verify_aw_ez_builds_each_diagonal_tensor_once(capsys, monkeypatch):
+    built = []
+    orig = chains.diagonal_tensor
+
+    def counted(C, D):
+        built.append((C.name, D.name))
+        return orig(C, D)
+
+    monkeypatch.setattr(chains, "diagonal_tensor", counted)
+    code, out, _ = run(capsys, "verify", "aw-ez", "--max-degree", "3")
+    assert code == 0
+    assert out == ("circle(x)circle: AW.EZ=id pass, EZ.AW=id on homology pass\n"
+                   "circle(x)truncpoly: AW.EZ=id pass, EZ.AW=id on homology pass\n")
+    assert len(built) == 2  # one per pair, shared by AW and EZ
+
+
 def test_verify_exercise_bz(capsys):
     code, out, _ = run(capsys, "verify", "exercise-bz", "--max-degree", "4")
     assert code == 0

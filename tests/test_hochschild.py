@@ -57,6 +57,12 @@ def test_hh_values(preset, expected):
     assert [res.betti[n] for n in range(len(expected))] == expected
 
 
+def test_hh_truncpoly3_through_degree_7():
+    # HH_n(K[x]/(x^k)) = K^k for n = 0 and K^(k-1) for n >= 1 in characteristic 0
+    res = hh(truncated_polynomial(3, Q), range(8))
+    assert [res.betti[n] for n in range(8)] == [3, 2, 2, 2, 2, 2, 2, 2]
+
+
 def test_hh_matches_dense_oracle():
     A = truncated_polynomial(2, Q)
     sm = hochschild_module(A, 4)

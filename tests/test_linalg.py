@@ -22,7 +22,7 @@ from cychom.linalg import (
 )
 from cychom.matrix import Matrix
 
-from .oracle import dense_rank, dense_rank_modp, in_span, snf_diagonal_by_minors
+from .oracle import dense_rank, dense_rank_modp, dense_rref, in_span, snf_diagonal_by_minors
 
 small_int = st.integers(min_value=-9, max_value=9)
 
@@ -185,6 +185,57 @@ def test_rref_rows_fp_is_the_rref_of_the_same_span(p_rows):
         assert all(other[pc] == 0 for k, other in enumerate(red) if k != i)
     # the same span: the reduced rows add nothing to the rank of the input
     assert dense_rank_modp(rows + red, p) == r
+
+
+def _led_at(c):
+    """Rows zero before column c, nonzero at c, with a dense tail."""
+    return st.tuples(small_int.filter(bool), st.lists(small_int, min_size=WIDTH - 1 - c,
+                                                      max_size=WIDTH - 1 - c)).map(
+        lambda t: [0] * c + [t[0]] + t[1])
+
+
+def _one_entry_at(c):
+    return small_int.filter(bool).map(lambda v: [v if j == c else 0 for j in range(WIDTH)])
+
+
+# the rows structural pivots treat apart: several rows leading at one
+# column (the first is its pivot row; the others are eliminated, and
+# those not in the span leave leftovers with new pivots), one-entry rows
+# repeated at a column, and one-entry rows after a longer row at theirs
+structural_rows = st.integers(0, WIDTH - 1).flatmap(lambda c: st.lists(
+    st.one_of(_led_at(c), _one_entry_at(c), _led_at(0), unit_row, int_row),
+    min_size=1, max_size=8))
+
+
+@settings(max_examples=200)
+@given(structural_rows, st.sampled_from([Q, Z, Fp(5), Fp(BIG_P)]))
+@example([[0, 3, 1, 0, 0], [0, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, -5, 0, 0, 0]], Q)
+@example([[1, 1, 0, 0, 0], [1, 0, 1, 0, 0], [2, 0, 0, 1, 0]], Z)
+@example([[0, 0, 4, 1, 0], [0, 0, -4, 0, 0], [0, 0, 2, 0, 0]], Fp(5))
+def test_rref_with_structural_pivots_is_the_oracle_rref(rows, dom):
+    # over Z the span is reduced as over Q
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    red, pivots = linalg.rref(sparse, WIDTH, dom)
+    expect = dense_rref(rows, dom.p)
+    assert len(red) == len(pivots) == (dense_rank_modp(rows, dom.p) if dom.p else dense_rank(rows))
+    assert [[row.get(j, 0) for j in range(WIDTH)] for row in red] == expect
+    assert pivots == [row.index(1) for row in expect]
+    assert sparse == [{j: v for j, v in enumerate(row) if v} for row in rows]  # not consumed
+
+
+def test_rref_back_substitutes_again_only_for_new_pivots(monkeypatch):
+    seen = []
+    orig = linalg._back_substitute
+    monkeypatch.setattr(linalg, "_back_substitute", lambda ech: seen.append(sorted(ech)) or orig(ech))
+    # triangular: the third row lies in the span of the first two, and the
+    # last repeats the one-entry pivot row at column 3
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}, {3: 2}, {3: -1}]
+    assert linalg.rref(rows, 4, Q)[1] == [0, 1, 3]
+    assert seen == [[0, 1, 3]]
+    seen.clear()
+    # the second row at column 0 leaves e1 - e2 behind, a new pivot at column 1
+    assert linalg.rref([{0: 1, 1: 1}, {0: 1, 2: 1}], 3, Q)[1] == [0, 1]
+    assert seen == [[0], [0, 1]]
 
 
 @pytest.mark.parametrize("dom", [Q, Z])

@@ -134,7 +134,23 @@ def test_kron(data):
     a, b = data.draw(dense(dom, r1, c1)), data.draw(dense(dom, r2, c2))
     out = as_matrix(dom, a, c1).kron(as_matrix(dom, b, c2))
     assert out.shape == (r1 * r2, c1 * c2)
-    agrees(out, reduce(dom, dense_kron(reduce(dom, a), reduce(dom, b))))
+    full = reduce(dom, dense_kron(reduce(dom, a), reduce(dom, b)))
+    agrees(out, full)
+    # any columns of the product, in any order and repeated
+    cols = data.draw(st.lists(st.integers(0, c1 * c2 - 1), max_size=6)) if c1 * c2 else []
+    picked = as_matrix(dom, a, c1).kron(as_matrix(dom, b, c2), cols)
+    assert picked.shape == (r1 * r2, len(cols))
+    agrees(picked, [[row[c] for c in cols] for row in full])
+
+
+@settings(max_examples=100)
+@given(one_matrix(), st.data())
+def test_columns(case, data):
+    dom, r, c, a = case
+    cols = data.draw(st.lists(st.integers(0, c - 1), max_size=6)) if c else []
+    m = as_matrix(dom, a, c)
+    agrees(m.columns(cols), [[row[k] for k in cols] for row in reduce(dom, a)])
+    assert m.to_dense_rows() == reduce(dom, a)  # self is left as it was
 
 
 @settings(max_examples=100)
