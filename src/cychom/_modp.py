@@ -1,13 +1,11 @@
 """Row reduction over F_p on sparse rows {col: residue}.
 
-Elimination follows ``linalg``: rows are read from the matrix's column
-dicts and taken sparsest first; ``rref_modp`` takes structural pivots
-before it eliminates, as ``linalg.rref`` does, and each row that is
-eliminated is reduced at its leading column until it leads at a column
-with no pivot yet.  Over F_p a new pivot row is scaled to lead with 1, so
-the row step is ``(w - a*v) % p``.  Residues are Python ints, exact for
-every p; ``domains`` bounds p only to keep its trial-division primality
-test fast.
+Elimination follows ``linalg._echelon``: rows are read from the matrix's
+column dicts and taken sparsest first, and each row is reduced at its
+leading column until it leads at a column with no pivot yet.  Over F_p a
+new pivot row is scaled to lead with 1, so the row step is
+``(w - a*v) % p``.  Residues are Python ints, exact for every p;
+``domains`` bounds p only to keep its trial-division primality test fast.
 """
 
 from __future__ import annotations
@@ -25,61 +23,27 @@ def _subtract(row: dict, piv: dict, c: int, p: int) -> dict:
     return row
 
 
-def _monic(row: dict, c: int, p: int) -> dict:
-    """row scaled mod p to be 1 at its leading column c."""
-    inv = pow(row[c], -1, p)
-    return {k: v * inv % p for k, v in row.items()}
+def rref_modp(m, p: int, reduce: bool = True):
+    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
 
-
-def _echelon(rows, p: int, ech: dict) -> dict:
-    """Reduce each row, in order, at its leading column against the pivot
-    rows of ech until it vanishes or leads at a new column, where it joins
-    ech as a pivot row; returns ech."""
-    for row in rows:
+    Returns (the nonzero rows as sparse dicts {col: residue}, in order of
+    their pivots, and the pivot column list).  With reduce=False the rows
+    are not back-substituted, which is all a rank needs.
+    """
+    ech = {}
+    for row in sorted(m.sparse_rows(), key=len):
         while row:
             c = min(row)
             piv = ech.get(c)
             if piv is None:
-                ech[c] = _monic(row, c, p)
+                inv = pow(row[c], -1, p)
+                ech[c] = {k: v * inv % p for k, v in row.items()}
                 break
             row = _subtract(row, piv, c, p)
-    return ech
-
-
-def _back_substitute(ech: dict, p: int):
-    """Reduce the pivot rows {leading column: row} in place, from the last up."""
-    for pc in sorted(ech, reverse=True):
-        row = ech[pc]
-        for c in [c for c in row if c != pc and c in ech]:
-            _subtract(row, ech[c], c, p)
-
-
-def rref_modp(m, p: int, reduce: bool = True):
-    """Reduced row echelon form mod p of a Matrix over F_p (m is not modified).
-
-    The first row, sparsest first, to lead at a column is its pivot row,
-    unreduced; after the back-substitution of those rows, the others are
-    eliminated against them, and a second back-substitution follows only
-    if one of them leaves a new pivot.  Returns (the nonzero rows as
-    sparse dicts {col: residue}, in order of their pivots, and the pivot
-    column list).  With reduce=False every row is eliminated in turn and
-    nothing is back-substituted, which is all a rank needs.
-    """
-    rows = sorted(m.sparse_rows(), key=len)
-    ech, rest = {}, rows
-    if reduce:
-        rest = []
-        for row in rows:
-            if row:
-                c = min(row)
-                if c not in ech:
-                    ech[c] = _monic(row, c, p)
-                elif len(row) > 1:  # a one-entry row repeats the one-entry pivot row at c
-                    rest.append(row)
-        _back_substitute(ech, p)
-    structural = len(ech)
-    _echelon(rest, p, ech)
-    if reduce and len(ech) > structural:  # a row left over took a new pivot
-        _back_substitute(ech, p)
     pivots = sorted(ech)
+    if reduce:  # back-substitute from the last pivot up, as linalg.rref does over Q
+        for pc in reversed(pivots):
+            row = ech[pc]
+            for c in [c for c in row if c != pc and c in ech]:
+                _subtract(row, ech[c], c, p)
     return [ech[pc] for pc in pivots], pivots

@@ -326,7 +326,8 @@ class SimplicialModule:
     matrices can be large.  face_fn(n, i, cols) builds d_i on the listed
     cells of degree n only, as the columns of a rank(n-1) x len(cols)
     matrix (all cells when cols is None); the normalized complex asks
-    for the nondegenerate cells alone.
+    for the nondegenerate cells alone, so a face_fn that takes no cols
+    serves only the unnormalized complex.
     """
 
     def __init__(self, dom, truncation, rank_fn, face_fn, degeneracy_fn,
@@ -354,8 +355,11 @@ class SimplicialModule:
             self._cache[key] = build()
         return self._cache[key]
 
-    def face(self, n, i) -> Matrix:
-        return self.cached(("d", n, i), lambda: self._face(n, i))
+    def face(self, n, i, cols=None) -> Matrix:
+        """d_i on degree n; with cols, on those cells only (not cached)."""
+        if cols is None:
+            return self.cached(("d", n, i), lambda: self._face(n, i))
+        return self._face(n, i, cols)
 
     def degeneracy(self, n, j) -> Matrix:
         return self.cached(("s", n, j), lambda: self._degeneracy(n, j))
@@ -390,7 +394,7 @@ class SimplicialModule:
         if ("b", n) in self._cache:
             return self.boundary(n).columns(cols)
         return Matrix.signed_sum(self.rank(n - 1), len(cols), self.dom,
-                                 (((-1) ** i, self._face(n, i, cols)) for i in range(n + 1)))
+                                 (((-1) ** i, self.face(n, i, cols)) for i in range(n + 1)))
 
     def chain_complex(self, mode="unnormalized", top=None) -> ChainComplex:
         """The associated complex, optionally normalized.

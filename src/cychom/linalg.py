@@ -4,11 +4,11 @@ Rank over Q and Z and reduced row echelon forms over Q (and over Z,
 reduced as Q) come from one sparse fraction-free echelon on integer rows
 {col: int}, kept primitive so coefficients stay small; over prime fields
 the same elimination on sparse rows of residues is ``_modp.rref_modp``;
-``rref`` is their one sparse reduced echelon entry.  It takes structural
-pivots first: a row that is the first to lead at its column is a pivot
-row as it stands, so a triangular span (degeneracy relations, for one)
-is only back-substituted, and elimination is left to the rows that
-repeat a leading column.  Subspaces are fingerprinted by their reduced
+``rref`` is their one sparse reduced echelon entry.  Over Q and Z it
+takes structural pivots first: a row that is the first to lead at its
+column is a pivot row as it stands, so a triangular span (degeneracy
+relations, for one) adds no pivot by elimination, which is left to the
+rows that repeat a leading column.  Subspaces are fingerprinted by their reduced
 row echelon form, which makes equality of spans a plain tuple
 comparison.  Over Z, homology reads the invariant factors of each
 boundary matrix from a sparse elimination on unit pivots followed by a
@@ -112,14 +112,14 @@ def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     becomes its pivot row with no elimination, so a one-entry row takes
     its column, and a later one-entry row there is a multiple of it and
     dropped.  These pivot rows are back-substituted; only the other
-    rows are then eliminated against them, and only if one of those
-    leaves a new pivot is there a second back-substitution.  Triangular
-    spans, such as degeneracy relations, leave nothing over.
+    rows are then eliminated against them, and the echelon is
+    back-substituted once more.  Triangular spans, such as degeneracy
+    relations, leave nothing over.
 
     Returns (the nonzero reduced rows as sparse dicts {col: value}, in
     order of their pivots, and the pivot column list).  Values are
-    Fractions over Q and Z, residues over F_p, where ``_modp.rref_modp``
-    follows the same rule.
+    Fractions over Q and Z, residues over F_p (``_modp.rref_modp``, which
+    eliminates every row).
     """
     if not rows:
         return [], []
@@ -133,10 +133,7 @@ def rref(rows: list[dict], cols: int, dom: ScalarDomain):
         elif len(row) > 1:  # a one-entry row repeats the one-entry pivot row at c
             rest.append(row)
     _back_substitute(ech)
-    structural = len(ech)
-    _echelon(rest, ech)
-    if len(ech) > structural:  # a row left over took a new pivot
-        _back_substitute(ech)
+    _back_substitute(_echelon(rest, ech))
     pivots = sorted(ech)
     return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
 

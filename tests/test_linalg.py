@@ -223,21 +223,6 @@ def test_rref_with_structural_pivots_is_the_oracle_rref(rows, dom):
     assert sparse == [{j: v for j, v in enumerate(row) if v} for row in rows]  # not consumed
 
 
-def test_rref_back_substitutes_again_only_for_new_pivots(monkeypatch):
-    seen = []
-    orig = linalg._back_substitute
-    monkeypatch.setattr(linalg, "_back_substitute", lambda ech: seen.append(sorted(ech)) or orig(ech))
-    # triangular: the third row lies in the span of the first two, and the
-    # last repeats the one-entry pivot row at column 3
-    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}, {3: 2}, {3: -1}]
-    assert linalg.rref(rows, 4, Q)[1] == [0, 1, 3]
-    assert seen == [[0, 1, 3]]
-    seen.clear()
-    # the second row at column 0 leaves e1 - e2 behind, a new pivot at column 1
-    assert linalg.rref([{0: 1, 1: 1}, {0: 1, 2: 1}], 3, Q)[1] == [0, 1]
-    assert seen == [[0], [0, 1]]
-
-
 @pytest.mark.parametrize("dom", [Q, Z])
 def test_rank_reads_the_sparse_columns_without_densifying(monkeypatch, dom):
     def densify(self):
