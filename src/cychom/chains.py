@@ -237,7 +237,9 @@ def class_coordinates(h: HomologyResult, n: int, cycles) -> Matrix:
 
     Each cycle is solved against the representatives together with the
     boundary basis, and the boundary part of the solution is dropped.
+    Over Z there is no boundary basis: raises DomainNotField.
     """
+    h.dom.require_field()
     reps = [list(v) for v in h.reps[n]]
     basis = reps + [list(v) for v in h.boundary_image[n].vectors]
     xs = solve_in_span(basis, [list(v) for v in cycles], h.dom)
@@ -396,6 +398,13 @@ class SimplicialModule:
         return Matrix.signed_sum(self.rank(n - 1), len(cols), self.dom,
                                  (((-1) ** i, self.face(n, i, cols)) for i in range(n + 1)))
 
+    def normalized_boundary(self, n) -> Matrix:
+        """The normalized d_n: proj_{n-1} @ b_n on the columns free_n of
+        normalized_quotient(n), so faces of the dropped cells are never
+        built.  Cached, and shared by every complex that needs it."""
+        return self.cached(("bbar", n), lambda: self.normalized_quotient(n - 1).proj
+                           @ self.boundary_on(n, self.normalized_quotient(n).free))
+
     def chain_complex(self, mode="unnormalized", top=None) -> ChainComplex:
         """The associated complex, optionally normalized.
 
@@ -403,8 +412,7 @@ class SimplicialModule:
         is then reliable up to top - 1.  The normalized complex is the
         quotient by the degenerate submodule: with free_n the quotient
         basis of normalized_quotient(n) (the nondegenerate cells, for a
-        simplicial set), its d_n is proj_{n-1} @ b_n restricted to the
-        columns free_n, so faces of the dropped cells are never built.
+        simplicial set), its d_n is normalized_boundary(n).
         """
         top = self.truncation if top is None else top
         if top > self.truncation:
@@ -415,10 +423,8 @@ class SimplicialModule:
             return ChainComplex(self.dom, ranks, diffs, name=f"C({self.name})")
         if mode != "normalized":
             raise ValueError(f"unknown mode {mode!r}")
-        quots = {n: self.normalized_quotient(n) for n in range(top + 1)}
-        ranks = {n: quots[n].dim for n in range(top + 1)}
-        diffs = {n: quots[n - 1].proj @ self.boundary_on(n, quots[n].free)
-                 for n in range(1, top + 1)}
+        ranks = {n: self.normalized_quotient(n).dim for n in range(top + 1)}
+        diffs = {n: self.normalized_boundary(n) for n in range(1, top + 1)}
         return ChainComplex(self.dom, ranks, diffs, name=f"N({self.name})")
 
 
@@ -560,8 +566,9 @@ class Bicomplex:
                     raise SignCheckFailed(f"anticommutation at ({p},{q})")
 
 
-def total_complex(b: Bicomplex) -> ChainComplex:
-    """Totalize over p+q = n.
+def total_complex(b: Bicomplex, top=None) -> ChainComplex:
+    """Totalize over p+q = n; the degrees up to top that no nonzero cell
+    reaches get rank 0, so a grid cut at top covers its cut.
 
     The result carries cells/offsets describing the block layout.
     """
@@ -593,8 +600,8 @@ def total_complex(b: Bicomplex) -> ChainComplex:
         diffs[n] = mat
     # pad missing degrees inside the covered range with zero ranks
     if cells:
-        lo, hi = min(cells), max(cells)
-        for n in range(lo, hi + 1):
+        hi = max(cells) if top is None else max(*cells, top)
+        for n in range(min(cells), hi + 1):
             ranks.setdefault(n, 0)
     cc = ChainComplex(b.dom, ranks, diffs, name=f"Tot({b.name})")
     cc.cells = cells

@@ -1,11 +1,17 @@
-"""Cyclic homology: the cyclic bicomplex, HC, the SBI sequence, and the
-windowed negative/periodic variants.
+"""Cyclic homology: Connes' (b, B) bicomplex, HC, the SBI sequence, and
+the windowed negative/periodic variants.
 
-Columns of CC alternate between b (even) and -b' (odd); rows alternate
-between 1 - t and the norm N = 1 + t + ... + t^n, always with the signed
-cyclic operator.  Negative and periodic variants are computed over a
-finite column window together with S-tower stabilization evidence, since
-the honest objects are limits.
+HC is computed on the (b, B) bicomplex of the normalized mixed complex:
+cell (p, q) is C̄_{q-p}, with b̄ vertical and B̄ horizontal, so total
+degree n is C̄_n + C̄_{n-2} + ...  Over any ground ring it has the groups
+of the cyclic bicomplex CC (Loday, Cyclic Homology, 2.1.7-2.1.8), whose
+columns alternate between b and -b' and whose rows between 1 - t and
+N = 1 + t + ... + t^n; CC stays as cyclic_bicomplex, the cross-check.
+Every map uses the signed cyclic operator.  Negative and periodic
+variants are computed over a finite column window together with S-tower
+stabilization evidence, since the honest objects are limits.  Window w
+means the floor(w/2) B columns left of column 0, with the groups of CC's
+columns -w..0: each odd CC column is acyclic and collapses into B.
 """
 
 from __future__ import annotations
@@ -44,6 +50,16 @@ def norm_map(sm: SimplicialModule, n: int) -> Matrix:
     return sm.cached(("N", n), build)
 
 
+def _check_cyclic(sm: SimplicialModule, top):
+    """Raise RelationFailure unless sm has a rotation and, when top is not
+    None, satisfies the cyclic relations up to degree top."""
+    if not sm.has_cyclic:
+        raise RelationFailure("a bicomplex of cyclic homology needs a cyclic operator")
+    bad = [] if top is None else check_module_identities(sm, top=top)
+    if bad:
+        raise RelationFailure(f"cyclic relations fail: {bad[:3]}")
+
+
 def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
                      qtop=None, check=True) -> Bicomplex:
     """The (windowed) cyclic bicomplex of a cyclic module.
@@ -54,13 +70,8 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
     unless check=False.  Every column of a parity holds the same maps,
     built once per row and cached on sm for later bicomplexes.
     """
-    if not sm.has_cyclic:
-        raise RelationFailure("cyclic bicomplex needs a cyclic operator")
     qtop = sm.truncation if qtop is None else qtop
-    if check:
-        bad = check_module_identities(sm, top=qtop)
-        if bad:
-            raise RelationFailure(f"cyclic relations fail: {bad[:3]}")
+    _check_cyclic(sm, qtop if check else None)
     ranks, vert, horiz = {}, {}, {}
     for p in range(pmin, columns + 1):
         for q in range(qtop + 1):
@@ -73,6 +84,53 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
     return Bicomplex(sm.dom, ranks, vert, horiz, name=f"CC({sm.name})")
 
 
+def connes_b(sm: SimplicialModule, n: int) -> Matrix:
+    """The chain-level B = (1 - t) s N : C_n -> C_{n+1}, with the extra
+    degeneracy s = t_{n+1} s_n (the unit in front, for a Hochschild
+    module) read off the module, so that every cyclic module has one."""
+    s = sm.t(n + 1) @ sm.degeneracy(n, n)
+    if n % 2 == 0:  # sm.t(n + 1) is the signed (-1)^(n+1) t_{n+1}
+        s = -s
+    return one_minus_t(sm, n + 1) @ s @ norm_map(sm, n)
+
+
+def connes_b_bar(sm: SimplicialModule, n: int) -> Matrix:
+    """B̄ : C̄_n -> C̄_{n+1} of the normalized mixed complex, proj_{n+1} @ B_n
+    on the columns free_n; cached per degree.  Raises RelationFailure
+    unless B_n maps degenerate chains to degenerate ones."""
+    def build():
+        src = sm.normalized_quotient(n)
+        pb = sm.normalized_quotient(n + 1).proj @ connes_b(sm, n)
+        if not (pb @ src.relations).is_zero():
+            raise RelationFailure(f"B does not descend to the normalized quotient at degree {n}")
+        return pb.columns(src.free)
+    return sm.cached(("Bbar", n), build)
+
+
+def connes_bicomplex(sm: SimplicialModule, top: int, pmin: int = 0, pmax=None,
+                     check_top=None) -> Bicomplex:
+    """Connes' (b, B) bicomplex of the normalized mixed complex, cut at
+    total degree top.
+
+    Cell (p, q) is C̄_{q-p}, for pmin <= p <= pmax (default: every column
+    the cut meets), p <= q and p + q <= top.  Both maps lower the total
+    degree, so the cut grid is a complex; the columns left of pmin form a
+    subcomplex, so the window is a quotient.  The cyclic relations are
+    verified up to degree check_top unless it is None.
+    """
+    _check_cyclic(sm, check_top)
+    pmax = top // 2 if pmax is None else pmax
+    ranks, vert, horiz = {}, {}, {}
+    for p in range(pmin, pmax + 1):
+        for q in range(p, top - p + 1):
+            ranks[(p, q)] = sm.normalized_quotient(q - p).dim
+            if q > p:
+                vert[(p, q)] = sm.normalized_boundary(q - p)
+            if p > pmin:
+                horiz[(p, q)] = connes_b_bar(sm, q - p)
+    return Bicomplex(sm.dom, ranks, vert, horiz, name=f"B({sm.name})")
+
+
 def _as_module(arg, top, budget=DEFAULT_BUDGET) -> SimplicialModule:
     if isinstance(arg, SimplicialModule):
         return arg
@@ -82,10 +140,12 @@ def _as_module(arg, top, budget=DEFAULT_BUDGET) -> SimplicialModule:
 
 
 def hc(arg, degrees, columns=None, budget=DEFAULT_BUDGET) -> HomologyResult:
-    """Cyclic homology of an algebra or cyclic module.
+    """Cyclic homology of an algebra or cyclic module, on the (b, B)
+    bicomplex cut at total degree max(degrees) + 1.
 
-    The column window must cover max(degrees) + 1; window completeness
-    is asserted by recomputing with one extra column.
+    columns counts CC columns, two to a B column, and must cover
+    max(degrees) + 1; window completeness is asserted by recomputing
+    with one more B column.
     """
     degrees = list(degrees)
     top = max(degrees) + 1
@@ -94,26 +154,21 @@ def hc(arg, degrees, columns=None, budget=DEFAULT_BUDGET) -> HomologyResult:
         raise WindowTooSmall(
             f"column window {columns} cannot see degree {max(degrees)}")
     sm = _as_module(arg, top, budget)
-    cc = cyclic_bicomplex(sm, columns, qtop=top)
-    res = homology(total_complex(cc), degrees)
-    wide = homology(total_complex(cyclic_bicomplex(sm, columns + 1, qtop=top,
-                                                   check=False)), degrees)
+    res = homology(total_complex(connes_bicomplex(sm, top, pmax=columns // 2,
+                                                  check_top=top), top), degrees)
+    wide = homology(total_complex(connes_bicomplex(sm, top, pmax=columns // 2 + 1), top),
+                    degrees)
     if any(res.betti[n] != wide.betti[n] for n in degrees):
         raise WindowTooSmall("results changed when the window grew")
     res.name = f"HC({getattr(arg, 'name', sm.name)})"
     return res
 
 
-def _unital_algebra(sm: SimplicialModule) -> FiniteAlgebra:
+def bprime_homotopy_check(sm: SimplicialModule, degrees) -> bool:
+    """Verify b'h + hb' = id degreewise; certifies odd-column acyclicity."""
     A = getattr(sm, "algebra", None)
     if A is None:
         raise NoUnitStructure("homotopy needs a unital-algebra module")
-    return A
-
-
-def bprime_homotopy_check(sm: SimplicialModule, degrees) -> bool:
-    """Verify b'h + hb' = id degreewise; certifies odd-column acyclicity."""
-    A = _unital_algebra(sm)
     ident = True
     for n in degrees:
         lhs = sm.bprime(n + 1) @ extra_degeneracy(A, n)
@@ -121,11 +176,6 @@ def bprime_homotopy_check(sm: SimplicialModule, degrees) -> bool:
             lhs = lhs + extra_degeneracy(A, n - 1) @ sm.bprime(n)
         ident = ident and lhs == Matrix.identity(sm.rank(n), sm.dom)
     return ident
-
-
-def connes_b(sm: SimplicialModule, n: int) -> Matrix:
-    """The chain-level B = (1 - t) h N : C_n -> C_{n+1}."""
-    return one_minus_t(sm, n + 1) @ extra_degeneracy(_unital_algebra(sm), n) @ norm_map(sm, n)
 
 
 class SBIReport:
@@ -148,20 +198,24 @@ class SBIReport:
 
 
 def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
-    """Chain-level I, S, B and the exactness of the SBI sequence.
+    """Chain-level I, S, B on the (b, B) bicomplex and the exactness of
+    the SBI sequence.
 
-    B^2 = 0 and bB + Bb = 0 are checked as matrix identities before any
-    homology is taken; exactness verdicts come from the composites and
-    ranks of the induced maps, each map ranked once.
+    HH comes from the normalized complex, I includes it as column 0, S
+    shifts column p to p - 1 and drops column 0.  B̄^2 = 0 and
+    b̄B̄ + B̄b̄ = 0 are checked as matrix identities before any homology is
+    taken; exactness verdicts come from the composites and ranks of the
+    induced maps, each map ranked once.
     """
     degrees = sorted(degrees)
     top = max(degrees) + 1
     sm = _as_module(arg, top, budget)
     dom = sm.dom
-    cc_h = sm.chain_complex("unnormalized", top)
-    tot = total_complex(cyclic_bicomplex(sm, top, qtop=top))
+    cc_h = sm.chain_complex("normalized", top)
+    bic = connes_bicomplex(sm, top, check_top=top)
+    tot = total_complex(bic, top)
 
-    bmats = {n: connes_b(sm, n) for n in range(top)}
+    bmats = {n: connes_b_bar(sm, n) for n in range(top)}
     for n in range(top - 1):
         if not (bmats[n + 1] @ bmats[n]).is_zero():
             raise RelationFailure(f"B^2 != 0 at degree {n}")
@@ -172,7 +226,7 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
         if not anti.is_zero():
             raise RelationFailure(f"bB + Bb != 0 at degree {n}")
 
-    # chain-level I (column-0 inclusion) and S (two-column quotient)
+    # chain-level I (column-0 inclusion) and S (column shift)
     i_mats = {}
     for n in range(top + 1):
         inc = Matrix.zeros(tot.rank(n), cc_h.rank(n), dom)
@@ -180,7 +234,7 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
             inc.add_block(Matrix.identity(cc_h.rank(n), dom), tot.offsets[(0, n)], 0)
         i_mats[n] = inc
     i_map = ChainMap(cc_h, tot, i_mats, name="I")
-    s_map = _s_chain_map(sm, tot)
+    s_map = _s_chain_map(bic, tot)
 
     h_hh = homology(cc_h, range(0, top))
     h_hc = homology(tot, range(0, top))
@@ -193,7 +247,7 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
         else:
             rep.s_maps[n] = Matrix.zeros(0, h_hc.betti[n], dom)
     for n in range(0, top - 1):
-        rep.b_maps[n] = _induced_b(sm, bmats[n], tot, h_hc, h_hh, n)
+        rep.b_maps[n] = _induced_b(bmats[n], cc_h.d(n + 1), tot, h_hc, h_hh, n)
     rep.b_maps[-1] = Matrix.zeros(h_hh.betti[0], 0, dom)
     rep.b_maps[-2] = Matrix.zeros(0, 0, dom)
 
@@ -216,30 +270,28 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
     return rep
 
 
-def _s_chain_map(sm: SimplicialModule, tot: ChainComplex) -> ChainMap:
-    """The two-column quotient S: Tot_n -> Tot_{n-2} as a chain map."""
-    dom = sm.dom
+def _s_chain_map(bic: Bicomplex, tot: ChainComplex) -> ChainMap:
+    """S: Tot_n -> Tot_{n-2} as a chain map: cell (p, q) goes to
+    (p - 1, q - 1) by the identity of C̄_{q-p}, and column 0 is dropped."""
     s_mats = {}
     for n in range(tot.lo, tot.hi + 1):
-        proj = Matrix.zeros(tot.rank(n - 2), tot.rank(n), dom)
+        proj = Matrix.zeros(tot.rank(n - 2), tot.rank(n), bic.dom)
         for (p, q) in tot.cells.get(n, []):
-            if p < 2 or (p - 2, q) not in tot.offsets:
+            if p < 1 or (p - 1, q - 1) not in tot.offsets:
                 continue
-            proj.add_block(Matrix.identity(sm.rank(q), dom),
-                           tot.offsets[(p - 2, q)], tot.offsets[(p, q)])
+            proj.add_block(Matrix.identity(bic.rank(p, q), bic.dom),
+                           tot.offsets[(p - 1, q - 1)], tot.offsets[(p, q)])
         s_mats[n] = proj
     return ChainMap(tot, tot, s_mats, shift=-2, name="S")
 
 
-def _induced_b(sm, bmat, tot, h_hc, h_hh, n):
-    """B on homology: column-0 component of an HC_n class, pushed by B."""
-    d = sm.boundary(n + 1)
-    off = tot.offsets.get((0, n))
+def _induced_b(bmat, d, tot, h_hc, h_hh, n):
+    """B on homology: B̄ on the column-0 part of an HC_n class; d is the
+    normalized boundary out of degree n + 1."""
+    off = tot.offsets.get((0, n), 0)  # no cell (0, n) only when C̄_n = 0
     images = []
     for r in h_hc.reps[n]:
-        col0 = [r[off + i] for i in range(sm.rank(n))] if off is not None \
-            else [sm.dom.zero] * sm.rank(n)
-        v = bmat.apply(col0)
+        v = bmat.apply(list(r[off:off + bmat.cols]))
         if any(d.apply(v)):
             raise NotAChainMap(f"B image is not a cycle at degree {n}")
         images.append(v)
@@ -266,9 +318,11 @@ def hc_window(variant: str, arg, degrees, window: int,
               budget=DEFAULT_BUDGET):
     """Windowed negative or periodic cyclic homology plus tower evidence.
 
-    Negative: columns -window..0.  Periodic: columns -window..max+2.
-    The report carries per-degree S-tower image dimensions and an overall
-    stability flag, true only when the normalized Hochschild homology
+    Negative: B columns -floor(window/2)..0; periodic: from the same
+    column to every column the cut at max + 1 meets.  These give the
+    groups of CC's columns -window..0 and -window..max+2.  The report
+    carries per-degree S-tower image dimensions and an overall stability
+    flag, true only when the normalized Hochschild homology
     vanishes identically in the top half of the inspected degree range —
     vanishing is computed, never assumed.
     """
@@ -280,17 +334,17 @@ def hc_window(variant: str, arg, degrees, window: int,
     maxdeg = max(degrees)
     qtop = maxdeg + window + 2
     sm = _as_module(arg, qtop, budget)
-    pmax = 0 if variant == "negative" else maxdeg + 2
-    cc = cyclic_bicomplex(sm, pmax, pmin=-window, qtop=qtop)
-    res = homology(total_complex(cc), degrees)
+    pmax = 0 if variant == "negative" else None
+    bic = connes_bicomplex(sm, maxdeg + 1, pmin=-(window // 2), pmax=pmax, check_top=qtop)
+    res = homology(total_complex(bic, maxdeg + 1), degrees)
     res.name = f"HC^{'-' if variant == 'negative' else 'per'}({getattr(arg, 'name', sm.name)})"
 
     report = TowerReport(name=res.name)
     hc_top = maxdeg + 2
-    tot = total_complex(cyclic_bicomplex(sm, hc_top + 1, qtop=min(qtop, hc_top + 1),
-                                         check=False))
+    tower = connes_bicomplex(sm, hc_top + 1)
+    tot = total_complex(tower, hc_top + 1)
     h_hc = homology(tot, range(0, hc_top + 1))
-    s_map = _s_chain_map(sm, tot)
+    s_map = _s_chain_map(tower, tot)
     s_ind = {m: induced_map(s_map, h_hc, h_hc, m) for m in range(2, hc_top + 1)}
     for n in degrees:
         dims = [h_hc.betti[n]]

@@ -382,3 +382,33 @@ def test_exit_code_rank_disagrees_with_bases(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "sbi", "--preset", "truncpoly:2",
                          "--max-degree", "2")
     assert code == 1 and "has rank" in err and not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "sbi", "--preset", "truncpoly:2"),
+    ("verify", "aw-ez"),
+    ("hc", "--preset", "truncpoly:2", "--variant", "negative"),
+    ("hc", "--preset", "truncpoly:2", "--variant", "periodic"),
+], ids=["sbi", "aw-ez", "negative", "periodic"])
+def test_induced_maps_over_z_exit_cleanly(capsys, argv):
+    # classes over Z have no boundary basis to solve against
+    code, out, err = run(capsys, *argv, "--domain", "z", "--max-degree", "2")
+    assert (code, out, err) == (1, "", "error: Z is not a field\n")
+
+
+def test_hc_over_z_has_torsion(capsys):
+    code, out, _ = run(capsys, "hc", "--preset", "truncpoly:3", "--domain", "z",
+                       "--max-degree", "3")
+    assert code == 0
+    assert out.splitlines() == ["H_0: betti 3", "H_1: betti 0  torsion Z/6",
+                                "H_2: betti 3", "H_3: betti 0  torsion Z/6 Z/60"]
+
+
+def test_hc_over_z_refuses_what_hh_refuses(capsys, tmp_path):
+    # a rebased K^2 with unit [-2, 1]: no normalized complex over Z
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]],
+                                "unit": [-2, 1]}))
+    argv = ("--input", str(path), "--domain", "z", "--max-degree", "3")
+    from_hh, from_hc = run(capsys, "hh", *argv), run(capsys, "hc", *argv)
+    assert from_hc == from_hh == (1, "", "error: relation span is not saturated over the integers\n")

@@ -3,10 +3,20 @@
 import pytest
 
 from cychom import cyclic, hochschild
-from cychom.chains import Bicomplex, homology, total_complex
+from cychom.chains import (
+    Bicomplex,
+    ChainMap,
+    class_coordinates,
+    exactness_at,
+    homology,
+    induced_map,
+    total_complex,
+)
 from cychom.cyclic import (
     bprime_homotopy_check,
     connes_b,
+    connes_b_bar,
+    connes_bicomplex,
     connes_maps,
     cyclic_bicomplex,
     hc,
@@ -15,15 +25,18 @@ from cychom.cyclic import (
     one_minus_t,
 )
 from cychom.chains import linearize_module
-from cychom.domains import Q
-from cychom.errors import SignCheckFailed, WindowTooSmall
+from cychom.domains import Fp, Q, Z
+from cychom.errors import DomainMismatch, RelationFailure, SignCheckFailed, WindowTooSmall
 from cychom.groups import cyclic_group
 from cychom.hochschild import (
+    algebra_from_json,
+    algebra_from_preset,
     group_algebra,
     hochschild_module,
     product_field,
     truncated_polynomial,
 )
+from cychom.linalg import rank
 from cychom.matrix import Matrix
 from cychom.simplicial import cyclic_bar
 
@@ -212,12 +225,15 @@ def test_cached_operators_are_not_modified_by_their_users():
     sm = hochschild_module(A, 4)
     assert connes_maps(sm, range(3)).passed
     hc_window("periodic", sm, range(2), window=1)
+    homology(total_complex(cyclic_bicomplex(sm, 3, pmin=-1, qtop=3)), range(3))
     fresh = hochschild_module(A, 4)
     build = {"d": fresh.face, "s": fresh.degeneracy, "t": fresh.t,
              "b": fresh.boundary, "b'": fresh.bprime,
              "-b'": lambda n: -fresh.bprime(n),
              "1-t": lambda n: one_minus_t(fresh, n),
-             "N": lambda n: norm_map(fresh, n)}
+             "N": lambda n: norm_map(fresh, n),
+             "bbar": fresh.normalized_boundary,
+             "Bbar": lambda n: connes_b_bar(fresh, n)}
     kinds = set()
     for (kind, *idx), held in sm._cache.items():
         kinds.add(kind)
@@ -256,3 +272,171 @@ def test_connes_maps_ranks_each_homology_level_map_once(monkeypatch):
     assert rep.passed and ranked
     # the maps live in rep, so their ids stay distinct
     assert len(ranked) == len(set(ranked))
+
+
+def test_hc_of_truncated_cubic_to_degree_six():
+    # in characteristic 0, S vanishes on the reduced HC of a positively
+    # graded algebra (Goodwillie 1985), so the reduced HH_n = HC_n + HC_{n-1};
+    # the reduced HH_n of K[x]/(x^3) is K^2 in every degree
+    res = hc(truncated_polynomial(3, Q), range(7))
+    assert [res.betti[n] for n in range(7)] == [3, 0, 3, 0, 3, 0, 3]
+
+
+def test_b_that_does_not_descend_is_refused(monkeypatch):
+    sm = hochschild_module(truncated_polynomial(2, Q), 3)
+    real = cyclic.connes_b
+
+    def off_the_quotient(sm, n):
+        # every cell also goes to x (x) ... (x) x, which is not degenerate
+        last = sm.rank(n + 1) - 1
+        return real(sm, n) + Matrix.from_canonical_columns(
+            {c: {last: Q.one} for c in range(sm.rank(n))}, sm.rank(n + 1), sm.rank(n), Q)
+
+    monkeypatch.setattr(cyclic, "connes_b", off_the_quotient)
+    with pytest.raises(RelationFailure, match="does not descend"):
+        connes_b_bar(sm, 1)
+    with pytest.raises(RelationFailure, match="does not descend"):
+        hc(truncated_polynomial(2, Q), range(3))
+
+
+def test_corrupted_b_bar_in_one_column_is_refused():
+    sm = hochschild_module(truncated_polynomial(3, Q), 5)
+    bic = connes_bicomplex(sm, 4, pmin=-1)
+    assert bic.horiz[(1, 3)] is bic.horiz[(0, 2)] is connes_b_bar(sm, 2)
+    horiz = dict(bic.horiz)
+    horiz[(1, 3)] = connes_b_bar(sm, 2).scale(2)
+    with pytest.raises(SignCheckFailed, match="anticommutation"):
+        Bicomplex(Q, bic.ranks, bic.vert, horiz)
+
+
+def test_integral_hc_needs_what_hh_needs():
+    # a rebased K^2 whose unit [-2, 1] is no basis vector: its degeneracy
+    # relations do not span a saturated lattice, so neither HH nor HC has
+    # a normalized complex over Z
+    A = algebra_from_json({"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]],
+                           "unit": [-2, 1]}, Z)
+    with pytest.raises(DomainMismatch) as from_hh:
+        hochschild.hh(A, range(4))
+    with pytest.raises(DomainMismatch) as from_hc:
+        hc(A, range(4))
+    assert str(from_hc.value) == str(from_hh.value)
+
+# -- the (b, B) route against the cyclic bicomplex CC ----------------------
+#
+# The oracles below compute on CC = cyclic_bicomplex: I is the inclusion of
+# column 0 of the unnormalized Hochschild complex, S the two-column shift,
+# and B = connes_b on the column-0 part of a class.
+
+CROSS_PRESETS = ("unit", "truncpoly:2", "truncpoly:3", "productfield:2",
+                 "group:cyclic:2", "group:cyclic:3")
+FIELDS = {"Q": Q, "F2": Fp(2), "F3": Fp(3)}
+
+
+def _cc_s_map(sm, tot):
+    mats = {}
+    for n in range(tot.lo, tot.hi + 1):
+        m = Matrix.zeros(tot.rank(n - 2), tot.rank(n), sm.dom)
+        for (p, q) in tot.cells.get(n, []):
+            if p >= 2 and (p - 2, q) in tot.offsets:
+                m.add_block(Matrix.identity(sm.rank(q), sm.dom),
+                            tot.offsets[(p - 2, q)], tot.offsets[(p, q)])
+        mats[n] = m
+    return ChainMap(tot, tot, mats, shift=-2)
+
+
+def _cc_hc(sm, top):
+    tot = total_complex(cyclic_bicomplex(sm, top, qtop=top))
+    return tot, homology(tot, range(top))
+
+
+def _cc_sbi_rows(A, degrees):
+    top = max(degrees) + 1
+    sm = hochschild_module(A, top)
+    dom = sm.dom
+    c = sm.chain_complex("unnormalized", top)
+    tot, h_hc = _cc_hc(sm, top)
+    h_hh = homology(c, range(top))
+    inc = {}
+    for n in range(top + 1):
+        inc[n] = Matrix.zeros(tot.rank(n), c.rank(n), dom)
+        inc[n].add_block(Matrix.identity(c.rank(n), dom), tot.offsets[(0, n)], 0)
+    i_map, s_map = ChainMap(c, tot, inc), _cc_s_map(sm, tot)
+    i = {n: induced_map(i_map, h_hh, h_hc, n) for n in range(top)}
+    s = {n: induced_map(s_map, h_hc, h_hc, n) if n >= 2 else Matrix.zeros(0, h_hc.betti[n], dom)
+         for n in range(top)}
+    b = {n: class_coordinates(h_hh, n + 1, [
+        connes_b(sm, n).apply(r[tot.offsets[(0, n)]:][:sm.rank(n)]) for r in h_hc.reps[n]])
+        for n in range(top - 1)}
+    b[-1], b[-2] = Matrix.zeros(h_hh.betti[0], 0, dom), Matrix.zeros(0, 0, dom)
+    rows = []
+    for n in degrees:
+        nodes = [("HH", n, b[n - 1], i[n]), ("HC", n, i[n], s[n])]
+        if n >= 2:
+            nodes.append(("HC", n - 2, s[n], b[n - 2]))
+        rows += [{"node": f"{lab}_{deg}", "im_dim": rank(f), "ker_dim": g.cols - rank(g),
+                  "exact": exactness_at(f, g)} for lab, deg, f, g in nodes]
+    return rows
+
+
+def _cc_window(variant, A, degrees, window):
+    """(homology, towers, stable) of the old CC window: columns -window..0
+    or -window..max+2, rows up to max + window + 2."""
+    maxdeg = max(degrees)
+    qtop = maxdeg + window + 2
+    sm = hochschild_module(A, qtop)
+    pmax = 0 if variant == "negative" else maxdeg + 2
+    res = homology(total_complex(cyclic_bicomplex(sm, pmax, pmin=-window, qtop=qtop)), degrees)
+    tot, h = _cc_hc(sm, maxdeg + 3)
+    s_map = _cc_s_map(sm, tot)
+    towers = {}
+    for n in degrees:
+        dims, acc = [h.betti[n]], None
+        for m in range(n + 2, maxdeg + 3, 2):
+            step = induced_map(s_map, h, h, m)
+            acc = step if acc is None else acc @ step
+            dims.append(rank(acc))
+        towers[n] = dims
+    half = (maxdeg + 2) // 2
+    hh_c = homology(sm.chain_complex("unnormalized", maxdeg + 2), range(half, maxdeg + 2))
+    return res, towers, all(hh_c.betti[m] == 0 for m in range(half, maxdeg + 2))
+
+
+def _groups(res, degrees):
+    return [(res.betti[n], res.torsion[n]) for n in degrees]
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(2), Fp(3), Z], ids=str)
+def test_hc_is_the_hc_of_the_cyclic_bicomplex(dom):
+    for preset in CROSS_PRESETS:
+        A = algebra_from_preset(preset, dom)
+        got = hc(A, range(4))
+        _, want = _cc_hc(hochschild_module(A, 4), 4)
+        assert _groups(got, range(4)) == _groups(want, range(4)), preset
+
+
+@pytest.mark.parametrize("dom", FIELDS.values(), ids=FIELDS)
+def test_sbi_rows_are_those_of_the_cyclic_bicomplex(dom):
+    for preset in CROSS_PRESETS:
+        A = algebra_from_preset(preset, dom)
+        assert connes_maps(A, range(4)).rows() == _cc_sbi_rows(A, range(4)), preset
+
+
+@pytest.mark.parametrize("dom", FIELDS.values(), ids=FIELDS)
+@pytest.mark.parametrize("variant", ["negative", "periodic"])
+def test_hc_window_is_the_cc_window(variant, dom):
+    for preset in CROSS_PRESETS:
+        A = algebra_from_preset(preset, dom)
+        for window in range(1, 5 if A.dim <= 2 else 3):  # CC at dim 3, window 4: 4 s
+            res, report = hc_window(variant, A, range(2), window)
+            want, towers, stable = _cc_window(variant, A, range(2), window)
+            assert _groups(res, range(2)) == _groups(want, range(2)), (preset, window)
+            assert report.towers == towers and report.stable == stable, (preset, window)
+            assert report.stabilized == {n: t[-1] == t[-2] for n, t in towers.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hc_of_linearized_cyclic_bar_is_the_cc_hc(p):
+    for order in (2, 3):
+        sm = linearize_module(cyclic_bar(cyclic_group(order), 5), Fp(p))
+        _, want = _cc_hc(sm, 4)
+        assert _groups(hc(sm, range(4)), range(4)) == _groups(want, range(4)), order
