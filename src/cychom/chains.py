@@ -76,12 +76,8 @@ class HomologyResult:
         self.reps = self.boundary_image = MappingProxyType({})
 
     def rows(self):
-        out = []
-        for n in sorted(self.betti):
-            out.append({"degree": n, "betti": self.betti[n],
-                        "torsion": list(self.torsion.get(n, [])),
-                        "domain": str(self.dom)})
-        return out
+        return [{"degree": n, "betti": self.betti[n], "torsion": list(self.torsion.get(n, [])),
+                 "domain": str(self.dom)} for n in sorted(self.betti)]
 
 
 class _PerDegree(Mapping):
@@ -329,17 +325,20 @@ class SimplicialModule:
     cells of degree n only, as the columns of a rank(n-1) x len(cols)
     matrix (all cells when cols is None); the normalized complex asks
     for the nondegenerate cells alone, so a face_fn that takes no cols
-    serves only the unnormalized complex.
+    serves only the unnormalized complex.  b_n = sum (-1)^i d_i is built
+    likewise by boundary_fn(n, cols), one column per cell and no face
+    matrix; a module without one sums its face matrices.
     """
 
     def __init__(self, dom, truncation, rank_fn, face_fn, degeneracy_fn,
-                 t_fn=None, name=""):
+                 t_fn=None, name="", boundary_fn=None):
         self.dom = dom
         self.truncation = truncation
         self._rank = rank_fn
         self._face = face_fn
         self._degeneracy = degeneracy_fn
         self._t = t_fn
+        self._boundary = boundary_fn
         self.name = name
         self._cache = {}
 
@@ -371,9 +370,7 @@ class SimplicialModule:
 
     def boundary(self, n) -> Matrix:
         """The alternating face sum b: C_n -> C_{n-1}."""
-        return self.cached(("b", n), lambda: Matrix.signed_sum(
-            self.rank(n - 1), self.rank(n), self.dom,
-            (((-1) ** i, self.face(n, i)) for i in range(n + 1))))
+        return self.cached(("b", n), lambda: self.boundary_on(n, None))
 
     def bprime(self, n) -> Matrix:
         """The truncated boundary omitting the last face."""
@@ -391,12 +388,15 @@ class SimplicialModule:
             self.rank(n), self.degenerate_relations(n), self.dom))
 
     def boundary_on(self, n, cols) -> Matrix:
-        """The columns cols of b_n, in that order: picked from b_n when it
-        is cached, else summed from the faces of those cells alone."""
-        if ("b", n) in self._cache:
+        """The columns cols of b_n, in that order (all when cols is None):
+        picked from b_n when it is cached, else built on those cells alone,
+        by boundary_fn or as the signed sum of their faces."""
+        if cols is not None and ("b", n) in self._cache:
             return self.boundary(n).columns(cols)
-        return Matrix.signed_sum(self.rank(n - 1), len(cols), self.dom,
-                                 (((-1) ** i, self.face(n, i, cols)) for i in range(n + 1)))
+        if self._boundary is not None:
+            return self._boundary(n, cols)
+        return Matrix.signed_sum(self.rank(n - 1), self.rank(n) if cols is None else len(cols),
+                                 self.dom, (((-1) ** i, self.face(n, i, cols)) for i in range(n + 1)))
 
     def normalized_boundary(self, n) -> Matrix:
         """The normalized d_n: proj_{n-1} @ b_n on the columns free_n of
@@ -430,27 +430,35 @@ class SimplicialModule:
 
 def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
     """Free module on a simplicial set spec, with operator matrices; the
-    rotation of a cyclic spec becomes the signed one, (-1)^n t."""
-    index = {}
-
+    rotation of a cyclic spec becomes the signed one, (-1)^n t.  Each
+    column of b_n is summed from spec.face of its cell alone."""
+    @cache
     def idx(n):
-        if n not in index:
-            index[n] = {x: k for k, x in enumerate(spec.elements(n))}
-        return index[n]
+        return {x: k for k, x in enumerate(spec.elements(n))}
 
     def rank(n):
         return len(spec.elements(n))
 
-    def op_matrix(n, target_deg, fn, cols=None):
+    def cells(n, cols):
         src = spec.elements(n)
-        if cols is not None:
-            src = [src[c] for c in cols]
-        tgt = idx(target_deg)
+        return src if cols is None else [src[c] for c in cols]
+
+    def op_matrix(n, target_deg, fn, cols=None):
+        src, tgt = cells(n, cols), idx(target_deg)
         return Matrix.from_canonical_columns(
             {c: {tgt[fn(x)]: dom.one} for c, x in enumerate(src)}, len(tgt), len(src), dom)
 
     def face(n, i, cols=None):
         return op_matrix(n, n - 1, lambda x: spec.face(n, i, x), cols)
+
+    def boundary(n, cols=None):
+        src, tgt, out = cells(n, cols), idx(n - 1), {}
+        for c, x in enumerate(src):
+            col = out[c] = {}
+            for i in range(n + 1):
+                r = tgt[spec.face(n, i, x)]
+                col[r] = col.get(r, 0) + (-1) ** i
+        return Matrix.from_column_sums(out, len(tgt), len(src), dom)
 
     def degeneracy(n, j):
         return op_matrix(n, n + 1, lambda x: spec.degeneracy(n, j, x))
@@ -462,7 +470,7 @@ def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
             return -m if n % 2 else m
 
     return SimplicialModule(dom, spec.truncation, rank, face, degeneracy,
-                            t_fn=t_fn, name=spec.name)
+                            t_fn=t_fn, name=spec.name, boundary_fn=boundary)
 
 
 def linearize(spec, dom: ScalarDomain, mode="unnormalized") -> ChainComplex:
@@ -716,12 +724,14 @@ def _shuffle_terms(C, D, n, p, left0, right0):
 
 
 def _tensor_pair(C, D, mode, top):
-    """(the diagonal tensor, its complex, the totalized tensor bicomplex),
-    built once per (D, mode, top) in C's cache and shared by aw_map and
-    ez_map."""
+    """(top, the diagonal tensor, its complex, the totalized tensor
+    bicomplex), built once per (D, mode, top) in C's cache and shared by
+    aw_map and ez_map; top defaults to the truncation."""
+    _check_pair(C, D)
+    top = C.truncation if top is None else top
     def build():
         diag = diagonal_tensor(C, D)
-        return (diag, diag.chain_complex(mode, top=top),
+        return (top, diag, diag.chain_complex(mode, top=top),
                 total_complex(tensor_bicomplex(C, D, top=top, mode=mode)))
     return C.cached(("C(x)D", D, mode, top), build)
 
@@ -729,9 +739,7 @@ def _tensor_pair(C, D, mode, top):
 def aw_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
            top=None) -> ChainMap:
     """Alexander-Whitney: diagonal tensor complex to the totalized grid."""
-    _check_pair(C, D)
-    top = C.truncation if top is None else top
-    diag, src, tot = _tensor_pair(C, D, mode, top)
+    top, diag, src, tot = _tensor_pair(C, D, mode, top)
     mats = {}
     for n in range(top + 1):
         mat = Matrix.zeros(tot.rank(n), src.rank(n), C.dom)
@@ -746,9 +754,7 @@ def aw_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
 def ez_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
            top=None) -> ChainMap:
     """Eilenberg-Zilber: shuffle map from the totalized grid back."""
-    _check_pair(C, D)
-    top = C.truncation if top is None else top
-    diag, tgt, tot = _tensor_pair(C, D, mode, top)
+    top, diag, tgt, tot = _tensor_pair(C, D, mode, top)
     mats = {}
     for n in range(top + 1):
         mat = Matrix.zeros(tgt.rank(n), tot.rank(n), C.dom)

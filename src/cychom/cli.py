@@ -81,7 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_hc)
     p_hc.add_argument("--variant", choices=("cyclic", "negative", "periodic"),
                       default="cyclic")
-    p_hc.add_argument("--window", type=int, default=2)
+    p_hc.add_argument("--window", type=int, default=2,
+                      help="the CC columns -WINDOW..0, for --variant negative|periodic"
+                           " only (--variant cyclic ignores it)")
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("suite", choices=("relations", "sbi", "hkr", "aw-ez",
                                        "adjunction", "exercise-bz"))

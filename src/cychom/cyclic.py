@@ -332,7 +332,9 @@ def hc_window(variant: str, arg, degrees, window: int,
         raise WindowTooSmall("window must be at least 1")
     degrees = sorted(degrees)
     maxdeg = max(degrees)
-    qtop = maxdeg + window + 2
+    # the highest degree read: C̄_(maxdeg+3) in column 0 of the tower, and
+    # C̄_(maxdeg+1+2 floor(window/2)) in the window's column -floor(window/2)
+    qtop = max(maxdeg + 3, maxdeg + 1 + 2 * (window // 2))
     sm = _as_module(arg, qtop, budget)
     pmax = 0 if variant == "negative" else None
     bic = connes_bicomplex(sm, maxdeg + 1, pmin=-(window // 2), pmax=pmax, check_top=qtop)

@@ -246,6 +246,8 @@ def hochschild_module(A: FiniteAlgebra, N: int,
 
     Basis tensors are indexed slot-major (first slot most significant).
     The rotation carries the sign (-1)^n, as every module rotation does.
+    The boundary b_n is built in one pass over the cells, by the slot
+    arithmetic of the faces, with no face matrix.
     """
     dom = A.dom
     d = A.dim
@@ -256,10 +258,12 @@ def hochschild_module(A: FiniteAlgebra, N: int,
     def rank(n):
         return d ** (n + 1)
 
-    # the nonzero (k, c) of each product e_a e_b and of the unit: canonical
-    # scalars, since FiniteAlgebra coerces its table, with distinct k
-    terms = [[[(k, c) for k, c in enumerate(A.table[a][b]) if c] for b in range(d)]
-             for a in range(d)]
+    # the nonzero (k, c) of each product e_a e_b, at ab = a * d + b, and of
+    # the unit: canonical scalars, since FiniteAlgebra coerces its table,
+    # with distinct k; b takes the products negated on its odd faces
+    products = [[(k, c) for k, c in enumerate(A.table[ab // d][ab % d]) if c]
+                for ab in range(d * d)]
+    negated = [[(k, -c) for k, c in prods] for prods in products]
     unit = [(k, c) for k, c in enumerate(A.unit) if c]
 
     def face(n, i, cols=None):
@@ -272,8 +276,25 @@ def hochschild_module(A: FiniteAlgebra, N: int,
             x = col if i < n else (col % d) * d ** n + col // d
             head, post = divmod(x, size)
             pre, ab = divmod(head, d * d)
-            out[j] = {(pre * d + k) * size + post: c for k, c in terms[ab // d][ab % d]}
+            out[j] = {(pre * d + k) * size + post: c for k, c in products[ab]}
         return Matrix.from_canonical_columns(out, rank(n - 1), len(cols), dom)
+
+    def boundary(n, cols=None):
+        # sum (-1)^i d_i one column at a time, by the slot arithmetic of face
+        top = d ** n
+        faces = [(i == n, d ** (n - 1 - i) if i < n else top // d, negated if i % 2 else products)
+                 for i in range(n + 1)]
+        cols = range(rank(n)) if cols is None else cols
+        out = {}
+        for j, col in enumerate(cols):
+            acc = out[j] = {}
+            for last, size, prods in faces:
+                head, post = divmod((col % d) * top + col // d if last else col, size)
+                pre, ab = divmod(head, d * d)
+                for k, c in prods[ab]:
+                    r = (pre * d + k) * size + post
+                    acc[r] = acc.get(r, 0) + c
+        return Matrix.from_column_sums(out, rank(n - 1), len(cols), dom)
 
     def degeneracy(n, j):
         # the unit goes between slots j and j + 1: col = pre * size + post
@@ -290,7 +311,8 @@ def hochschild_module(A: FiniteAlgebra, N: int,
             {col: {(col % d) * top + col // d: sign} for col in range(rank(n))},
             rank(n), rank(n), dom)
 
-    sm = SimplicialModule(dom, N, rank, face, degeneracy, t_fn=t, name=f"Hoch({A.name})")
+    sm = SimplicialModule(dom, N, rank, face, degeneracy, t_fn=t, name=f"Hoch({A.name})",
+                          boundary_fn=boundary)
     sm.algebra = A
     return sm
 

@@ -105,6 +105,14 @@ class Matrix:
         return m
 
     @classmethod
+    def from_column_sums(cls, columns, rows, cols, dom):
+        """Columns {col: {row: value}} of sums of canonical scalars, which
+        may be zero or out of [0, p): each column is reduced once."""
+        m = cls(rows, cols, dom)
+        m._cols = {c: col for c, a in columns.items() if (col := _reduced(a, dom.p))}
+        return m
+
+    @classmethod
     def from_rows(cls, data, dom, cols=None):
         """Rows given as dense lists or as sparse dicts {col: value};
         sparse rows need cols."""
@@ -157,9 +165,7 @@ class Matrix:
                 else:
                     for r, v in col.items():
                         a[r] = a.get(r, 0) + s * v
-        p = dom.p
-        out._cols = {c: col for c, a in acc.items() if (col := _reduced(a, p))}
-        return out
+        return cls.from_column_sums(acc, rows, cols, dom)
 
     # -- queries ---------------------------------------------------------
     @property

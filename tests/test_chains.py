@@ -211,6 +211,58 @@ def test_a_module_built_from_another_modules_faces_normalizes():
     assert not [key for key in copy._cache if key[0] == "b"]  # built from faces on free cells
 
 
+@pytest.mark.parametrize("dom", [Q, Fp(5), Z], ids=str)
+@pytest.mark.parametrize("name", ["bg Z/3", "cyclic bar Z/2", "circle", "free cyclic circle"])
+def test_linearized_boundary_is_the_signed_sum_of_the_faces(name, dom):
+    faces, whole, picked = (NORMALIZED_CASES[name](dom) for _ in range(3))
+    for n in range(1, 5):
+        expected = Matrix.signed_sum(faces.rank(n - 1), faces.rank(n), dom,
+                                     (((-1) ** i, faces.face(n, i)) for i in range(n + 1)))
+        assert whole.boundary(n) == expected, n
+        for cols in (picked.normalized_quotient(n).free, list(range(picked.rank(n) - 1, -1, -2))):
+            assert picked.boundary_on(n, cols) == expected.columns(cols), n  # built on cols
+            assert whole.boundary_on(n, cols) == expected.columns(cols), n  # picked from b_n
+    assert not [key for key in {**whole._cache, **picked._cache} if key[0] == "d"]
+
+
+def test_unnormalized_hh_and_homology_build_no_face_matrix(monkeypatch):
+    from cychom import hochschild
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append(hochschild_module(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(hochschild, "hochschild_module", recorded)
+    res = hochschild.hh(truncated_polynomial(2, Q), range(4), mode="unnormalized")
+    assert res.betti == {0: 2, 1: 1, 2: 1, 3: 1}
+    sm = linearize_module(classifying_space(cyclic_group(3), 4), Z)
+    torsion = homology(sm.chain_complex("unnormalized"), range(4)).torsion
+    assert torsion == {0: [], 1: [3], 2: [], 3: [3]}
+    for module in (*built, sm):
+        assert [key for key in module._cache if key[0] == "b"]
+        assert not [key for key in module._cache if key[0] == "d"]
+
+
+def test_a_module_is_freed_without_the_cycle_collector():
+    # its builders hold no reference back to it, so dropping the last
+    # reference frees it and every matrix in its cache at once
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        for build in (lambda: hochschild_module(truncated_polynomial(2, Q), 4),
+                      lambda: linearize_module(classifying_space(cyclic_group(3), 4), Z)):
+            sm = build()
+            for mode in ("unnormalized", "normalized"):
+                homology(sm.chain_complex(mode), range(4))
+            ref = weakref.ref(sm)
+            del sm
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_dense_unit_degeneracy_relations_leave_nothing_over():
     # every pivot of the quotient is the leading column of some relation,
     # so the rows that rref eliminates add no pivot

@@ -330,6 +330,20 @@ def test_cli_does_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_cychom_does_not_import_numpy():
+    # every module of the package, in a fresh interpreter: a numpy import
+    # there would be paid by every command before it starts
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import importlib, pkgutil, sys, cychom, cychom.cli\n"
+              "for mod in pkgutil.iter_modules(cychom.__path__):\n"
+              "    importlib.import_module('cychom.' + mod.name)\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_internal_value_error_is_not_reported_as_bad_input(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal")

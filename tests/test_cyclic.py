@@ -259,6 +259,44 @@ def test_hc_window_builds_one_hochschild_module(monkeypatch):
     assert built == [4] and report.stable
 
 
+@pytest.mark.parametrize("variant", ["negative", "periodic"])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+def test_hc_window_checks_the_module_to_the_highest_degree_it_reads(monkeypatch, variant, window):
+    reads, checked, built = [], [], []
+    real_check, real_module = cyclic.check_module_identities, cyclic.hochschild_module
+
+    def check(sm, top):
+        checked.append(top)
+        start = len(reads)
+        bad = real_check(sm, top=top)
+        del reads[start:]  # what the check itself reads is not counted
+        return bad
+
+    def recording(A, N, **kwargs):
+        built.append(N)
+        sm = real_module(A, N, **kwargs)
+        # the highest degree an operator touches: s_j out of degree n reaches n + 1
+        for name, above in (("face", 0), ("degeneracy", 1), ("t", 0), ("boundary_on", 0)):
+            op = getattr(sm, name)
+            setattr(sm, name, lambda n, *args, op=op, above=above:
+                    reads.append(n + above) or op(n, *args))
+        return sm
+
+    monkeypatch.setattr(cyclic, "check_module_identities", check)
+    monkeypatch.setattr(cyclic, "hochschild_module", recording)
+    for maxdeg in range(3):
+        del reads[:], checked[:], built[:]
+        hc_window(variant, product_field(2, Q), range(maxdeg + 1), window)
+        top = max(maxdeg + 3, maxdeg + 1 + 2 * (window // 2))
+        assert built == checked == [top] and max(reads) == top, (maxdeg, reads)
+
+
+def test_hc_window_budget_counts_only_the_degrees_read():
+    # window 3 reads C̄ up to degree 4 at max degree 1: 2^5 = 32 basis tensors
+    res, report = hc_window("periodic", product_field(2, Q), range(2), 3, budget=32)
+    assert [res.betti[n] for n in range(2)] == [2, 0] and report.stable
+
+
 def test_connes_maps_ranks_each_homology_level_map_once(monkeypatch):
     ranked = []
     orig = cyclic.rank

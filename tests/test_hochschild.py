@@ -148,12 +148,15 @@ REBASED = {
 }
 
 
-@pytest.mark.parametrize("dom", [Q, Fp(7)], ids=str)
-@pytest.mark.parametrize("build", [
+ORACLE_ALGEBRAS = pytest.mark.parametrize("build", [
     lambda dom: truncated_polynomial(3, dom),
     lambda dom: group_algebra(symmetric_3(), dom),
     *[lambda dom, obj=obj: algebra_from_json(obj, dom) for obj in REBASED.values()],
 ], ids=["truncpoly:3", "group:symmetric:3", *[f"{name} rebased" for name in REBASED]])
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(7)], ids=str)
+@ORACLE_ALGEBRAS
 def test_operators_match_the_tuple_oracle(build, dom):
     A = build(dom)
     sm = hochschild_module(A, 4)
@@ -163,3 +166,31 @@ def test_operators_match_the_tuple_oracle(build, dom):
         m = {"d": lambda: sm.face(n, key[2]), "s": lambda: sm.degeneracy(n, key[2]),
              "t": lambda: sm.t(n), "h": lambda: extra_degeneracy(A, n)}[kind]()
         assert m.sparse_columns() == cols, key
+
+
+def _check_boundaries_against_the_oracle_faces(A, dom):
+    ops = hochschild_operators(A.table, A.unit, 4, p=dom.p)
+    whole, picked = hochschild_module(A, 4), hochschild_module(A, 4)
+    for n in range(1, 5):
+        expected = []
+        for c in range(whole.rank(n)):
+            col = {}
+            for i in range(n + 1):
+                for r, v in ops[("d", n, i)][c].items():
+                    col[r] = col.get(r, 0) + (-1) ** i * v
+            expected.append({r: w for r, v in col.items() if (w := v % dom.p if dom.p else v)})
+        assert whole.boundary(n).sparse_columns() == expected, n
+        cols = list(range(whole.rank(n) - 1, -1, -3))  # uncached: built on these cells
+        assert picked.boundary_on(n, cols).sparse_columns() == [expected[c] for c in cols], n
+    # b is built in one pass over the cells: no face matrix is made or cached
+    assert not [key for key in {**whole._cache, **picked._cache} if key[0] == "d"]
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(7)], ids=str)
+@ORACLE_ALGEBRAS
+def test_boundary_is_the_signed_sum_of_the_oracle_faces(build, dom):
+    _check_boundaries_against_the_oracle_faces(build(dom), dom)
+
+
+def test_boundary_over_z_is_the_signed_sum_of_the_oracle_faces():
+    _check_boundaries_against_the_oracle_faces(truncated_polynomial(3, Z), Z)
