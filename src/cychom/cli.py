@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from math import factorial
 
 from .chains import (
     ChainMap,
@@ -239,6 +240,11 @@ def _suite_sbi(args) -> int:
 def _suite_hkr(args) -> int:
     dom = parse_domain(args.domain)
     A = _get_algebra(args, dom)
+    # the antisymmetrization writes n! d^(n+1) terms in degree n
+    terms = sum(factorial(n) * A.dim ** (n + 1) for n in range(args.max_degree + 1))
+    if terms > args.budget:
+        raise BudgetExceeded(f"antisymmetrization needs {terms} terms up to degree"
+                             f" {args.max_degree} (budget {args.budget})")
     ok = True
     hres = hh(A, range(args.max_degree + 1), mode="unnormalized", budget=args.budget)
     for n in range(args.max_degree + 1):

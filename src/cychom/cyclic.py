@@ -12,6 +12,9 @@ variants are computed over a finite column window together with S-tower
 stabilization evidence, since the honest objects are limits.  Window w
 means the floor(w/2) B columns left of column 0, with the groups of CC's
 columns -w..0: each odd CC column is acyclic and collapses into B.
+Each of hc, connes_maps, hc_window and cyclic_bicomplex checks the cyclic
+relations of its module once (_cyclic_module), up to the highest degree
+it reads; connes_bicomplex only builds.
 """
 
 from __future__ import annotations
@@ -50,28 +53,34 @@ def norm_map(sm: SimplicialModule, n: int) -> Matrix:
     return sm.cached(("N", n), build)
 
 
-def _check_cyclic(sm: SimplicialModule, top):
-    """Raise RelationFailure unless sm has a rotation and, when top is not
-    None, satisfies the cyclic relations up to degree top."""
-    if not sm.has_cyclic:
+def _cyclic_module(arg, top, budget=DEFAULT_BUDGET) -> SimplicialModule:
+    """The Hochschild module of an algebra, built to degree top, or the
+    module given, with its cyclic relations checked up to degree top.
+    Raises RelationFailure for a module without rotation."""
+    if isinstance(arg, FiniteAlgebra):
+        arg = hochschild_module(arg, top, budget=budget)
+    elif not isinstance(arg, SimplicialModule):
+        raise TypeError(f"expected an algebra or simplicial module, got {type(arg)!r}")
+    if not arg.has_cyclic:
         raise RelationFailure("a bicomplex of cyclic homology needs a cyclic operator")
-    bad = [] if top is None else check_module_identities(sm, top=top)
+    bad = check_module_identities(arg, top=top)
     if bad:
         raise RelationFailure(f"cyclic relations fail: {bad[:3]}")
+    return arg
 
 
 def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
-                     qtop=None, check=True) -> Bicomplex:
+                     qtop=None) -> Bicomplex:
     """The (windowed) cyclic bicomplex of a cyclic module.
 
     Columns run over pmin..columns, rows over 0..qtop.  Dropping columns
     on the left is harmless: the discarded columns form a subcomplex, so
-    the window is a quotient complex.  The cyclic relations are verified
-    unless check=False.  Every column of a parity holds the same maps,
+    the window is a quotient complex.  The cyclic relations are checked
+    up to degree qtop.  Every column of a parity holds the same maps,
     built once per row and cached on sm for later bicomplexes.
     """
     qtop = sm.truncation if qtop is None else qtop
-    _check_cyclic(sm, qtop if check else None)
+    _cyclic_module(sm, qtop)
     ranks, vert, horiz = {}, {}, {}
     for p in range(pmin, columns + 1):
         for q in range(qtop + 1):
@@ -107,18 +116,16 @@ def connes_b_bar(sm: SimplicialModule, n: int) -> Matrix:
     return sm.cached(("Bbar", n), build)
 
 
-def connes_bicomplex(sm: SimplicialModule, top: int, pmin: int = 0, pmax=None,
-                     check_top=None) -> Bicomplex:
+def connes_bicomplex(sm: SimplicialModule, top: int, pmin: int = 0, pmax=None) -> Bicomplex:
     """Connes' (b, B) bicomplex of the normalized mixed complex, cut at
     total degree top.
 
     Cell (p, q) is C̄_{q-p}, for pmin <= p <= pmax (default: every column
     the cut meets), p <= q and p + q <= top.  Both maps lower the total
     degree, so the cut grid is a complex; the columns left of pmin form a
-    subcomplex, so the window is a quotient.  The cyclic relations are
-    verified up to degree check_top unless it is None.
+    subcomplex, so the window is a quotient.  It checks nothing of sm
+    itself: its callers check the cyclic relations with _cyclic_module.
     """
-    _check_cyclic(sm, check_top)
     pmax = top // 2 if pmax is None else pmax
     ranks, vert, horiz = {}, {}, {}
     for p in range(pmin, pmax + 1):
@@ -131,35 +138,18 @@ def connes_bicomplex(sm: SimplicialModule, top: int, pmin: int = 0, pmax=None,
     return Bicomplex(sm.dom, ranks, vert, horiz, name=f"B({sm.name})")
 
 
-def _as_module(arg, top, budget=DEFAULT_BUDGET) -> SimplicialModule:
-    if isinstance(arg, SimplicialModule):
-        return arg
-    if isinstance(arg, FiniteAlgebra):
-        return hochschild_module(arg, top, budget=budget)
-    raise TypeError(f"expected an algebra or simplicial module, got {type(arg)!r}")
-
-
-def hc(arg, degrees, columns=None, budget=DEFAULT_BUDGET) -> HomologyResult:
+def hc(arg, degrees, budget=DEFAULT_BUDGET) -> HomologyResult:
     """Cyclic homology of an algebra or cyclic module, on the (b, B)
-    bicomplex cut at total degree max(degrees) + 1.
+    bicomplex cut at total degree max(degrees) + 1, with the cyclic
+    relations checked up to that degree.
 
-    columns counts CC columns, two to a B column, and must cover
-    max(degrees) + 1; window completeness is asserted by recomputing
-    with one more B column.
+    The cut grid has no cell right of column (max(degrees) + 1) // 2, so
+    it holds every column that reaches the degrees asked for.
     """
     degrees = list(degrees)
     top = max(degrees) + 1
-    columns = top if columns is None else columns
-    if columns < top:
-        raise WindowTooSmall(
-            f"column window {columns} cannot see degree {max(degrees)}")
-    sm = _as_module(arg, top, budget)
-    res = homology(total_complex(connes_bicomplex(sm, top, pmax=columns // 2,
-                                                  check_top=top), top), degrees)
-    wide = homology(total_complex(connes_bicomplex(sm, top, pmax=columns // 2 + 1), top),
-                    degrees)
-    if any(res.betti[n] != wide.betti[n] for n in degrees):
-        raise WindowTooSmall("results changed when the window grew")
+    sm = _cyclic_module(arg, top, budget)
+    res = homology(total_complex(connes_bicomplex(sm, top), top), degrees)
     res.name = f"HC({getattr(arg, 'name', sm.name)})"
     return res
 
@@ -209,10 +199,10 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
     """
     degrees = sorted(degrees)
     top = max(degrees) + 1
-    sm = _as_module(arg, top, budget)
+    sm = _cyclic_module(arg, top, budget)
     dom = sm.dom
     cc_h = sm.chain_complex("normalized", top)
-    bic = connes_bicomplex(sm, top, check_top=top)
+    bic = connes_bicomplex(sm, top)
     tot = total_complex(bic, top)
 
     bmats = {n: connes_b_bar(sm, n) for n in range(top)}
@@ -335,9 +325,9 @@ def hc_window(variant: str, arg, degrees, window: int,
     # the highest degree read: C̄_(maxdeg+3) in column 0 of the tower, and
     # C̄_(maxdeg+1+2 floor(window/2)) in the window's column -floor(window/2)
     qtop = max(maxdeg + 3, maxdeg + 1 + 2 * (window // 2))
-    sm = _as_module(arg, qtop, budget)
+    sm = _cyclic_module(arg, qtop, budget)
     pmax = 0 if variant == "negative" else None
-    bic = connes_bicomplex(sm, maxdeg + 1, pmin=-(window // 2), pmax=pmax, check_top=qtop)
+    bic = connes_bicomplex(sm, maxdeg + 1, pmin=-(window // 2), pmax=pmax)
     res = homology(total_complex(bic, maxdeg + 1), degrees)
     res.name = f"HC^{'-' if variant == 'negative' else 'per'}({getattr(arg, 'name', sm.name)})"
 
@@ -360,11 +350,9 @@ def hc_window(variant: str, arg, degrees, window: int,
 
     check_top = maxdeg + 1
     half = (check_top + 1) // 2
-    if getattr(sm, "algebra", None) is not None:
-        hh_res = homology(sm.chain_complex("normalized", top=check_top + 1),
-                          range(half, check_top + 1))
-        vanished = all(hh_res.betti[m] == 0 for m in range(half, check_top + 1))
-        report.stable = vanished
-        if vanished:
-            report.hh_vanishing_top = (half, check_top)
+    hh_res = homology(sm.chain_complex("normalized", top=check_top + 1),
+                      range(half, check_top + 1))
+    report.stable = all(hh_res.betti[m] == 0 for m in range(half, check_top + 1))
+    if report.stable:
+        report.hh_vanishing_top = (half, check_top)
     return res, report

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -124,6 +125,15 @@ def test_verify_hkr(capsys):
     assert "hkr: pass" in out
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "600"]], ids=["default", "600"])
+def test_verify_hkr_budget_counts_the_antisymmetrization(capsys, budget):
+    # n! 2^(n+1) terms in degree n: 1 390 966 up to degree 7, over the
+    # default budget of 2^20, refused before anything is built
+    code, out, err = run(capsys, "verify", "hkr", "--preset", "truncpoly:2",
+                         "--max-degree", "7", *budget)
+    assert code == 3 and out == "" and "1390966 terms" in err
+
+
 def test_verify_aw_ez_builds_each_diagonal_tensor_once(capsys, monkeypatch):
     built = []
     orig = chains.diagonal_tensor
@@ -157,6 +167,20 @@ def test_exit_code_parse_errors(capsys):
     for window in ("0", "-1"):
         assert run(capsys, "hc", "--preset", "unit", "--variant", "periodic",
                    "--window", window, "--max-degree", "1")[0] == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_benchmark_commands_give_the_benchmark_answers(capsys, monkeypatch, tmp_path, seed):
+    # every command of every workload in perfbench/, on its own generated
+    # inputs, judged by its own checker
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    inputs, workloads = (importlib.import_module(m) for m in ("inputs", "workloads"))
+    for name, cmds in workloads.WORKLOADS.items():
+        paths = inputs.write_inputs(workloads.input_names(name), seed, tmp_path)
+        for cmd, argv in zip(cmds, workloads.bind(name, paths)):
+            code, out, _ = run(capsys, *argv)
+            assert workloads.check(cmd, code, out) is None, argv
 
 
 def test_exit_code_budget(capsys):

@@ -83,8 +83,6 @@ def test_hc_of_group_algebra_vs_oracle():
 def test_hc_window_too_small():
     A = truncated_polynomial(1, Q)
     with pytest.raises(WindowTooSmall):
-        hc(A, range(4), columns=2)
-    with pytest.raises(WindowTooSmall):
         hc_window("periodic", A, range(2), window=0)
     with pytest.raises(ValueError):
         hc_window("bogus", A, range(2), window=2)
@@ -151,6 +149,12 @@ def test_hc_window_flags():
     _, report_b = hc_window("periodic", B, range(3), window=1)
     assert not report_b.stable
 
+    # a module with no algebra: the cyclic bar of Z/2, whose normalized
+    # HH (that of Q[Z/2]) vanishes in positive degrees
+    sm = linearize_module(cyclic_bar(cyclic_group(2), 6), Q)
+    _, report_c = hc_window("periodic", sm, range(3), 1)
+    assert report_c.stable and report_c.hh_vanishing_top == (2, 3)
+
 
 def test_hc_window_negative_of_field():
     A = truncated_polynomial(1, Q)
@@ -176,7 +180,7 @@ def test_cyclic_bicomplex_stores_one_map_per_parity_and_row():
     assert cc.horiz[(1, 2)] is one_minus_t(sm, 2)
     assert cc.horiz[(2, 2)] is norm_map(sm, 2)
     # a later bicomplex of the same module reuses the same objects
-    wider = cyclic_bicomplex(sm, 9, qtop=3, check=False)
+    wider = cyclic_bicomplex(sm, 9, qtop=3)
     assert wider.vert[(7, 1)] is cc.vert[(1, 1)]
     assert wider.horiz[(8, 3)] is cc.horiz[(2, 3)]
 
@@ -335,6 +339,41 @@ def test_b_that_does_not_descend_is_refused(monkeypatch):
         connes_b_bar(sm, 1)
     with pytest.raises(RelationFailure, match="does not descend"):
         hc(truncated_polynomial(2, Q), range(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hochschild_module(truncated_polynomial(2, Q), 8),
+    lambda: linearize_module(cyclic_bar(cyclic_group(2), 8), Q),
+], ids=["truncpoly:2", "cyclic bar Z/2"])
+def test_cut_grid_has_no_column_right_of_half_the_top(make):
+    # so hc's bicomplex holds every column the cut meets: a wider one is
+    # the same grid, holding the same maps
+    sm = make()
+    for top in range(9):
+        bic = connes_bicomplex(sm, top)
+        assert all(p <= top // 2 for p, _ in bic.ranks)
+        for k in (1, 2):
+            wide = connes_bicomplex(sm, top, pmax=top // 2 + k)
+            assert wide.ranks == bic.ranks
+            for maps, wide_maps in ((bic.vert, wide.vert), (bic.horiz, wide.horiz)):
+                assert wide_maps.keys() == maps.keys()
+                assert all(wide_maps[c] is maps[c] for c in maps)
+
+
+def test_hc_and_connes_maps_check_once_and_build_one_bicomplex(monkeypatch):
+    # hc_window's one check: test_hc_window_checks_the_module_to_the_highest_degree_it_reads
+    checked, built = [], []
+    real_check, real_build = cyclic.check_module_identities, cyclic.connes_bicomplex
+    monkeypatch.setattr(cyclic, "check_module_identities",
+                        lambda sm, top: checked.append(top) or real_check(sm, top=top))
+    monkeypatch.setattr(cyclic, "connes_bicomplex",
+                        lambda sm, top, **kw: built.append(top) or real_build(sm, top, **kw))
+    A = truncated_polynomial(2, Q)
+    hc(A, range(4))
+    assert checked == [4] and built == [4]
+    del checked[:], built[:]
+    connes_maps(A, range(3))
+    assert checked == [3] and built == [3]
 
 
 def test_corrupted_b_bar_in_one_column_is_refused():
