@@ -9,8 +9,9 @@ downstream is matrices over an exact domain.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import combinations
+from operator import matmul
 from types import MappingProxyType
 
 from . import linalg
@@ -315,30 +316,32 @@ class PresentedModule:
 # simplicial modules
 # ---------------------------------------------------------------------------
 
+def _alternating(k):
+    """The signs of sum (-1)^i d_i over the faces i < k."""
+    return tuple((i, (-1) ** i) for i in range(k))
+
+
 class SimplicialModule:
     """A truncated simplicial module by explicit operator matrices.
 
-    face(n, i): rank(n) -> rank(n-1); degeneracy(n, j): rank(n) -> rank(n+1);
-    optional t(n), always the signed rotation (-1)^n t that the cyclic
-    bicomplex needs.  Everything is lazy and cached, since top-degree
-    matrices can be large.  face_fn(n, i, cols) builds d_i on the listed
-    cells of degree n only, as the columns of a rank(n-1) x len(cols)
-    matrix (all cells when cols is None); the normalized complex asks
-    for the nondegenerate cells alone, so a face_fn that takes no cols
-    serves only the unnormalized complex.  b_n = sum (-1)^i d_i is built
-    likewise by boundary_fn(n, cols), one column per cell and no face
-    matrix; a module without one sums its face matrices.
+    faces_fn(n, cols, signs) builds the sum of s d_i over the pairs (i, s)
+    of signs, s = +-1, on the listed cells of degree n (all when cols is
+    None), one column per cell.  d_i is the one-term sum, b_n = sum (-1)^i
+    d_i and b'_n the same sum without the last face, so no boundary reads
+    a face matrix; the normalized complex builds b_n on the nondegenerate
+    cells alone.  degeneracy_fn(n, j) is s_j: rank(n) -> rank(n+1); the
+    optional t_fn(n) is always the signed rotation (-1)^n t that the cyclic
+    bicomplex needs.  All is lazy and cached: top degrees can be large.
     """
 
-    def __init__(self, dom, truncation, rank_fn, face_fn, degeneracy_fn,
-                 t_fn=None, name="", boundary_fn=None):
+    def __init__(self, dom, truncation, rank_fn, faces_fn, degeneracy_fn,
+                 t_fn=None, name=""):
         self.dom = dom
         self.truncation = truncation
         self._rank = rank_fn
-        self._face = face_fn
+        self._faces = faces_fn
         self._degeneracy = degeneracy_fn
         self._t = t_fn
-        self._boundary = boundary_fn
         self.name = name
         self._cache = {}
 
@@ -356,11 +359,9 @@ class SimplicialModule:
             self._cache[key] = build()
         return self._cache[key]
 
-    def face(self, n, i, cols=None) -> Matrix:
-        """d_i on degree n; with cols, on those cells only (not cached)."""
-        if cols is None:
-            return self.cached(("d", n, i), lambda: self._face(n, i))
-        return self._face(n, i, cols)
+    def face(self, n, i) -> Matrix:
+        """d_i on degree n."""
+        return self.cached(("d", n, i), lambda: self._faces(n, None, ((i, 1),)))
 
     def degeneracy(self, n, j) -> Matrix:
         return self.cached(("s", n, j), lambda: self._degeneracy(n, j))
@@ -374,9 +375,7 @@ class SimplicialModule:
 
     def bprime(self, n) -> Matrix:
         """The truncated boundary omitting the last face."""
-        return self.cached(("b'", n), lambda: Matrix.signed_sum(
-            self.rank(n - 1), self.rank(n), self.dom,
-            (((-1) ** i, self.face(n, i)) for i in range(n))))
+        return self.cached(("b'", n), lambda: self._faces(n, None, _alternating(n)))
 
     def degenerate_relations(self, n):
         """Spanning vectors of the degenerate submodule in degree n: the
@@ -389,14 +388,10 @@ class SimplicialModule:
 
     def boundary_on(self, n, cols) -> Matrix:
         """The columns cols of b_n, in that order (all when cols is None):
-        picked from b_n when it is cached, else built on those cells alone,
-        by boundary_fn or as the signed sum of their faces."""
+        picked from b_n when it is cached, else built on those cells alone."""
         if cols is not None and ("b", n) in self._cache:
             return self.boundary(n).columns(cols)
-        if self._boundary is not None:
-            return self._boundary(n, cols)
-        return Matrix.signed_sum(self.rank(n - 1), self.rank(n) if cols is None else len(cols),
-                                 self.dom, (((-1) ** i, self.face(n, i, cols)) for i in range(n + 1)))
+        return self._faces(n, cols, _alternating(n + 1))
 
     def normalized_boundary(self, n) -> Matrix:
         """The normalized d_n: proj_{n-1} @ b_n on the columns free_n of
@@ -430,8 +425,8 @@ class SimplicialModule:
 
 def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
     """Free module on a simplicial set spec, with operator matrices; the
-    rotation of a cyclic spec becomes the signed one, (-1)^n t.  Each
-    column of b_n is summed from spec.face of its cell alone."""
+    rotation of a cyclic spec becomes the signed one, (-1)^n t.  A face
+    sum adds up, per cell, the signs at the indices of its spec.face."""
     @cache
     def idx(n):
         return {x: k for k, x in enumerate(spec.elements(n))}
@@ -439,26 +434,19 @@ def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
     def rank(n):
         return len(spec.elements(n))
 
-    def cells(n, cols):
-        src = spec.elements(n)
-        return src if cols is None else [src[c] for c in cols]
+    def faces(n, cols, signs):
+        src, tgt, out = spec.elements(n), idx(n - 1), {}
+        for c, x in enumerate(src if cols is None else [src[k] for k in cols]):
+            col = out[c] = {}
+            for i, s in signs:
+                r = tgt[spec.face(n, i, x)]
+                col[r] = col.get(r, 0) + s
+        return Matrix.from_column_sums(out, len(tgt), len(out), dom)
 
-    def op_matrix(n, target_deg, fn, cols=None):
-        src, tgt = cells(n, cols), idx(target_deg)
+    def op_matrix(n, target_deg, fn):
+        src, tgt = spec.elements(n), idx(target_deg)
         return Matrix.from_canonical_columns(
             {c: {tgt[fn(x)]: dom.one} for c, x in enumerate(src)}, len(tgt), len(src), dom)
-
-    def face(n, i, cols=None):
-        return op_matrix(n, n - 1, lambda x: spec.face(n, i, x), cols)
-
-    def boundary(n, cols=None):
-        src, tgt, out = cells(n, cols), idx(n - 1), {}
-        for c, x in enumerate(src):
-            col = out[c] = {}
-            for i in range(n + 1):
-                r = tgt[spec.face(n, i, x)]
-                col[r] = col.get(r, 0) + (-1) ** i
-        return Matrix.from_column_sums(out, len(tgt), len(src), dom)
 
     def degeneracy(n, j):
         return op_matrix(n, n + 1, lambda x: spec.degeneracy(n, j, x))
@@ -469,8 +457,8 @@ def linearize_module(spec, dom: ScalarDomain) -> SimplicialModule:
             m = op_matrix(n, n, lambda x: spec.t(n, x))
             return -m if n % 2 else m
 
-    return SimplicialModule(dom, spec.truncation, rank, face, degeneracy,
-                            t_fn=t_fn, name=spec.name, boundary_fn=boundary)
+    return SimplicialModule(dom, spec.truncation, rank, faces, degeneracy,
+                            t_fn=t_fn, name=spec.name)
 
 
 def linearize(spec, dom: ScalarDomain, mode="unnormalized") -> ChainComplex:
@@ -482,35 +470,22 @@ def check_module_identities(sm: SimplicialModule, top=None):
     """Verify the identities of delta.simplicial_identities as matrix
     equalities, the cyclic ones too when sm has a rotation.
 
-    The rotation is the signed one, (-1)^n t, so a relation holds up to
-    (-1) to the sum of the degrees of its t's.  Raises nothing: returns a
-    list of violated instance descriptions (empty means pass).
+    The identities hold for the unsigned rotation t, so each degree's
+    signed rotation (-1)^n t is turned back into t once.  Raises nothing:
+    returns a list of violated instance descriptions (empty means pass).
     """
     top = sm.truncation if top is None else top
     table = list(simplicial_identities(top, sm.has_cyclic))
-    ops = {tok: sm.t(tok[1]) if tok[0] == "tau" else
-           (sm.face if tok[0] == "delta" else sm.degeneracy)(tok[2], tok[1])
+    ops = {tok: ((-sm.t(tok[1]) if tok[1] % 2 else sm.t(tok[1])) if tok[0] == "tau" else
+                 (sm.face if tok[0] == "delta" else sm.degeneracy)(tok[2], tok[1]))
            for tok in dict.fromkeys(tok for _, _, lhs, rhs in table for tok in lhs + rhs)}
-    identities = {}  # degree -> identity matrix
+    identity = cache(lambda n: Matrix.identity(sm.rank(n), sm.dom))
 
     def product(word, n):
-        if not word:
-            if n not in identities:
-                identities[n] = Matrix.identity(sm.rank(n), sm.dom)
-            return identities[n]
-        out = ops[word[0]]
-        for tok in word[1:]:
-            out = out @ ops[tok]
-        return out
+        return reduce(matmul, (ops[tok] for tok in word)) if word else identity(n)
 
-    bad = []
-    for label, n, lhs, rhs in table:
-        expected = product(rhs, n)
-        if sum(tok[1] for tok in lhs + rhs if tok[0] == "tau") % 2:
-            expected = -expected
-        if product(lhs, n) != expected:
-            bad.append(f"{label} deg {n}")
-    return bad
+    return [f"{label} deg {n}" for label, n, lhs, rhs in table
+            if product(lhs, n) != product(rhs, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -630,19 +605,21 @@ def _check_pair(C: SimplicialModule, D: SimplicialModule):
 
 
 def diagonal_tensor(C: SimplicialModule, D: SimplicialModule) -> SimplicialModule:
-    """The degreewise tensor product, a simplicial module again."""
+    """The degreewise tensor product, a simplicial module again: a face
+    sum adds up the Kronecker products d_i (x) d_i of the factors' faces."""
     _check_pair(C, D)
 
     def rank(n):
         return C.rank(n) * D.rank(n)
 
-    def face(n, i, cols=None):
-        return C.face(n, i).kron(D.face(n, i), cols)
+    def faces(n, cols, signs):
+        return Matrix.signed_sum(rank(n - 1), rank(n) if cols is None else len(cols), C.dom,
+                                 ((s, C.face(n, i).kron(D.face(n, i), cols)) for i, s in signs))
 
     def degeneracy(n, j):
         return C.degeneracy(n, j).kron(D.degeneracy(n, j))
 
-    return SimplicialModule(C.dom, C.truncation, rank, face, degeneracy,
+    return SimplicialModule(C.dom, C.truncation, rank, faces, degeneracy,
                             name=f"{C.name}(x){D.name}")
 
 

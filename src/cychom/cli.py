@@ -246,11 +246,12 @@ def _suite_hkr(args) -> int:
         raise BudgetExceeded(f"antisymmetrization needs {terms} terms up to degree"
                              f" {args.max_degree} (budget {args.budget})")
     ok = True
-    hres = hh(A, range(args.max_degree + 1), mode="unnormalized", budget=args.budget)
+    sm = hochschild_module(A, args.max_degree + 1, budget=args.budget)
+    hres = homology(sm.chain_complex("unnormalized"), range(args.max_degree + 1))
     for n in range(args.max_degree + 1):
         om = omega_power(A, n)
-        eps = hkr_epsilon(A, n, om)
-        pi = hkr_pi(A, n, om)
+        eps = hkr_epsilon(sm, n, om)
+        pi = hkr_pi(sm, n, om)
         section = (pi @ eps) == Matrix.identity(om.dim, dom)
         ok = ok and section
         betti = hres.betti[n]

@@ -12,9 +12,9 @@ from __future__ import annotations
 from itertools import product
 from math import factorial
 
-from .chains import PresentedModule
+from .chains import PresentedModule, SimplicialModule
 from .errors import NotCommutative, PositiveCharacteristic, RelationFailure
-from .hochschild import FiniteAlgebra, extra_degeneracy, hochschild_module, tensor_index
+from .hochschild import FiniteAlgebra, extra_degeneracy, tensor_index
 from .matrix import Matrix
 
 
@@ -171,11 +171,12 @@ def _permutations_signed(n):
         yield perm, -1 if inv % 2 else 1
 
 
-def hkr_epsilon(A: FiniteAlgebra, n: int, omega: PresentedModule | None = None) -> Matrix:
-    """Antisymmetrization Omega^n -> C_n(A), landing in cycles.
+def hkr_epsilon(sm: SimplicialModule, n: int, omega: PresentedModule | None = None) -> Matrix:
+    """Antisymmetrization Omega^n -> C_n(A), landing in cycles of sm.
 
     Needs exact division by n!, hence characteristic zero.
     """
+    A = sm.algebra
     _require_commutative(A)
     if A.dom.characteristic != 0:
         raise PositiveCharacteristic("antisymmetrization needs characteristic zero")
@@ -192,22 +193,21 @@ def hkr_epsilon(A: FiniteAlgebra, n: int, omega: PresentedModule | None = None) 
             amb._add_to(tensor_index(row_idx, d), col, coef)
     eps = amb @ omega.sect
     # the image must consist of Hochschild cycles
-    sm = hochschild_module(A, n + 1)
     if n >= 1 and not (sm.boundary(n) @ eps).is_zero():
         raise RelationFailure("antisymmetrization image is not made of cycles")
     return eps
 
 
-def hkr_pi(A: FiniteAlgebra, n: int, omega: PresentedModule | None = None) -> Matrix:
+def hkr_pi(sm: SimplicialModule, n: int, omega: PresentedModule | None = None) -> Matrix:
     """The projection C_n(A) -> Omega^n, (a0..an) -> a0 da1...dan.
 
     On the presented quotient this is literally the projection matrix;
-    it kills boundaries (pi . b = 0), which is verified.
+    it kills boundaries (pi . b_{n+1} = 0), which is verified.
     """
+    A = sm.algebra
     _require_commutative(A)
     omega = omega or omega_power(A, n)
     pi = omega.proj
-    sm = hochschild_module(A, n + 1)
     if not (pi @ sm.boundary(n + 1)).is_zero():
         raise RelationFailure("projection does not kill boundaries")
     return pi

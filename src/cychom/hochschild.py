@@ -27,9 +27,10 @@ DEFAULT_BUDGET = 2 ** 20
 class FiniteAlgebra:
     """A unital associative algebra by structure constants.
 
-    table[i][j] is the coefficient vector of (basis_i * basis_j).  The
-    unit is found by solving the unit laws over the basis; associativity
-    is checked on all basis triples.
+    table[i][j] is the coefficient vector of (basis_i * basis_j), dim >= 1;
+    labels, if given, are dim strings.  An undeclared unit is found by
+    solving the unit laws over the basis; associativity is checked on all
+    basis triples.  Malformed input raises InputFormatError.
     """
 
     def __init__(self, dom: ScalarDomain, table, labels=None, unit=None, name=""):
@@ -40,7 +41,14 @@ class FiniteAlgebra:
         self.dom = dom
         self.dim = len(table)
         self.name = name
-        self.labels = list(labels) if labels else [f"e{i}" for i in range(self.dim)]
+        if self.dim < 1:
+            raise InputFormatError("the algebra dimension must be at least 1")
+        if labels is not None and not (isinstance(labels, list) and len(labels) == self.dim
+                                       and all(isinstance(x, str) for x in labels)):
+            raise InputFormatError(f"'labels' must be a list of {self.dim} strings")
+        if unit is not None and len(unit) != self.dim:
+            raise InputFormatError(f"'unit' must be a list of {self.dim} coefficients")
+        self.labels = list(labels or (f"e{i}" for i in range(self.dim)))
         self.table = [[[dom.coerce(c) for c in cell] for cell in row] for row in table]
         if any(len(row) != self.dim for row in self.table) or \
                 any(len(cell) != self.dim for row in self.table for cell in row):
@@ -201,7 +209,7 @@ def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
             raise InputFormatError("'unit' must be a list of integers")
         for c in unit:
             _json_int(c, "a unit coefficient")
-    if "dim" in obj and len(table) != obj["dim"]:
+    if "dim" in obj and len(table) != _json_int(obj["dim"], "'dim'"):
         raise InputFormatError("declared dim does not match the table")
     return FiniteAlgebra(dom, table, labels=obj.get("labels"),
                          unit=unit, name=obj.get("name", ""))
@@ -246,8 +254,8 @@ def hochschild_module(A: FiniteAlgebra, N: int,
 
     Basis tensors are indexed slot-major (first slot most significant).
     The rotation carries the sign (-1)^n, as every module rotation does.
-    The boundary b_n is built in one pass over the cells, by the slot
-    arithmetic of the faces, with no face matrix.
+    A face sum is built one cell at a time by the slot arithmetic of the
+    faces d_i, which multiply slot i into slot i + 1 (slot n into slot 0).
     """
     dom = A.dom
     d = A.dim
@@ -260,35 +268,22 @@ def hochschild_module(A: FiniteAlgebra, N: int,
 
     # the nonzero (k, c) of each product e_a e_b, at ab = a * d + b, and of
     # the unit: canonical scalars, since FiniteAlgebra coerces its table,
-    # with distinct k; b takes the products negated on its odd faces
+    # with distinct k; a face sum takes them times the sign of each face
     products = [[(k, c) for k, c in enumerate(A.table[ab // d][ab % d]) if c]
                 for ab in range(d * d)]
-    negated = [[(k, -c) for k, c in prods] for prods in products]
+    signed = {1: products, -1: [[(k, -c) for k, c in prods] for prods in products]}
     unit = [(k, c) for k, c in enumerate(A.unit) if c]
 
-    def face(n, i, cols=None):
+    def faces(n, cols, signs):
         # slot i times slot i + 1: col = (pre * d^2 + a * d + b) * size + post;
         # the last face is face 0 after slot n moves to the front
-        size = d ** (n - 1 - i) if i < n else d ** (n - 1)
-        cols = range(rank(n)) if cols is None else cols
-        out = {}
-        for j, col in enumerate(cols):
-            x = col if i < n else (col % d) * d ** n + col // d
-            head, post = divmod(x, size)
-            pre, ab = divmod(head, d * d)
-            out[j] = {(pre * d + k) * size + post: c for k, c in products[ab]}
-        return Matrix.from_canonical_columns(out, rank(n - 1), len(cols), dom)
-
-    def boundary(n, cols=None):
-        # sum (-1)^i d_i one column at a time, by the slot arithmetic of face
         top = d ** n
-        faces = [(i == n, d ** (n - 1 - i) if i < n else top // d, negated if i % 2 else products)
-                 for i in range(n + 1)]
+        terms = [(i == n, d ** (n - 1 - i) if i < n else top // d, signed[s]) for i, s in signs]
         cols = range(rank(n)) if cols is None else cols
         out = {}
         for j, col in enumerate(cols):
             acc = out[j] = {}
-            for last, size, prods in faces:
+            for last, size, prods in terms:
                 head, post = divmod((col % d) * top + col // d if last else col, size)
                 pre, ab = divmod(head, d * d)
                 for k, c in prods[ab]:
@@ -311,8 +306,7 @@ def hochschild_module(A: FiniteAlgebra, N: int,
             {col: {(col % d) * top + col // d: sign} for col in range(rank(n))},
             rank(n), rank(n), dom)
 
-    sm = SimplicialModule(dom, N, rank, face, degeneracy, t_fn=t, name=f"Hoch({A.name})",
-                          boundary_fn=boundary)
+    sm = SimplicialModule(dom, N, rank, faces, degeneracy, t_fn=t, name=f"Hoch({A.name})")
     sm.algebra = A
     return sm
 

@@ -154,3 +154,26 @@ def hochschild_operators(table, unit, top, p=None):
                     (x[:j + 1] + (k,) + x[j + 1:], c) for k, c in units])
             ops[("h", n)] = build(n, lambda x: [((k,) + x, c) for k, c in units])
     return ops
+
+
+# sign lists [(i, s)] of face sums, the sum of s d_i, in degree n >= 1: one
+# face, the boundary b, b' (b without the last face) and an arbitrary sum
+FACE_SUMS = {
+    "d_1": lambda n: ((1, 1),),
+    "b": lambda n: tuple((i, (-1) ** i) for i in range(n + 1)),
+    "b'": lambda n: tuple((i, (-1) ** i) for i in range(n)),
+    "d_2 - d_0": lambda n: ((min(2, n), 1), (0, -1)),
+}
+
+
+def face_sum(ops, n, signs, p=None):
+    """The sparse columns of the sum of s d_i over the pairs (i, s) of
+    signs, added up from the face columns ops[("d", n, i)]."""
+    cols = []
+    for c in range(len(ops[("d", n, 0)])):
+        col = {}
+        for i, s in signs:
+            for r, v in ops[("d", n, i)][c].items():
+                col[r] = col.get(r, 0) + s * v
+        cols.append({r: w for r, v in col.items() if (w := v % p if p else v)})
+    return cols

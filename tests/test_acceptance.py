@@ -335,10 +335,11 @@ def test_criterion_09_hkr():
         group_algebra(cyclic_group(2), Q),
     ]
     for A in commutative:
+        sm = hochschild_module(A, 4)
         for n in range(4):
             om = omega_power(A, n)
-            eps = hkr_epsilon(A, n, om)
-            pi = hkr_pi(A, n, om)
+            eps = hkr_epsilon(sm, n, om)
+            pi = hkr_pi(sm, n, om)
             assert (pi @ eps) == Matrix.identity(om.dim, Q), (A.name, n)
 
     # the product of fields is smooth: eps and pi are inverse isos on
@@ -346,7 +347,7 @@ def test_criterion_09_hkr():
     A = product_field(2, Q)
     for n in range(3):
         om = omega_power(A, n)
-        eps = hkr_epsilon(A, n, om)
+        eps = hkr_epsilon(hochschild_module(A, n + 1), n, om)
         res = hh(A, [n], mode="unnormalized")
         assert res.betti[n] == om.dim, n
         reps = [list(v) for v in res.reps[n]]

@@ -37,7 +37,7 @@ from cychom.groups import cyclic_group, group_from_preset
 from cychom.matrix import Matrix
 from cychom.simplicial import circle, classifying_space, cyclic_bar, free_cyclic, standard_simplex
 
-from .oracle import dense_homology_dim, dense_rank, dense_rank_modp, dense_rref
+from .oracle import FACE_SUMS, dense_homology_dim, dense_rank, dense_rank_modp, dense_rref
 
 
 def _rows(m):
@@ -204,11 +204,47 @@ def test_normalized_differential_is_proj_b_sect(name, dom):
     assert ambient.chain_complex("normalized").diffs == cc.diffs
 
 
+def summed_faces(rank, face, dom):
+    """A faces_fn that adds up the face matrices face(n, i), then picks cols."""
+    def faces(n, cols, signs):
+        m = Matrix.signed_sum(rank(n - 1), rank(n), dom, ((s, face(n, i)) for i, s in signs))
+        return m if cols is None else m.columns(cols)
+    return faces
+
+
 def test_a_module_built_from_another_modules_faces_normalizes():
     sm = hochschild_module(truncated_polynomial(2, Q), 4)
-    copy = SimplicialModule(Q, 4, sm.rank, sm.face, sm.degeneracy, t_fn=sm.t)
+    copy = SimplicialModule(Q, 4, sm.rank, summed_faces(sm.rank, sm.face, Q), sm.degeneracy,
+                            t_fn=sm.t)
     assert copy.chain_complex("normalized").diffs == sm.chain_complex("normalized").diffs
-    assert not [key for key in copy._cache if key[0] == "b"]  # built from faces on free cells
+    assert not [key for key in copy._cache if key[0] == "b"]  # built on the free cells
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(5), Z], ids=str)
+@pytest.mark.parametrize("signs", FACE_SUMS)
+@pytest.mark.parametrize("name", NORMALIZED_CASES)
+def test_face_sum_is_the_signed_sum_of_the_single_faces(name, signs, dom):
+    sm, faces = (NORMALIZED_CASES[name](dom) for _ in range(2))
+    for n in range(1, 5):
+        terms = FACE_SUMS[signs](n)
+        expected = Matrix.signed_sum(faces.rank(n - 1), faces.rank(n), dom,
+                                     ((s, faces.face(n, i)) for i, s in terms))
+        assert sm._faces(n, None, terms) == expected, n
+        cols = list(range(sm.rank(n) - 1, -1, -2))  # reversed and strided
+        assert sm._faces(n, cols, terms) == expected.columns(cols), n
+    assert not sm._cache
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(5), Z], ids=str)
+@pytest.mark.parametrize("name", NORMALIZED_CASES)
+def test_boundaries_cache_no_face_matrix(name, dom):
+    whole, normalized = (NORMALIZED_CASES[name](dom) for _ in range(2))
+    for n in range(1, 5):
+        assert whole.boundary(n) == whole._faces(n, None, FACE_SUMS["b"](n)), n
+        assert whole.bprime(n) == whole._faces(n, None, FACE_SUMS["b'"](n)), n
+    if not (dom == Z and name == "dense-unit productfield:2"):  # not integral, as above
+        normalized.chain_complex("normalized")
+    assert not [key for key in {**whole._cache, **normalized._cache} if key[0] == "d"]
 
 
 @pytest.mark.parametrize("dom", [Q, Fp(5), Z], ids=str)
@@ -518,7 +554,7 @@ def test_module_identities_of_linearized_circle():
 
 def test_module_identities_report_a_corrupted_hochschild_module():
     sm = hochschild_module(truncated_polynomial(2, Q), 4)
-    neg_t3 = SimplicialModule(Q, 4, sm.rank, sm.face, sm.degeneracy,
+    neg_t3 = SimplicialModule(Q, 4, sm.rank, summed_faces(sm.rank, sm.face, Q), sm.degeneracy,
                               t_fn=lambda n: -sm.t(n) if n == 3 else sm.t(n))
     assert check_module_identities(neg_t3) == [
         "s1 t deg 2", "s2 t deg 2", "d0 t deg 3", "d1 t deg 3", "d2 t deg 3",
@@ -526,7 +562,7 @@ def test_module_identities_report_a_corrupted_hochschild_module():
         "d1 t deg 4", "d2 t deg 4", "d3 t deg 4", "d4 t deg 4"]
     swapped = SimplicialModule(
         Q, 4, sm.rank,
-        lambda n, i, cols=None: sm.face(n, 1 - i if n == 2 and i < 2 else i, cols),
+        summed_faces(sm.rank, lambda n, i: sm.face(n, 1 - i if n == 2 and i < 2 else i), Q),
         sm.degeneracy, t_fn=sm.t)
     assert check_module_identities(swapped) == [
         "d0 s1 deg 1", "d1 s1 = id deg 1", "d2 s0 deg 2", "d0 s1 deg 2",

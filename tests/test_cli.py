@@ -134,6 +134,32 @@ def test_verify_hkr_budget_counts_the_antisymmetrization(capsys, budget):
     assert code == 3 and out == "" and "1390966 terms" in err
 
 
+def test_verify_hkr_builds_one_module_and_each_boundary_once(capsys, monkeypatch):
+    from cychom import hochschild
+    built, face_sums = [], []
+    real = hochschild.hochschild_module
+
+    def counted(A, N, **kwargs):
+        built.append(N)
+        sm = real(A, N, **kwargs)
+        faces = sm._faces
+        sm._faces = lambda n, cols, signs: face_sums.append((n, cols, signs)) or faces(n, cols, signs)
+        return sm
+
+    monkeypatch.setattr(hochschild, "hochschild_module", counted)
+    monkeypatch.setattr(cli, "hochschild_module", counted)
+    code, out, _ = run(capsys, "verify", "hkr", "--preset", "truncpoly:2", "--max-degree", "3")
+    assert code == 0 and out.splitlines() == [
+        "degree 0: omega dim 2, HH betti 2, pi.eps=id pass, eps iso True, pi iso True",
+        "degree 1: omega dim 1, HH betti 1, pi.eps=id pass, eps iso True, pi iso True",
+        "degree 2: omega dim 0, HH betti 1, pi.eps=id pass, eps iso False, pi iso False",
+        "degree 3: omega dim 0, HH betti 1, pi.eps=id pass, eps iso False, pi iso False",
+        "hkr: pass"]
+    assert built == [4]
+    assert face_sums == [(n, None, tuple((i, (-1) ** i) for i in range(n + 1)))
+                         for n in range(1, 5)]
+
+
 def test_verify_aw_ez_builds_each_diagonal_tensor_once(capsys, monkeypatch):
     built = []
     orig = chains.diagonal_tensor
@@ -341,6 +367,24 @@ def test_exit_code_malformed_group_json(capsys, tmp_path, obj):
     assert code == 2 and out == "" and "must be" in err
 
 
+@pytest.mark.parametrize("domain, obj", [
+    ("q", {"table": []}),
+    ("q", {"table": [[[1]]], "unit": [1, 5]}),
+    ("z", {"table": [[[1]]], "unit": [1, 5]}),
+    ("q", {"table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "unit": [1]}),
+    ("q", {"table": [[[1]]], "unit": [1], "labels": ["a", "b"]}),
+    ("q", {"table": [[[1]]], "unit": [1], "labels": "a"}),
+    ("q", {"table": [[[1]]], "unit": [1], "dim": True}),
+])
+@pytest.mark.parametrize("command", [["hh"], ["hc"], ["verify", "sbi"]], ids=" ".join)
+def test_exit_code_malformed_algebra_json(capsys, tmp_path, command, domain, obj):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command, "--input", str(path), "--domain", domain,
+                         "--max-degree", "2")
+    assert code == 2 and out == "" and "must be" in err
+
+
 def test_cli_does_not_import_numpy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     script = ("import sys, cychom.cli\n"
@@ -450,3 +494,109 @@ def test_hc_over_z_refuses_what_hh_refuses(capsys, tmp_path):
     argv = ("--input", str(path), "--domain", "z", "--max-degree", "3")
     from_hh, from_hc = run(capsys, "hh", *argv), run(capsys, "hc", *argv)
     assert from_hc == from_hh == (1, "", "error: relation span is not saturated over the integers\n")
+
+
+# stdout and exit code of each command, byte for byte; a change that alters
+# one on purpose edits its entry here and says so in CHANGES.md
+GOLDEN = [
+    ('homology --preset bg --group symmetric:3 --domain z --max-degree 3', 0, [
+        'H_0: betti 1',
+        'H_1: betti 0  torsion Z/2',
+        'H_2: betti 0',
+        'H_3: betti 0  torsion Z/6',
+    ]),
+    ('homology --preset fcircle --domain zp:2 --unnormalized --max-degree 2', 0, [
+        'H_0: betti 1',
+        'H_1: betti 2',
+        'H_2: betti 1',
+    ]),
+    ('homology --preset cyclicbar --group cyclic:2 --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0',
+        'H_2: betti 0',
+        'H_3: betti 0',
+    ]),
+    ('hh --preset truncpoly:3 --max-degree 4', 0, [
+        'H_0: betti 3',
+        'H_1: betti 2',
+        'H_2: betti 2',
+        'H_3: betti 2',
+        'H_4: betti 2',
+    ]),
+    ('hh --preset truncpoly:2 --domain z --unnormalized --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 1  torsion Z/2',
+        'H_2: betti 1',
+        'H_3: betti 1  torsion Z/2',
+    ]),
+    ('hh --preset group:symmetric:3 --domain zp:3 --max-degree 2 --json', 0, [
+        '[{"betti": 3, "degree": 0, "domain": "F3", "torsion": []}, {"betti": 1,'
+        ' "degree": 1, "domain": "F3", "torsion": []}, {"betti": 1, "degree": 2,'
+        ' "domain": "F3", "torsion": []}]',
+    ]),
+    ('hc --preset truncpoly:2 --domain z --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0  torsion Z/2',
+        'H_2: betti 2',
+        'H_3: betti 0  torsion Z/2 Z/6',
+    ]),
+    ('hc --preset truncpoly:3 --variant periodic --window 3 --max-degree 2', 0, [
+        'H_0: betti 3',
+        'H_1: betti 0',
+        'H_2: betti 3',
+        'tower H_0: [3, 1, 1] stabilized',
+        'tower H_1: [0, 0] stabilized',
+        'tower H_2: [3, 1] open',
+        'window flag: UNSTABLE',
+    ]),
+    ('hc --preset group:cyclic:2 --domain zp:2 --variant negative --window 2'
+     ' --max-degree 2 --json',
+     0, [
+        '{"homology": [{"betti": 3, "degree": 0, "domain": "F2", "torsion": []},'
+        ' {"betti": 3, "degree": 1, "domain": "F2", "torsion": []}, {"betti": 3,'
+        ' "degree": 2, "domain": "F2", "torsion": []}], "stable": false,'
+        ' "tower": [{"degree": 0, "stabilized": true, "tower": [2, 1, 1]}, {"degree": 1,'
+        ' "stabilized": true, "tower": [1, 1]}, {"degree": 2, "stabilized": false,'
+        ' "tower": [3, 2]}]}',
+    ]),
+    ('verify sbi --preset truncpoly:3 --max-degree 3', 0, [
+        'HH_0: im 0 ker 0 exact',
+        'HC_0: im 3 ker 3 exact',
+        'HH_1: im 2 ker 2 exact',
+        'HC_1: im 0 ker 0 exact',
+        'HH_2: im 0 ker 0 exact',
+        'HC_2: im 2 ker 2 exact',
+        'HC_0: im 1 ker 1 exact',
+        'HH_3: im 2 ker 2 exact',
+        'HC_3: im 0 ker 0 exact',
+        'HC_1: im 0 ker 0 exact',
+        'sbi: pass',
+    ]),
+    ('verify relations --preset truncpoly:2 --max-degree 3', 0, [
+        'relations [cyclic module]: degrees <= 3, 0 failures',
+    ]),
+    ('verify relations --preset cyclicbar --group cyclic:2 --max-degree 2', 0, [
+        'relations [cyclic]: 110 instances, 0 failures',
+    ]),
+    ('verify hkr --preset truncpoly:2 --max-degree 2', 0, [
+        'degree 0: omega dim 2, HH betti 2, pi.eps=id pass, eps iso True, pi iso True',
+        'degree 1: omega dim 1, HH betti 1, pi.eps=id pass, eps iso True, pi iso True',
+        'degree 2: omega dim 0, HH betti 1, pi.eps=id pass, eps iso False, pi iso False',
+        'hkr: pass',
+    ]),
+    ('verify aw-ez --max-degree 3', 0, [
+        'circle(x)circle: AW.EZ=id pass, EZ.AW=id on homology pass',
+        'circle(x)truncpoly: AW.EZ=id pass, EZ.AW=id on homology pass',
+    ]),
+    ('verify adjunction --preset bg --group cyclic:3 --max-degree 2', 0, [
+        'adjunction: unit map pass, counit map pass, triangles pass (47 instances)',
+    ]),
+    ('verify exercise-bz --max-degree 3', 0, [
+        'circle -> BZ: 53 instances, 0 failures',
+    ]),
+]
+
+
+@pytest.mark.parametrize("command, code, lines", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_stdout(capsys, command, code, lines):
+    assert run(capsys, *command.split())[:2] == (code, "".join(line + "\n" for line in lines))

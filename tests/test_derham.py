@@ -18,6 +18,7 @@ from cychom.groups import cyclic_group, symmetric_3
 from cychom.hochschild import (
     FiniteAlgebra,
     group_algebra,
+    hochschild_module,
     product_field,
     truncated_polynomial,
 )
@@ -118,8 +119,9 @@ def test_derham_d_squares_to_zero_on_plane():
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_hkr_section_of_projection(algebra, n):
     omega = omega_power(algebra, n)
-    eps = hkr_epsilon(algebra, n, omega)
-    pi = hkr_pi(algebra, n, omega)
+    sm = hochschild_module(algebra, n + 1)
+    eps = hkr_epsilon(sm, n, omega)
+    pi = hkr_pi(sm, n, omega)
     assert pi @ eps == Matrix.identity(omega.dim, algebra.dom)
 
 
@@ -127,15 +129,16 @@ def test_hkr_section_on_plane_degree_2():
     A = square_zero_plane(Q)
     omega = omega_power(A, 2)
     assert omega.dim > 0
-    eps = hkr_epsilon(A, 2, omega)
-    pi = hkr_pi(A, 2, omega)
+    sm = hochschild_module(A, 3)
+    eps = hkr_epsilon(sm, 2, omega)
+    pi = hkr_pi(sm, 2, omega)
     assert pi @ eps == Matrix.identity(omega.dim, Q)
 
 
 def test_hkr_epsilon_needs_characteristic_zero():
     A = truncated_polynomial(2, Fp(2))
     with pytest.raises(PositiveCharacteristic):
-        hkr_epsilon(A, 2)
+        hkr_epsilon(hochschild_module(A, 3), 2)
 
 
 def test_wedge_is_antisymmetric_on_one_forms():

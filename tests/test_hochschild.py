@@ -21,7 +21,7 @@ from cychom.hochschild import (
 from cychom.matrix import Matrix
 from cychom.simplicial import cyclic_bar
 
-from .oracle import dense_homology_dim, hochschild_operators
+from .oracle import FACE_SUMS, dense_homology_dim, face_sum, hochschild_operators
 
 
 def test_algebra_validation_rejects_nonassociative_table():
@@ -30,6 +30,18 @@ def test_algebra_validation_rejects_nonassociative_table():
     table = [[[0, 1], [1, 0]], [[1, 0], [0, 0]]]
     with pytest.raises((NotAssociative, NoUnit)):
         FiniteAlgebra(dom, table)
+
+
+@pytest.mark.parametrize("table, kwargs", [
+    ([], {}),
+    ([[[1]]], {"unit": [1, 5]}),
+    ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], {"unit": [1]}),
+    ([[[1]]], {"unit": [1], "labels": ["a", "b"]}),
+    ([[[1]]], {"labels": [1]}),
+])
+def test_algebra_validation_rejects_malformed_input(table, kwargs):
+    with pytest.raises(InputFormatError, match="must be"):
+        FiniteAlgebra(Q, table, **kwargs)
 
 
 def test_unit_is_located_automatically():
@@ -172,17 +184,17 @@ def _check_boundaries_against_the_oracle_faces(A, dom):
     ops = hochschild_operators(A.table, A.unit, 4, p=dom.p)
     whole, picked = hochschild_module(A, 4), hochschild_module(A, 4)
     for n in range(1, 5):
-        expected = []
-        for c in range(whole.rank(n)):
-            col = {}
-            for i in range(n + 1):
-                for r, v in ops[("d", n, i)][c].items():
-                    col[r] = col.get(r, 0) + (-1) ** i * v
-            expected.append({r: w for r, v in col.items() if (w := v % dom.p if dom.p else v)})
+        cols = list(range(whole.rank(n) - 1, -1, -3))  # reversed and strided
+        for signs in FACE_SUMS.values():
+            expected = face_sum(ops, n, signs(n), dom.p)
+            assert whole._faces(n, None, signs(n)).sparse_columns() == expected, n
+            assert whole._faces(n, cols, signs(n)).sparse_columns() == [expected[c] for c in cols], n
+        expected = face_sum(ops, n, FACE_SUMS["b"](n), dom.p)
         assert whole.boundary(n).sparse_columns() == expected, n
-        cols = list(range(whole.rank(n) - 1, -1, -3))  # uncached: built on these cells
+        assert whole.bprime(n).sparse_columns() == face_sum(ops, n, FACE_SUMS["b'"](n), dom.p), n
+        # uncached: built on these cells
         assert picked.boundary_on(n, cols).sparse_columns() == [expected[c] for c in cols], n
-    # b is built in one pass over the cells: no face matrix is made or cached
+    # b and b' are built in one pass over the cells: no face matrix is made or cached
     assert not [key for key in {**whole._cache, **picked._cache} if key[0] == "d"]
 
 
