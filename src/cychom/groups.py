@@ -23,6 +23,8 @@ class FiniteGroup:
     def __init__(self, table, name=""):
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise InputFormatError("multiplication table must be a list of rows")
+        if not isinstance(name, str):
+            raise InputFormatError("'name' must be a string")
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.name = name

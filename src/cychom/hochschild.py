@@ -46,6 +46,8 @@ class FiniteAlgebra:
         if labels is not None and not (isinstance(labels, list) and len(labels) == self.dim
                                        and all(isinstance(x, str) for x in labels)):
             raise InputFormatError(f"'labels' must be a list of {self.dim} strings")
+        if not isinstance(name, str):
+            raise InputFormatError("'name' must be a string")
         if unit is not None and len(unit) != self.dim:
             raise InputFormatError(f"'unit' must be a list of {self.dim} coefficients")
         self.labels = list(labels or (f"e{i}" for i in range(self.dim)))

@@ -1,16 +1,17 @@
 """Exact linear algebra: rank, kernel, image, canonical subspaces, SNF.
 
-Rank over Q and Z and reduced row echelon forms over Q (and over Z,
-reduced as Q) come from one sparse fraction-free echelon on integer rows
-{col: int}, kept primitive so coefficients stay small; over prime fields
-the same elimination on sparse rows of residues is ``_modp.rref_modp``;
-``rref`` is their one sparse reduced echelon entry.  Over Q and Z it
-takes structural pivots first: a row that is the first to lead at its
-column is a pivot row as it stands, so a triangular span (degeneracy
-relations, for one) adds no pivot by elimination, which is left to the
-rows that repeat a leading column.  Subspaces are fingerprinted by their reduced
-row echelon form, which makes equality of spans a plain tuple
-comparison.  Over Z, homology reads the invariant factors of each
+Rank and reduced row echelon forms over Q, Z (reduced as Q) and F_p come
+from one sparse echelon on rows {col: value}, taken sparsest first and
+each reduced at its leading column.  Only the row step differs by
+domain, as in ``matrix._reduced``: p is None over Q and Z, where rows
+stay primitive integer rows so coefficients stay small, and p is set
+over F_p, where rows stay residues and pivot rows lead with 1; F_p work
+enters through ``_modp.rref_modp``.  ``rref`` takes structural pivots
+first on every domain: a row that is the first to lead at its column is
+a pivot row as it stands, so a triangular span (degeneracy relations,
+for one) adds no pivot by elimination.  Subspaces are fingerprinted by
+their reduced row echelon form, which makes equality of spans a plain
+tuple comparison.  Over Z, homology reads the invariant factors of each
 boundary matrix from a sparse elimination on unit pivots followed by a
 Smith form of the remainder (``invariant_factors``).
 """
@@ -49,17 +50,25 @@ def _primitive(row: dict) -> dict:
     return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
-def _subtract(row: dict, piv: dict, c: int) -> dict:
-    """The primitive multiple of row - (row[c] / piv[c]) piv; row is consumed."""
-    a, b = row[c], piv[c]
+def _subtract(row: dict, piv: dict, c: int, p=None) -> dict:
+    """row - (row[c] / piv[c]) piv, row consumed: its residues over F_p,
+    where piv leads with 1, else its primitive integer multiple."""
+    a = row[c]
+    if p:
+        for k, v in piv.items():
+            if w := (row.get(k, 0) - a * v) % p:
+                row[k] = w
+            else:
+                del row[k]
+        return row
+    b = piv[c]
     g = gcd(a, b)
     a, b = a // g, b // g
     if b != 1:
         for k in row:
             row[k] *= b
     for k, v in piv.items():
-        w = row.get(k, 0) - a * v
-        if w:
+        if w := row.get(k, 0) - a * v:
             row[k] = w
         else:
             del row[k]
@@ -67,13 +76,20 @@ def _subtract(row: dict, piv: dict, c: int) -> dict:
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def _echelon(rows, ech=None) -> dict:
-    """Fraction-free row echelon form of primitive integer rows {col: int}.
+def _pivot(row: dict, c: int, p=None) -> dict:
+    """row as the pivot row at c: scaled to lead with 1 over F_p."""
+    if not p or row[c] == 1:
+        return row
+    inv = pow(row[c], -1, p)
+    return {k: v * inv % p for k, v in row.items()}
+
+
+def _echelon(rows, ech=None, p=None) -> dict:
+    """Row echelon form {leading column: row} of the rows of ``_sparsest_first``.
 
     Each row, in the given order, is reduced at its leading column against
     the pivot rows of ech (a new dict when None) until it vanishes or leads
-    at a new column, where it becomes a pivot row.  Returns ech, {leading
-    column: primitive integer row}.
+    at a new column, where it becomes a pivot row.  Returns ech.
     """
     ech = {} if ech is None else ech
     for row in rows:
@@ -81,59 +97,63 @@ def _echelon(rows, ech=None) -> dict:
             c = min(row)
             piv = ech.get(c)
             if piv is None:
-                ech[c] = row
+                ech[c] = _pivot(row, c, p)
                 break
-            row = _subtract(row, piv, c)
+            row = _subtract(row, piv, c, p)
     return ech
 
 
-def _sparsest_first(rows) -> list[dict]:
-    """The nonzero rows {col: int | Fraction} made primitive, sparsest
-    first, so unit and two-term relations lead before dense rows."""
-    return sorted((row for row in map(_primitive, rows) if row), key=len)
+def _sparsest_first(rows, p=None) -> list[dict]:
+    """The nonzero rows sparsest first, so unit and two-term relations lead
+    before dense rows; over Q and Z made primitive."""
+    return sorted(filter(None, rows if p else map(_primitive, rows)), key=len)
 
 
-def _back_substitute(ech: dict):
+def _back_substitute(ech: dict, p=None):
     """Reduce the echelon rows {leading column: row} in place, from the
     last pivot up: a reduced row is zero at every other pivot column, so
     subtracting it clears one entry of a row above for good."""
     for pc in sorted(ech, reverse=True):
         row = ech[pc]
         for c in [c for c in row if c != pc and c in ech]:
-            row = _subtract(row, ech[c], c)
+            row = _subtract(row, ech[c], c, p)
         ech[pc] = row
+
+
+def _reduced_echelon(rows, p=None) -> dict:
+    """Reduced echelon {pivot column: row} of the rows of ``_sparsest_first``.
+
+    Structural pivots first (Faugere and Lachartre): the first row to lead
+    at a column is its pivot row as it stands, and a later one-entry row
+    there, a multiple of it, is dropped.  Only the other rows are then
+    eliminated, and the echelon is back-substituted before and after.
+    """
+    ech, rest = {}, []
+    for row in rows:
+        c = min(row)
+        if c not in ech:
+            ech[c] = _pivot(row, c, p)
+        elif len(row) > 1:
+            rest.append(row)
+    _back_substitute(ech, p)
+    _back_substitute(_echelon(rest, ech, p), p)
+    return ech
 
 
 def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     """Reduced row echelon form of sparse rows {col: value} over dom (Z as Q).
 
-    Structural pivots first (Faugere and Lachartre): of the rows, made
-    primitive and taken sparsest first, the first to lead at a column
-    becomes its pivot row with no elimination, so a one-entry row takes
-    its column, and a later one-entry row there is a multiple of it and
-    dropped.  These pivot rows are back-substituted; only the other
-    rows are then eliminated against them, and the echelon is
-    back-substituted once more.  Triangular spans, such as degeneracy
-    relations, leave nothing over.
-
+    One echelon, structural pivots first, serves every domain
+    (``_reduced_echelon``); over F_p it runs under ``_modp.rref_modp``.
     Returns (the nonzero reduced rows as sparse dicts {col: value}, in
     order of their pivots, and the pivot column list).  Values are
-    Fractions over Q and Z, residues over F_p (``_modp.rref_modp``, which
-    eliminates every row).
+    Fractions over Q and Z, residues over F_p.
     """
     if not rows:
         return [], []
     if dom.kind == PRIME_FIELD:
         return _modp.rref_modp(Matrix.from_rows(rows, dom, cols=cols), dom.p)
-    ech, rest = {}, []
-    for row in _sparsest_first(rows):
-        c = min(row)
-        if c not in ech:
-            ech[c] = row
-        elif len(row) > 1:  # a one-entry row repeats the one-entry pivot row at c
-            rest.append(row)
-    _back_substitute(ech)
-    _back_substitute(_echelon(rest, ech))
+    ech = _reduced_echelon(_sparsest_first(rows))
     pivots = sorted(ech)
     return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
 

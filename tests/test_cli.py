@@ -358,6 +358,7 @@ def test_exit_code_non_integer_json_numbers(capsys, tmp_path, domain, obj):
     {"table": [[0, 1], [1, False]]},
     {"table": 5},
     {"table": [5]},
+    {"table": [[0, 1], [1, 0]], "name": 5},
 ])
 def test_exit_code_malformed_group_json(capsys, tmp_path, obj):
     path = tmp_path / "group.json"
@@ -375,6 +376,8 @@ def test_exit_code_malformed_group_json(capsys, tmp_path, obj):
     ("q", {"table": [[[1]]], "unit": [1], "labels": ["a", "b"]}),
     ("q", {"table": [[[1]]], "unit": [1], "labels": "a"}),
     ("q", {"table": [[[1]]], "unit": [1], "dim": True}),
+    ("q", {"table": [[[1]]], "unit": [1], "name": ["x"]}),
+    ("q", {"table": [[[1]]], "unit": [1], "name": 5}),
 ])
 @pytest.mark.parametrize("command", [["hh"], ["hc"], ["verify", "sbi"]], ids=" ".join)
 def test_exit_code_malformed_algebra_json(capsys, tmp_path, command, domain, obj):
@@ -533,6 +536,45 @@ GOLDEN = [
         '[{"betti": 3, "degree": 0, "domain": "F3", "torsion": []}, {"betti": 1,'
         ' "degree": 1, "domain": "F3", "torsion": []}, {"betti": 1, "degree": 2,'
         ' "domain": "F3", "torsion": []}]',
+    ]),
+    # F_p commands whose relation spans need real elimination
+    ('hh --preset productfield:3 --domain zp:5 --max-degree 3', 0, [
+        'H_0: betti 3',
+        'H_1: betti 0',
+        'H_2: betti 0',
+        'H_3: betti 0',
+    ]),
+    ('hh --preset truncpoly:3 --domain zp:3 --max-degree 4', 0, [
+        'H_0: betti 3',
+        'H_1: betti 3',
+        'H_2: betti 3',
+        'H_3: betti 3',
+        'H_4: betti 3',
+    ]),
+    ('hc --preset productfield:2 --domain zp:3 --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0',
+        'H_2: betti 2',
+        'H_3: betti 0',
+    ]),
+    ('verify sbi --preset truncpoly:2 --domain zp:3 --max-degree 3', 0, [
+        'HH_0: im 0 ker 0 exact',
+        'HC_0: im 2 ker 2 exact',
+        'HH_1: im 1 ker 1 exact',
+        'HC_1: im 0 ker 0 exact',
+        'HH_2: im 0 ker 0 exact',
+        'HC_2: im 1 ker 1 exact',
+        'HC_0: im 1 ker 1 exact',
+        'HH_3: im 0 ker 0 exact',
+        'HC_3: im 1 ker 1 exact',
+        'HC_1: im 0 ker 0 exact',
+        'sbi: pass',
+    ]),
+    ('homology --preset bg --group symmetric:3 --domain zp:3 --max-degree 3', 0, [
+        'H_0: betti 1',
+        'H_1: betti 0',
+        'H_2: betti 0',
+        'H_3: betti 1',
     ]),
     ('hc --preset truncpoly:2 --domain z --max-degree 3', 0, [
         'H_0: betti 2',

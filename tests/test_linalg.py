@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cychom.domains import Fp, Q, Z
-from cychom import linalg
+from cychom import _modp, linalg
 from cychom.errors import DomainNotField, LatticeMismatch
 from cychom.linalg import (
     SubspaceBasis,
@@ -62,6 +62,29 @@ def test_prime_field_stops_at_int64_safe_bound():
 def test_rank_matches_dense_oracle_at_largest_prime(rows):
     m = Matrix.from_rows(rows, Fp(BIG_P), cols=3)
     assert rank(m) == dense_rank_modp(rows, BIG_P)
+
+
+def _arrow(n, values):
+    """An n x n "arrow": a dense first row, a dense first column and a
+    diagonal, from 3n - 2 values.  The rows below the first lead at
+    column 0 where their entry there is nonzero, and eliminating them
+    there fills each of them in."""
+    rows = [values[:n]] + [[0] * n for _ in range(n - 1)]
+    for i in range(1, n):
+        rows[i][0], rows[i][i] = values[n + i - 1], values[2 * n + i - 2]
+    return rows
+
+
+def arrows(top):
+    return st.integers(1, top).flatmap(
+        lambda n: st.lists(small_int, min_size=3 * n - 2, max_size=3 * n - 2).map(
+            lambda values: _arrow(n, values)))
+
+
+@given(arrows(7), st.sampled_from([Q, Z, Fp(2), Fp(BIG_P)]))
+def test_rank_of_a_fill_in_arrow_matches_dense_oracle(rows, dom):
+    m = Matrix.from_rows(rows, dom, cols=len(rows))
+    assert rank(m) == (dense_rank_modp(rows, dom.p) if dom.p else dense_rank(rows))
 
 
 def test_rank_kernel_image_rejects_z():
@@ -223,14 +246,50 @@ def test_rref_with_structural_pivots_is_the_oracle_rref(rows, dom):
     assert sparse == [{j: v for j, v in enumerate(row) if v} for row in rows]  # not consumed
 
 
-@pytest.mark.parametrize("dom", [Q, Z])
+@pytest.mark.parametrize("dom", [Q, Z, Fp(5)])
 def test_rank_reads_the_sparse_columns_without_densifying(monkeypatch, dom):
     def densify(self):
         raise AssertionError("rank densified its matrix")
 
     monkeypatch.setattr(Matrix, "to_dense_rows", densify)
     rows = [[0, 2, 0, 4], [1, 0, 0, 0], [0, 1, 0, 2], [3, 0, 0, 5]]
-    assert rank(Matrix.from_rows(rows, dom)) == dense_rank(rows) == 3
+    # mod 5 the last row is 3 times the second
+    want = dense_rank_modp(rows, dom.p) if dom.p else dense_rank(rows)
+    assert rank(Matrix.from_rows(rows, dom)) == want == (2 if dom.p else 3)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of each call to module.<name>."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_fp_elimination_enters_through_rref_modp_and_runs_the_shared_row_step(monkeypatch):
+    entries = _count_calls(monkeypatch, _modp, "rref_modp")
+    steps = _count_calls(monkeypatch, linalg, "_subtract")
+    F5 = Fp(5)
+    rows = [[1, 2, 0], [3, 0, 1]]  # two multi-entry rows leading at column 0
+    assert rank(Matrix.from_rows(rows, F5)) == 2
+    assert len(entries) == 1 and steps
+    del entries[:], steps[:]
+    red, pivots = linalg.rref([{0: 1, 1: 2}, {0: 3, 2: 1}], 3, F5)
+    assert (red, pivots) == ([{0: 1, 2: 2}, {1: 1, 2: 4}], [0, 1])
+    assert len(entries) == 1 and steps
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(5)])
+def test_repeated_one_entry_rows_take_structural_pivots_with_no_row_step(monkeypatch, dom):
+    steps = _count_calls(monkeypatch, linalg, "_subtract")
+    rows = [{0: 2}, {1: 3}, {0: 4}, {2: 1}, {1: 1}, {0: 1}]
+    red, pivots = linalg.rref(rows, 3, dom)
+    assert (red, pivots, steps) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2], [])
 
 
 def test_subspace_canonical_form_is_order_independent():
@@ -273,9 +332,10 @@ def test_snf_matches_minor_oracle(rows):
 
 
 @settings(max_examples=120)
-@given(st.integers(0, 5).flatmap(lambda nc: st.tuples(
+@given(st.one_of(st.integers(0, 5).flatmap(lambda nc: st.tuples(
            st.just(nc), st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
                                  max_size=4))),
+                 arrows(5).map(lambda rows: (len(rows), rows))),
        st.sampled_from([1, 2]))
 @example((3, [[1, 2, 0], [1, 0, 2]]), 1)  # the unit pivot fills in a 2: factors 1, 2
 @example((3, [[2, 3, 0], [1, 2, 5]]), 1)  # row 0 gets its unit only after row 1 pivots
