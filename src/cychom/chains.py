@@ -353,8 +353,8 @@ class SimplicialModule:
         return self._rank(n)
 
     def cached(self, key, build):
-        """The value stored under key, built by build() on first use;
-        it is shared by every caller, so none may modify it in place."""
+        """The value stored under key, built by build() on first use and
+        shared by every caller."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -570,17 +570,12 @@ def total_complex(b: Bicomplex, top=None) -> ChainComplex:
         ranks[n] = pos
     diffs = {}
     for n in sorted(cells):
-        if (n - 1) not in cells:
-            continue
-        mat = Matrix.zeros(ranks[n - 1], ranks[n], b.dom)
-        for (p, q) in cells[n]:
-            col0 = offsets[(p, q)]
-            for (tp, tq), block in (((p, q - 1), b.v(p, q)),
-                                    ((p - 1, q), b.h(p, q))):
-                if b.rank(tp, tq) == 0:
-                    continue
-                mat.add_block(block, offsets[(tp, tq)], col0)
-        diffs[n] = mat
+        if n - 1 in cells:
+            diffs[n] = Matrix.from_blocks(ranks[n - 1], ranks[n], b.dom, (
+                (offsets[tgt], offsets[(p, q)], block)
+                for (p, q) in cells[n]
+                for tgt, block in (((p, q - 1), b.v(p, q)), ((p - 1, q), b.h(p, q)))
+                if b.rank(*tgt)))
     # pad missing degrees inside the covered range with zero ranks
     if cells:
         hi = max(cells) if top is None else max(*cells, top)
@@ -719,12 +714,10 @@ def aw_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
     top, diag, src, tot = _tensor_pair(C, D, mode, top)
     mats = {}
     for n in range(top + 1):
-        mat = Matrix.zeros(tot.rank(n), src.rank(n), C.dom)
         quot = diag.normalized_quotient(n) if mode == "normalized" else None
-        for p in range(n + 1):
-            if (p, n - p) in tot.offsets:
-                mat.add_block(_aw_block(C, D, n, p, quot), tot.offsets[(p, n - p)], 0)
-        mats[n] = mat
+        mats[n] = Matrix.from_blocks(tot.rank(n), src.rank(n), C.dom, (
+            (tot.offsets[(p, n - p)], 0, _aw_block(C, D, n, p, quot))
+            for p in range(n + 1) if (p, n - p) in tot.offsets))
     return ChainMap(src, tot, mats, name=f"AW({C.name},{D.name})")
 
 
@@ -734,10 +727,8 @@ def ez_map(C: SimplicialModule, D: SimplicialModule, mode="unnormalized",
     top, diag, tgt, tot = _tensor_pair(C, D, mode, top)
     mats = {}
     for n in range(top + 1):
-        mat = Matrix.zeros(tgt.rank(n), tot.rank(n), C.dom)
         quot = diag.normalized_quotient(n) if mode == "normalized" else None
-        for p in range(n + 1):
-            if (p, n - p) in tot.offsets:
-                mat.add_block(_ez_block(C, D, n, p, quot), 0, tot.offsets[(p, n - p)])
-        mats[n] = mat
+        mats[n] = Matrix.from_blocks(tgt.rank(n), tot.rank(n), C.dom, (
+            (0, tot.offsets[(p, n - p)], _ez_block(C, D, n, p, quot))
+            for p in range(n + 1) if (p, n - p) in tot.offsets))
     return ChainMap(tot, tgt, mats, name=f"EZ({C.name},{D.name})")

@@ -28,11 +28,12 @@ from .cyclic import connes_maps, hc, hc_window
 from .derham import hkr_epsilon, hkr_pi, omega_power
 from .domains import parse_domain
 from .errors import BudgetExceeded, CychomError, InputFormatError
-from .groups import group_from_json, group_from_preset
+from .groups import group_from_json, group_from_preset, group_order
 from .hochschild import (
     DEFAULT_BUDGET,
     algebra_from_json,
     algebra_from_preset,
+    algebra_table_entries,
     hh,
     hochschild_module,
 )
@@ -100,20 +101,32 @@ def _load_json(path):
         raise InputFormatError(f"cannot read JSON input {path!r}: {exc}")
 
 
+def _table_budget_guard(entries, budget):
+    # counted from the input itself, so no table is built or checked first
+    if entries > budget:
+        raise BudgetExceeded(f"the input's tables have {entries} entries (budget {budget})")
+
+
 def _get_group(args):
     if args.input:
-        return group_from_json(_load_json(args.input))
-    if args.group:
-        return group_from_preset(args.group)
-    raise InputFormatError("this preset needs --group or --input")
+        spec, build = _load_json(args.input), group_from_json
+    elif args.group:
+        spec, build = args.group, group_from_preset
+    else:
+        raise InputFormatError("this preset needs --group or --input")
+    _table_budget_guard(group_order(spec) ** 2, args.budget)
+    return build(spec)
 
 
 def _get_algebra(args, dom):
     if args.input:
-        return algebra_from_json(_load_json(args.input), dom)
-    if args.preset:
-        return algebra_from_preset(args.preset, dom)
-    raise InputFormatError("need --preset or --input for an algebra")
+        spec, build = _load_json(args.input), algebra_from_json
+    elif args.preset:
+        spec, build = args.preset, algebra_from_preset
+    else:
+        raise InputFormatError("need --preset or --input for an algebra")
+    _table_budget_guard(algebra_table_entries(spec), args.budget)
+    return build(spec, dom)
 
 
 def _spec_budget_guard(spec, top, budget):
@@ -334,6 +347,8 @@ def _suite_adjunction(args) -> int:
 
 
 def _suite_exercise_bz(args) -> int:
+    # the B(Z) closure has the circle's (N+1)(N+2)/2 cells up to degree N
+    _spec_budget_guard(circle(args.max_degree), args.max_degree, args.budget)
     m = circle_to_bz(args.max_degree)
     rep = check_map(m, mode="cyclic")
     print(f"circle -> BZ: {rep.checked} instances,"

@@ -219,10 +219,9 @@ def connes_maps(arg, degrees, budget=DEFAULT_BUDGET) -> SBIReport:
     # chain-level I (column-0 inclusion) and S (column shift)
     i_mats = {}
     for n in range(top + 1):
-        inc = Matrix.zeros(tot.rank(n), cc_h.rank(n), dom)
-        if (0, n) in tot.offsets:
-            inc.add_block(Matrix.identity(cc_h.rank(n), dom), tot.offsets[(0, n)], 0)
-        i_mats[n] = inc
+        blocks = [] if (0, n) not in tot.offsets else [
+            (tot.offsets[(0, n)], 0, Matrix.identity(cc_h.rank(n), dom))]
+        i_mats[n] = Matrix.from_blocks(tot.rank(n), cc_h.rank(n), dom, blocks)
     i_map = ChainMap(cc_h, tot, i_mats, name="I")
     s_map = _s_chain_map(bic, tot)
 
@@ -265,13 +264,10 @@ def _s_chain_map(bic: Bicomplex, tot: ChainComplex) -> ChainMap:
     (p - 1, q - 1) by the identity of C̄_{q-p}, and column 0 is dropped."""
     s_mats = {}
     for n in range(tot.lo, tot.hi + 1):
-        proj = Matrix.zeros(tot.rank(n - 2), tot.rank(n), bic.dom)
-        for (p, q) in tot.cells.get(n, []):
-            if p < 1 or (p - 1, q - 1) not in tot.offsets:
-                continue
-            proj.add_block(Matrix.identity(bic.rank(p, q), bic.dom),
-                           tot.offsets[(p - 1, q - 1)], tot.offsets[(p, q)])
-        s_mats[n] = proj
+        s_mats[n] = Matrix.from_blocks(tot.rank(n - 2), tot.rank(n), bic.dom, (
+            (tot.offsets[(p - 1, q - 1)], tot.offsets[(p, q)],
+             Matrix.identity(bic.rank(p, q), bic.dom))
+            for (p, q) in tot.cells.get(n, []) if p >= 1 and (p - 1, q - 1) in tot.offsets))
     return ChainMap(tot, tot, s_mats, shift=-2, name="S")
 
 

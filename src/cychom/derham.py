@@ -95,18 +95,12 @@ def module_action(omega: PresentedModule, a_vector) -> Matrix:
     """The action of an algebra element on Omega^n quotient coordinates."""
     A = omega.algebra
     dom, d = A.dom, A.dim
-    n = omega.form_degree
-    rest = d ** n
-    amb = Matrix.zeros(d ** (n + 1), d ** (n + 1), dom)
-    for i in range(d):
-        for j, b in enumerate(a_vector):
-            if b == 0:
-                continue
-            for m, coef in enumerate(A.table[j][i]):
-                if coef != 0:
-                    v = dom.mul(b, coef)
-                    for r in range(rest):
-                        amb._add_to(m * rest + r, i * rest + r, v)
+    # a acts on the first tensor slot only: left multiplication by a,
+    # tensored with the identity on the other n slots
+    left = Matrix.from_columns(
+        [A.mul(a_vector, [dom.one if k == i else dom.zero for k in range(d)])
+         for i in range(d)], d, dom)
+    amb = left.kron(Matrix.identity(d ** omega.form_degree, dom))
     return omega.proj @ amb @ omega.sect
 
 
@@ -171,7 +165,7 @@ def _permutations_signed(n):
         yield perm, -1 if inv % 2 else 1
 
 
-def hkr_epsilon(sm: SimplicialModule, n: int, omega: PresentedModule | None = None) -> Matrix:
+def hkr_epsilon(sm: SimplicialModule, n: int, omega: PresentedModule) -> Matrix:
     """Antisymmetrization Omega^n -> C_n(A), landing in cycles of sm.
 
     Needs exact division by n!, hence characteristic zero.
@@ -180,25 +174,24 @@ def hkr_epsilon(sm: SimplicialModule, n: int, omega: PresentedModule | None = No
     _require_commutative(A)
     if A.dom.characteristic != 0:
         raise PositiveCharacteristic("antisymmetrization needs characteristic zero")
-    omega = omega or omega_power(A, n)
     dom, d = A.dom, A.dim
     amb_dim = d ** (n + 1)
     inv_fact = dom.div(dom.one, dom.coerce(factorial(n)))
-    amb = Matrix.zeros(amb_dim, amb_dim, dom)
+    perms = list(_permutations_signed(n))
+    cols = {}
     for col_idx in product(range(d), repeat=n + 1):
-        col = tensor_index(col_idx, d)
-        for perm, sign in _permutations_signed(n):
-            row_idx = (col_idx[0],) + tuple(col_idx[perm[k]] for k in range(n))
-            coef = inv_fact if sign > 0 else dom.neg(inv_fact)
-            amb._add_to(tensor_index(row_idx, d), col, coef)
-    eps = amb @ omega.sect
+        acc = cols[tensor_index(col_idx, d)] = {}
+        for perm, sign in perms:
+            r = tensor_index((col_idx[0],) + tuple(col_idx[k] for k in perm), d)
+            acc[r] = acc.get(r, 0) + sign * inv_fact
+    eps = Matrix.from_column_sums(cols, amb_dim, amb_dim, dom) @ omega.sect
     # the image must consist of Hochschild cycles
     if n >= 1 and not (sm.boundary(n) @ eps).is_zero():
         raise RelationFailure("antisymmetrization image is not made of cycles")
     return eps
 
 
-def hkr_pi(sm: SimplicialModule, n: int, omega: PresentedModule | None = None) -> Matrix:
+def hkr_pi(sm: SimplicialModule, n: int, omega: PresentedModule) -> Matrix:
     """The projection C_n(A) -> Omega^n, (a0..an) -> a0 da1...dan.
 
     On the presented quotient this is literally the projection matrix;
@@ -206,7 +199,6 @@ def hkr_pi(sm: SimplicialModule, n: int, omega: PresentedModule | None = None) -
     """
     A = sm.algebra
     _require_commutative(A)
-    omega = omega or omega_power(A, n)
     pi = omega.proj
     if not (pi @ sm.boundary(n + 1)).is_zero():
         raise RelationFailure("projection does not kill boundaries")
@@ -214,7 +206,7 @@ def hkr_pi(sm: SimplicialModule, n: int, omega: PresentedModule | None = None) -
 
 
 def wedge(omega_p: PresentedModule, omega_q: PresentedModule, u, v,
-          omega_pq: PresentedModule | None = None):
+          omega_pq: PresentedModule):
     """Wedge product of quotient-coordinate forms u (degree p) and v (degree q).
 
     Lifts both to ambient tensors, multiplies the coefficient slots and
@@ -223,7 +215,6 @@ def wedge(omega_p: PresentedModule, omega_q: PresentedModule, u, v,
     A = omega_p.algebra
     dom, d = A.dom, A.dim
     p, q = omega_p.form_degree, omega_q.form_degree
-    omega_pq = omega_pq or omega_power(A, p + q)
     lift_u = omega_p.sect.apply(list(u))
     lift_v = omega_q.sect.apply(list(v))
     amb = [dom.zero] * (d ** (p + q + 1))

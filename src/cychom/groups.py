@@ -7,7 +7,8 @@ in full (associativity, identity, inverses) at construction.
 
 from __future__ import annotations
 
-import json
+from functools import partial
+from math import prod
 
 from .errors import InputFormatError, NotCentral
 
@@ -114,30 +115,43 @@ def symmetric_3() -> FiniteGroup:
     return FiniteGroup(table, name="S3")
 
 
-def group_from_preset(text: str) -> FiniteGroup:
-    """Presets: cyclic:n, cyclic:a x cyclic:b (product), symmetric:3."""
-    parts = [p.strip() for p in text.split("x")]
-    groups = []
-    for part in parts:
+def _preset_factors(text):
+    """(order, builder) of each factor of a group preset, read from the text."""
+    for part in (p.strip() for p in text.split("x")):
         if part.startswith("cyclic:"):
             try:
-                groups.append(cyclic_group(int(part.split(":", 1)[1])))
+                n = int(part.split(":", 1)[1])
             except ValueError:
                 raise InputFormatError(f"bad cyclic order in {part!r}")
+            yield n, partial(cyclic_group, n)
         elif part == "symmetric:3":
-            groups.append(symmetric_3())
+            yield 6, symmetric_3
         else:
             raise InputFormatError(f"unknown group preset {part!r}")
-    out = groups[0]
-    for g in groups[1:]:
-        out = product_group(out, g)
+
+
+def group_from_preset(text: str) -> FiniteGroup:
+    """Presets: cyclic:n, cyclic:a x cyclic:b (product), symmetric:3."""
+    (_, build), *rest = _preset_factors(text)
+    out = build()
+    for _, build in rest:
+        out = product_group(out, build())
     return out
+
+
+def group_order(obj) -> int:
+    """The order of the group that group_from_preset (obj a string) or
+    group_from_json (obj a JSON object) builds, read without building or
+    checking a table."""
+    if isinstance(obj, dict):
+        obj = obj["table"] if "table" in obj else obj.get("preset")
+        if isinstance(obj, list):
+            return len(obj)
+    return prod(n for n, _ in _preset_factors(obj)) if isinstance(obj, str) else 0
 
 
 def group_from_json(obj) -> FiniteGroup:
     """JSON input: {"table": [[...]]} or {"preset": "cyclic:4"}."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise InputFormatError("group input must be a JSON object")
     if "table" in obj:

@@ -17,7 +17,7 @@ from .errors import (
     NoUnit,
     NotAssociative,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, group_from_preset, group_order
 from .matrix import Matrix
 from .simplicial import cyclic_bar
 
@@ -170,28 +170,31 @@ def _json_int(x, what):
     return x
 
 
+def _json_preset(obj) -> str:
+    """The preset text of a JSON {preset, params} input, params checked."""
+    preset = obj["preset"]
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise InputFormatError("'params' must be a JSON object")
+    if preset == "group":
+        if not isinstance(params.get("group"), str):
+            raise InputFormatError("'params.group' must be a group preset string")
+        return "group:" + params["group"]
+    if preset == "truncpoly":
+        k = _json_int(params.get("k", 2), "'k'")
+        return f"truncpoly:{k}"
+    if preset == "productfield":
+        m = _json_int(params.get("m", 2), "'m'")
+        return f"productfield:{m}"
+    raise InputFormatError(f"unknown algebra preset {preset!r}")
+
+
 def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
     """JSON: {dim, labels?, unit?, table} or {preset, params}."""
-    import json
-    from .groups import group_from_preset
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise InputFormatError("algebra input must be a JSON object")
     if "preset" in obj:
-        preset = obj["preset"]
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise InputFormatError("'params' must be a JSON object")
-        if preset == "group":
-            if not isinstance(params.get("group"), str):
-                raise InputFormatError("'params.group' must be a group preset string")
-            return group_algebra(group_from_preset(params["group"]), dom)
-        if preset == "truncpoly":
-            return truncated_polynomial(_json_int(params.get("k", 2), "'k'"), dom)
-        if preset == "productfield":
-            return product_field(_json_int(params.get("m", 2), "'m'"), dom)
-        raise InputFormatError(f"unknown algebra preset {preset!r}")
+        return algebra_from_preset(_json_preset(obj), dom)
     if "table" not in obj:
         raise InputFormatError("algebra input needs a 'table' or 'preset' key")
     table = obj["table"]
@@ -226,7 +229,6 @@ def _preset_int(text):
 
 def algebra_from_preset(text: str, dom: ScalarDomain) -> FiniteAlgebra:
     """Presets: unit, truncpoly:k, productfield:m, group:<group preset>."""
-    from .groups import group_from_preset
     if text == "unit":
         return truncated_polynomial(1, dom)
     if text.startswith("truncpoly:"):
@@ -236,6 +238,24 @@ def algebra_from_preset(text: str, dom: ScalarDomain) -> FiniteAlgebra:
     if text.startswith("group:"):
         return group_algebra(group_from_preset(text.split(":", 1)[1]), dom)
     raise InputFormatError(f"unknown algebra preset {text!r}")
+
+
+def algebra_table_entries(obj) -> int:
+    """The d^3 structure constants that algebra_from_preset (obj a string)
+    or algebra_from_json (obj a JSON object) builds, plus the n^2 entries
+    of a group algebra's group table, read without building or checking a
+    table."""
+    if isinstance(obj, dict) and "preset" in obj:
+        obj = _json_preset(obj)
+    if not isinstance(obj, str):
+        table = obj.get("table") if isinstance(obj, dict) else None
+        return len(table) ** 3 if isinstance(table, list) else 0
+    if obj.startswith("group:"):
+        n = group_order(obj[len("group:"):])
+        return n ** 2 + n ** 3
+    if obj.startswith(("truncpoly:", "productfield:")):
+        return _preset_int(obj) ** 3
+    return 1  # "unit", or a preset that algebra_from_preset refuses
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,8 @@ class SmithForm:
     right: Matrix
 
     def diagonal_matrix(self, rows: int, cols: int, dom: ScalarDomain) -> Matrix:
-        m = Matrix(rows, cols, dom)
-        for i, v in enumerate(self.d):
-            if v:
-                m._set(i, i, v)
-        return m
+        return Matrix.from_canonical_columns(
+            {i: {i: v} for i, v in enumerate(self.d) if v}, rows, cols, dom)
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:

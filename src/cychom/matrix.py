@@ -7,6 +7,10 @@ is a residue in [0, p).  The arithmetic kernels work on the column dicts
 with the native ``+`` and ``*`` of the stored Python values and reduce
 each output column at most once, with ``_reduced``, so the invariants hold
 without a domain call per entry.
+
+A matrix is a value: it is complete when its constructor returns, and no
+method changes it afterwards.  So results may share column dicts with
+their operands, and a matrix may be handed to any number of callers.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ def _reduced(col: dict, p) -> dict:
     return {r: v for r, v in col.items() if v}
 
 
+def _check_dom(dom, m):
+    if dom is not m.dom and dom != m.dom:
+        raise DomainMismatch(f"{dom} vs {m.dom}")
+
+
 class Matrix:
     __slots__ = ("rows", "cols", "dom", "_cols")
 
@@ -42,51 +51,6 @@ class Matrix:
         self._cols: dict[int, dict[int, object]] = {}
 
     # -- construction --------------------------------------------------
-    def _set(self, r, c, v):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        col = self._cols.setdefault(c, {})
-        if v == 0:
-            col.pop(r, None)
-            if not col:
-                del self._cols[c]
-        else:
-            col[r] = v
-
-    def _add_to(self, r, c, v):
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        col = self._cols.setdefault(c, {})
-        w = col.get(r, 0) + v
-        if self.dom.p:
-            w %= self.dom.p
-        if w:
-            col[r] = w
-        else:
-            col.pop(r, None)
-            if not col:
-                del self._cols[c]
-
-    def add_block(self, block: Matrix, row0: int, col0: int):
-        """Add block into self in place, its entry (0, 0) at (row0, col0)."""
-        self._check_dom(block)
-        if not (0 <= row0 <= self.rows - block.rows and 0 <= col0 <= self.cols - block.cols):
-            raise IndexError(f"a {block.rows}x{block.cols} block at ({row0}, {col0})"
-                             f" leaves the {self.rows}x{self.cols} matrix")
-        for c, col in block._cols.items():
-            c += col0
-            tgt = self._cols.get(c)
-            if tgt is None:
-                self._cols[c] = {row0 + r: v for r, v in col.items()}
-                continue
-            for r, v in col.items():
-                tgt[row0 + r] = tgt.get(row0 + r, 0) + v
-            tgt = _reduced(tgt, self.dom.p)
-            if tgt:
-                self._cols[c] = tgt
-            else:
-                del self._cols[c]
-
     @classmethod
     def zeros(cls, rows, cols, dom):
         return cls(rows, cols, dom)
@@ -152,10 +116,9 @@ class Matrix:
         """The sum of s * m over the pairs (s, m) of terms, s an integer
         (a sign +-1 for every caller), of rows x cols matrices over dom, in
         one pass; terms may be lazy."""
-        out = cls(rows, cols, dom)
         acc = {}
         for s, m in terms:
-            out._check_dom(m)
+            _check_dom(dom, m)
             if (m.rows, m.cols) != (rows, cols):
                 raise ValueError("shape mismatch")
             for c, col in m._cols.items():
@@ -165,6 +128,26 @@ class Matrix:
                 else:
                     for r, v in col.items():
                         a[r] = a.get(r, 0) + s * v
+        return cls.from_column_sums(acc, rows, cols, dom)
+
+    @classmethod
+    def from_blocks(cls, rows, cols, dom, blocks):
+        """The rows x cols sum of the placed blocks (row0, col0, block),
+        each with its entry (0, 0) at (row0, col0), in one pass; blocks may
+        be lazy and may overlap."""
+        acc = {}
+        for row0, col0, block in blocks:
+            _check_dom(dom, block)
+            if not (0 <= row0 <= rows - block.rows and 0 <= col0 <= cols - block.cols):
+                raise IndexError(f"a {block.rows}x{block.cols} block at ({row0}, {col0})"
+                                 f" leaves the {rows}x{cols} matrix")
+            for c, col in block._cols.items():
+                a = acc.get(col0 + c)
+                if a is None:
+                    acc[col0 + c] = {row0 + r: v for r, v in col.items()}
+                else:
+                    for r, v in col.items():
+                        a[row0 + r] = a.get(row0 + r, 0) + v
         return cls.from_column_sums(acc, rows, cols, dom)
 
     # -- queries ---------------------------------------------------------
@@ -207,10 +190,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.dom}, nnz={self.nnz()})"
 
     # -- arithmetic ------------------------------------------------------
-    def _check_dom(self, other):
-        if self.dom is not other.dom and self.dom != other.dom:
-            raise DomainMismatch(f"{self.dom} vs {other.dom}")
-
     def __add__(self, other):
         return Matrix.signed_sum(self.rows, self.cols, self.dom, ((1, self), (1, other)))
 
@@ -222,14 +201,12 @@ class Matrix:
 
     def scale(self, k):
         k = self.dom.coerce(k)
-        p = self.dom.p
-        out = Matrix(self.rows, self.cols, self.dom)
-        out._cols = {c: col for c, a in self._cols.items()
-                     if (col := _reduced({r: v * k for r, v in a.items()}, p))}
-        return out
+        return Matrix.from_column_sums({c: {r: v * k for r, v in a.items()}
+                                        for c, a in self._cols.items()},
+                                       self.rows, self.cols, self.dom)
 
     def __matmul__(self, other):
-        self._check_dom(other)
+        _check_dom(self.dom, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         p = self.dom.p
@@ -244,7 +221,7 @@ class Matrix:
                 if acol is None:
                     continue
                 if bv == 1:
-                    out._cols[c] = dict(acol)
+                    out._cols[c] = acol
                     continue
                 acc = {r: av * bv for r, av in acol.items()}
                 if not p:
@@ -281,7 +258,7 @@ class Matrix:
         With cols, only those columns of the product, in that order, are
         built: the product times the 0/1 matrix that picks them.
         """
-        self._check_dom(other)
+        _check_dom(self.dom, other)
         nr, nc = other.rows, other.cols
         left, right = self._cols, other._cols
         if cols is None:
@@ -302,7 +279,7 @@ class Matrix:
         """The listed columns of self, in that order: self times the 0/1
         matrix that picks them."""
         out = Matrix(self.rows, len(cols), self.dom)
-        out._cols = {k: dict(col) for k, c in enumerate(cols) if (col := self._cols.get(c))}
+        out._cols = {k: col for k, c in enumerate(cols) if (col := self._cols.get(c))}
         return out
 
     # -- conversions -----------------------------------------------------

@@ -353,13 +353,12 @@ def unit_section(X: SimplicialSetSpec, FX=None) -> SimplicialMapSpec:
 # the lazy classifying space of the integers, and the circle map into it
 # ---------------------------------------------------------------------------
 
-def classifying_space_z(N: int, seeds=None) -> SimplicialSetSpec:
+def classifying_space_z(N: int) -> SimplicialSetSpec:
     """B of the infinite cyclic group, materialized lazily.
 
-    Degree n codes are integer n-tuples.  Only the closure of the seed
-    simplices (default: the images of the circle cells) under all
-    operators is enumerated; the operator formulas themselves work on
-    arbitrary tuples.  z = 1 makes it cyclic.
+    Degree n codes are integer n-tuples.  Only the closure of the images
+    of the circle cells under all operators is enumerated; the operator
+    formulas themselves work on arbitrary tuples.  z = 1 makes it cyclic.
     """
     def face(n, i, x):
         if i == 0:
@@ -376,12 +375,8 @@ def classifying_space_z(N: int, seeds=None) -> SimplicialSetSpec:
             return x
         return (1 - sum(x),) + x[:-1]
 
-    if seeds is None:
-        seeds = {n: [_circle_cell_in_bz(n, i) for i in range(n + 1)]
-                 for n in range(N + 1)}
-
     # closure under faces, degeneracies and rotations, degreewise
-    pool = {n: set(seeds.get(n, ())) for n in range(N + 1)}
+    pool = {n: {_circle_cell_in_bz(n, i) for i in range(n + 1)} for n in range(N + 1)}
     frontier = [(n, x) for n in pool for x in pool[n]]
     while frontier:
         n, x = frontier.pop()

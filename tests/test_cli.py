@@ -227,6 +227,50 @@ def test_verify_adjunction_respects_budget():
     assert proc.stdout == "" and "1000 cells" in proc.stderr
 
 
+def _cli_process(*argv, timeout=20):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "cychom.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv, entries", [
+    # the group of order n counts n^2 table entries: 4 000 000 > 2^20
+    (("homology", "--preset", "bg", "--group", "cyclic:2000", "--max-degree", "0"), 4000000),
+    # the algebra of dimension d counts d^3 structure constants
+    (("hh", "--preset", "truncpoly:80", "--max-degree", "0", "--budget", "1000"), 512000),
+    # a group algebra counts both: 60^2 + 60^3
+    (("hh", "--preset", "group:cyclic:60", "--max-degree", "0", "--budget", "10"), 219600),
+], ids=["group", "algebra", "group-algebra"])
+def test_budget_counts_tables_before_building_them(argv, entries):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and f"{entries} entries" in proc.stderr
+
+
+@pytest.mark.parametrize("command, obj, entries", [
+    ("homology", {"preset": "cyclic:2000"}, 4000000),
+    ("homology", {"table": [[0] * 1100] * 1100}, 1210000),
+    ("hh", {"preset": "truncpoly", "params": {"k": 110}}, 1331000),
+    ("hh", {"preset": "group", "params": {"group": "cyclic:102"}}, 102 ** 2 + 102 ** 3),
+    ("hh", {"table": [[[0] * 110] * 110] * 110}, 1331000),
+], ids=["group-preset", "group-table", "algebra-preset", "group-algebra", "algebra-table"])
+def test_budget_counts_json_tables_before_building_them(tmp_path, command, obj, entries):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    preset = ("--preset", "bg") if command == "homology" else ()
+    proc = _cli_process(command, *preset, "--input", str(path), "--max-degree", "0")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and f"{entries} entries" in proc.stderr
+
+
+def test_verify_exercise_bz_respects_budget():
+    # the B(Z) closure has 161 * 162 / 2 = 13 041 cells up to degree 160
+    proc = _cli_process("verify", "exercise-bz", "--max-degree", "160", "--budget", "10")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "10 cells" in proc.stderr
+
+
 def test_verify_adjunction_shares_one_free_cyclic_set(capsys, monkeypatch):
     checked = []
     real = cli.check_map

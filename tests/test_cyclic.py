@@ -412,12 +412,9 @@ FIELDS = {"Q": Q, "F2": Fp(2), "F3": Fp(3)}
 def _cc_s_map(sm, tot):
     mats = {}
     for n in range(tot.lo, tot.hi + 1):
-        m = Matrix.zeros(tot.rank(n - 2), tot.rank(n), sm.dom)
-        for (p, q) in tot.cells.get(n, []):
-            if p >= 2 and (p - 2, q) in tot.offsets:
-                m.add_block(Matrix.identity(sm.rank(q), sm.dom),
-                            tot.offsets[(p - 2, q)], tot.offsets[(p, q)])
-        mats[n] = m
+        mats[n] = Matrix.from_blocks(tot.rank(n - 2), tot.rank(n), sm.dom, (
+            (tot.offsets[(p - 2, q)], tot.offsets[(p, q)], Matrix.identity(sm.rank(q), sm.dom))
+            for (p, q) in tot.cells.get(n, []) if p >= 2 and (p - 2, q) in tot.offsets))
     return ChainMap(tot, tot, mats, shift=-2)
 
 
@@ -433,10 +430,9 @@ def _cc_sbi_rows(A, degrees):
     c = sm.chain_complex("unnormalized", top)
     tot, h_hc = _cc_hc(sm, top)
     h_hh = homology(c, range(top))
-    inc = {}
-    for n in range(top + 1):
-        inc[n] = Matrix.zeros(tot.rank(n), c.rank(n), dom)
-        inc[n].add_block(Matrix.identity(c.rank(n), dom), tot.offsets[(0, n)], 0)
+    inc = {n: Matrix.from_blocks(tot.rank(n), c.rank(n), dom,
+                                 [(tot.offsets[(0, n)], 0, Matrix.identity(c.rank(n), dom))])
+           for n in range(top + 1)}
     i_map, s_map = ChainMap(c, tot, inc), _cc_s_map(sm, tot)
     i = {n: induced_map(i_map, h_hh, h_hc, n) for n in range(top)}
     s = {n: induced_map(s_map, h_hc, h_hc, n) if n >= 2 else Matrix.zeros(0, h_hc.betti[n], dom)

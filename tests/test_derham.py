@@ -138,7 +138,7 @@ def test_hkr_section_on_plane_degree_2():
 def test_hkr_epsilon_needs_characteristic_zero():
     A = truncated_polynomial(2, Fp(2))
     with pytest.raises(PositiveCharacteristic):
-        hkr_epsilon(hochschild_module(A, 3), 2)
+        hkr_epsilon(hochschild_module(A, 3), 2, omega_power(A, 2))
 
 
 def test_wedge_is_antisymmetric_on_one_forms():

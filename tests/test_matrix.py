@@ -168,22 +168,62 @@ def test_signed_sum(case, signs):
 
 @settings(max_examples=100)
 @given(st.data())
-def test_add_block(data):
+def test_from_blocks(data):
     dom = data.draw(st.sampled_from(DOMAINS))
     r, c = data.draw(dims), data.draw(dims)
     br, bc = data.draw(st.integers(0, r)), data.draw(st.integers(0, c))
     row0, col0 = data.draw(st.integers(0, r - br)), data.draw(st.integers(0, c - bc))
     target, block = data.draw(dense(dom, r, c)), data.draw(dense(dom, br, bc))
-    m = as_matrix(dom, target, c)
-    m.add_block(as_matrix(dom, block, bc), row0, col0)
+    blocks = [(0, 0, as_matrix(dom, target, c)), (row0, col0, as_matrix(dom, block, bc))]
     want = [row[:] for row in target]
     for i, row in enumerate(block):
         for j, v in enumerate(row):
             want[row0 + i][col0 + j] += v
-    agrees(m, reduce(dom, want))
-    # adding the negated block back cancels it, emptying what it filled
-    m.add_block(-as_matrix(dom, block, bc), row0, col0)
-    agrees(m, reduce(dom, target))
+    agrees(Matrix.from_blocks(r, c, dom, iter(blocks)), reduce(dom, want))
+    # the negated block cancels it, emptying what it filled
+    blocks.append((row0, col0, -as_matrix(dom, block, bc)))
+    agrees(Matrix.from_blocks(r, c, dom, blocks), reduce(dom, target))
+
+
+def stored(m):
+    """A copy of m's column storage, to compare with after an operation."""
+    return {c: dict(col) for c, col in m._cols.items()}
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_no_operation_changes_its_operands(data):
+    dom = data.draw(st.sampled_from(DOMAINS))
+    r, k, n = data.draw(dims), data.draw(st.integers(1, 4)), data.draw(dims)
+    rows_a = data.draw(dense(dom, r, k))
+    a, b = as_matrix(dom, rows_a, k), as_matrix(dom, data.draw(dense(dom, r, k)), k)
+    e = as_matrix(dom, data.draw(dense(dom, k, n)), n)
+    # columns with one nonzero, most of them 1: @ may share them with a
+    picks = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from([1, 1, -1, 2])),
+                               min_size=n, max_size=n))
+    u = as_matrix(dom, [[v if i == row else 0 for i, v in picks] for row in range(k)], n)
+    cols = data.draw(st.lists(st.integers(0, k - 1), max_size=6))
+    kcols = data.draw(st.lists(st.integers(0, k * k - 1), max_size=6))
+    vec = [dom.coerce(v) for v in data.draw(st.lists(values(dom), min_size=k, max_size=k))]
+    operands = (a, b, e, u)
+    before = [stored(m) for m in operands]
+    ops = {"+": lambda: a + b, "-": lambda: a - b, "neg": lambda: -a,
+           "scale": lambda: a.scale(3), "@": lambda: a @ e, "@ one nonzero": lambda: a @ u,
+           "kron": lambda: a.kron(b), "kron cols": lambda: a.kron(b, kcols),
+           "columns": lambda: a.columns(cols),
+           "signed_sum": lambda: Matrix.signed_sum(r, k, dom, [(1, a), (-1, b), (1, a)]),
+           "from_blocks": lambda: Matrix.from_blocks(r, k, dom,
+                                                     [(0, 0, a), (0, 0, b), (0, 0, a)]),
+           "apply": lambda: a.apply(vec)}
+    for name, op in ops.items():
+        op()
+        assert [stored(m) for m in operands] == before, name
+    # sums that start from a result sharing a's columns accumulate elsewhere
+    for s in (a.columns(cols), a @ u):
+        want = reduce(dom, [[2 * v for v in row] for row in s.to_dense_rows()])
+        agrees(Matrix.signed_sum(s.rows, s.cols, dom, [(1, s), (1, s)]), want)
+        agrees(Matrix.from_blocks(s.rows, s.cols, dom, [(0, 0, s), (0, 0, s)]), want)
+        agrees(a, reduce(dom, rows_a))
 
 
 @settings(max_examples=100)
@@ -219,7 +259,7 @@ def test_domain_mismatch():
     a, b = Matrix.identity(2, Q), Matrix.identity(2, Fp(5))
     for op in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: a.kron(b),
                lambda: Matrix.signed_sum(2, 2, Q, [(1, a), (-1, b)]),
-               lambda: a.add_block(b, 0, 0)):
+               lambda: Matrix.from_blocks(2, 2, Q, [(0, 0, b)])):
         with pytest.raises(DomainMismatch):
             op()
 
@@ -234,10 +274,8 @@ def test_shape_mismatch():
 
 @pytest.mark.parametrize("row0, col0", [(-1, 0), (0, -1), (2, 0), (0, 3), (3, 4)])
 def test_add_block_outside_the_target(row0, col0):
-    m = Matrix.zeros(3, 4, Q)
     with pytest.raises(IndexError):
-        m.add_block(Matrix.identity(2, Q), row0, col0)
-    assert m.is_zero()
+        Matrix.from_blocks(3, 4, Q, [(row0, col0, Matrix.identity(2, Q))])
 
 
 def test_from_rows_sparse_needs_cols():
