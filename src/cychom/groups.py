@@ -143,10 +143,10 @@ def group_order(obj) -> int:
     """The order of the group that group_from_preset (obj a string) or
     group_from_json (obj a JSON object) builds, read without building or
     checking a table."""
+    if isinstance(obj, dict) and "table" in obj:
+        return len(obj["table"]) if isinstance(obj["table"], list) else 0
     if isinstance(obj, dict):
-        obj = obj["table"] if "table" in obj else obj.get("preset")
-        if isinstance(obj, list):
-            return len(obj)
+        obj = obj.get("preset")
     return prod(n for n, _ in _preset_factors(obj)) if isinstance(obj, str) else 0
 
 

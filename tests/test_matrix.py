@@ -3,7 +3,8 @@
 Each result is compared entry by entry with the same operation on dense
 row lists (products and Kronecker products from tests/oracle.py), and is
 checked to keep the storage invariants: no stored zero, no empty column,
-over F_p every value a residue in [0, p).
+over F_p every value a residue in [0, p).  No operation may change its
+operands, since results may share column dicts with them.
 """
 
 from fractions import Fraction
