@@ -15,7 +15,7 @@ from math import factorial
 from .chains import PresentedModule, SimplicialModule
 from .errors import NotCommutative, PositiveCharacteristic, RelationFailure
 from .hochschild import FiniteAlgebra, extra_degeneracy, tensor_index
-from .matrix import Matrix
+from .matrix import Matrix, _entries, _reduced
 
 
 def _require_commutative(A: FiniteAlgebra):
@@ -26,36 +26,34 @@ def _require_commutative(A: FiniteAlgebra):
 def _leibniz_relations(A: FiniteAlgebra, n: int):
     """Leibniz-rule relations in A tensor (n+1), for every slot and triple,
     as sparse dicts {tensor index: coefficient}."""
-    dom, d = A.dom, A.dim
+    P, d, p = A.products, A.dim, A.dom.p
     rels = []
     for k in range(1, n + 1):
         others = [range(d)] * (n - 1)  # slots 1..n except k
         for a0 in range(d):
             for b in range(d):
                 for c in range(d):
-                    bc = A.table[b][c]
-                    a0b = A.table[a0][b]
-                    a0c = A.table[a0][c]
+                    bc, a0b, a0c = P[b][c], P[a0][b], P[a0][c]
                     for rest in product(*others):
                         def put(lead, val):
                             slots = list(rest)
                             slots.insert(k - 1, val)
                             return tensor_index((lead,) + tuple(slots), d)
                         # a0 d(bc) - (a0 b) dc - (a0 c) db = 0
-                        terms = [(put(a0, m), v) for m, v in enumerate(bc) if v != 0]
-                        terms += [(put(m, c), dom.neg(v)) for m, v in enumerate(a0b) if v != 0]
-                        terms += [(put(m, b), dom.neg(v)) for m, v in enumerate(a0c) if v != 0]
+                        terms = [(put(a0, m), v) for m, v in bc]
+                        terms += [(put(m, c), -v) for m, v in a0b]
+                        terms += [(put(m, b), -v) for m, v in a0c]
                         rel = {}
                         for i, v in terms:
-                            rel[i] = dom.add(rel.get(i, dom.zero), v)
-                        if any(rel.values()):
+                            rel[i] = rel.get(i, 0) + v
+                        if rel := _reduced(rel, p):
                             rels.append(rel)
     return rels
 
 
 def _square_relations(A: FiniteAlgebra, n: int):
     """Adjacent-slot squares: db db and db dc + dc db, as sparse dicts."""
-    dom, d = A.dom, A.dim
+    d, p = A.dim, A.dom.p
     rels = []
     for k in range(1, n):
         others = [range(d)] * (n - 2)
@@ -69,8 +67,7 @@ def _square_relations(A: FiniteAlgebra, n: int):
                 for b in range(d):
                     for c in range(b, d):
                         i, j = put(b, c), put(c, b)
-                        rels.append({i: dom.add(dom.one, dom.one)} if i == j
-                                    else {i: dom.one, j: dom.one})
+                        rels.append(_reduced({i: 2}, p) if i == j else {i: 1, j: 1})
     return rels
 
 
@@ -97,9 +94,7 @@ def module_action(omega: PresentedModule, a_vector) -> Matrix:
     dom, d = A.dom, A.dim
     # a acts on the first tensor slot only: left multiplication by a,
     # tensored with the identity on the other n slots
-    left = Matrix.from_columns(
-        [A.mul(a_vector, [dom.one if k == i else dom.zero for k in range(d)])
-         for i in range(d)], d, dom)
+    left = Matrix.from_columns([A.mul(a_vector, {i: 1}) for i in range(d)], d, dom)
     amb = left.kron(Matrix.identity(d ** omega.form_degree, dom))
     return omega.proj @ amb @ omega.sect
 
@@ -176,7 +171,7 @@ def hkr_epsilon(sm: SimplicialModule, n: int, omega: PresentedModule) -> Matrix:
         raise PositiveCharacteristic("antisymmetrization needs characteristic zero")
     dom, d = A.dom, A.dim
     amb_dim = d ** (n + 1)
-    inv_fact = dom.div(dom.one, dom.coerce(factorial(n)))
+    inv_fact = dom.inv(dom.coerce(factorial(n)))
     perms = list(_permutations_signed(n))
     cols = {}
     for col_idx in product(range(d), repeat=n + 1):
@@ -213,22 +208,16 @@ def wedge(omega_p: PresentedModule, omega_q: PresentedModule, u, v,
     concatenates the differential slots, then projects into Omega^(p+q).
     """
     A = omega_p.algebra
-    dom, d = A.dom, A.dim
+    d = A.dim
     p, q = omega_p.form_degree, omega_q.form_degree
     lift_u = omega_p.sect.apply(list(u))
     lift_v = omega_q.sect.apply(list(v))
-    amb = [dom.zero] * (d ** (p + q + 1))
-    for iu, cu in enumerate(lift_u):
-        if cu == 0:
-            continue
+    # native sums of canonical scalars; the projection reduces them once
+    amb = [0] * (d ** (p + q + 1))
+    for iu, cu in _entries(lift_u):
         a0, rest_u = divmod(iu, d ** p)
-        for iv, cv in enumerate(lift_v):
-            if cv == 0:
-                continue
+        for iv, cv in _entries(lift_v):
             b0, rest_v = divmod(iv, d ** q)
-            c = dom.mul(cu, cv)
-            for m, coef in enumerate(A.table[a0][b0]):
-                if coef != 0:
-                    idx = (m * d ** p + rest_u) * d ** q + rest_v
-                    amb[idx] = dom.add(amb[idx], dom.mul(c, coef))
+            for m, coef in A.products[a0][b0]:
+                amb[(m * d ** p + rest_u) * d ** q + rest_v] += cu * cv * coef
     return omega_pq.proj.apply(amb)

@@ -2,7 +2,7 @@
 
 Scalars are plain Python values: ``Fraction`` (or ``int``) over Q,
 ``int`` in ``[0, p)`` over F_p, and ``int`` over Z.  A ``ScalarDomain``
-bundles the arithmetic so matrices and complexes can stay generic.
+makes scalars canonical; sums and products are native arithmetic.
 """
 
 from __future__ import annotations
@@ -84,14 +84,6 @@ class ScalarDomain:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == PRIME_FIELD else c
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == PRIME_FIELD else c
-
     def neg(self, a):
         return (-a) % self.p if self.kind == PRIME_FIELD else -a
 
@@ -102,9 +94,6 @@ class ScalarDomain:
         if self.kind == PRIME_FIELD:
             return pow(a, self.p - 2, self.p)
         return Fraction(1, 1) / Fraction(a)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __str__(self):
         if self.kind == PRIME_FIELD:

@@ -2,7 +2,8 @@
 
 Elements are indices 0..order-1; presets cover cyclic groups, products of
 cyclics, and the symmetric group on three letters.  Tables are validated
-in full (associativity, identity, inverses) at construction.
+at construction: identity and inverses by scanning, associativity by
+Light's test on a generating set.
 """
 
 from __future__ import annotations
@@ -53,11 +54,44 @@ class FiniteGroup:
                     break
             if self.inverse[a] is None:
                 raise InputFormatError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise InputFormatError(f"associativity fails at ({a},{b},{c})")
+        self._check_associative()
+
+    def _check_associative(self):
+        """Light's test on a greedy generating set, in O(n^2 log n).
+
+        Starting from {identity}, the first element g outside the closure
+        becomes a generator once (x g) y = x (g y) holds for all x and y;
+        the closure then grows by right multiplication by the generators.
+        The elements that pass the test are closed under products, so the
+        closure of passing generators is associative with every middle
+        element in it; with the table's inverses it is cancellative, hence
+        a finite group, and right multiplication by a new generator maps it
+        onto a disjoint coset.  So each generator at least doubles the
+        closure, at most 1 + log2 n generators reach all n elements, and
+        then every triple associates.
+        """
+        T, n = self.table, self.order
+        inside = [False] * n
+        inside[self.identity] = True
+        members, gens = [self.identity], []
+        for g in range(n):
+            if inside[g]:
+                continue
+            gT = T[g]
+            for x in range(n):
+                xg, xT = T[T[x][g]], T[x]
+                for y in range(n):
+                    if xg[y] != xT[gT[y]]:
+                        raise InputFormatError(f"associativity fails at ({x},{g},{y})")
+            gens.append(g)
+            queue = list(members)
+            while queue:
+                row = T[queue.pop()]
+                for h in gens:
+                    if not inside[z := row[h]]:
+                        inside[z] = True
+                        members.append(z)
+                        queue.append(z)
 
     def mul(self, a, b):
         return self.table[a][b]

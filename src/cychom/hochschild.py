@@ -2,8 +2,9 @@
 
 An algebra is a structure-constant table over an exact field; the
 Hochschild simplicial module has degree-n module A tensored with itself
-n+1 times, faces multiplying adjacent slots (cyclically for the last
-one), degeneracies inserting the unit, and the signed rotation.
+n+1 times, faces multiplying adjacent slots by ``FiniteAlgebra.products``
+(cyclically for the last one), degeneracies inserting the unit, and the
+signed rotation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import (
     NotAssociative,
 )
 from .groups import FiniteGroup, group_from_preset, group_order
-from .matrix import Matrix
+from .matrix import Matrix, _entries, _reduced
 from .simplicial import cyclic_bar
 
 DEFAULT_BUDGET = 2 ** 20
@@ -27,10 +28,12 @@ DEFAULT_BUDGET = 2 ** 20
 class FiniteAlgebra:
     """A unital associative algebra by structure constants.
 
-    table[i][j] is the coefficient vector of (basis_i * basis_j), dim >= 1;
-    labels, if given, are dim strings.  An undeclared unit is found by
-    solving the unit laws over the basis; associativity is checked on all
-    basis triples.  Malformed input raises InputFormatError.
+    table[i][j] is the coefficient vector of (basis_i * basis_j), dim >= 1,
+    kept as the input record: every computation reads products[i][j], its
+    nonzero (k, c) with k ascending.  labels, if given, are dim strings.  An
+    undeclared unit is found by solving the unit laws over the basis;
+    associativity is checked on all basis triples.  Malformed input raises
+    InputFormatError.
     """
 
     def __init__(self, dom: ScalarDomain, table, labels=None, unit=None, name=""):
@@ -55,6 +58,8 @@ class FiniteAlgebra:
         if any(len(row) != self.dim for row in self.table) or \
                 any(len(cell) != self.dim for row in self.table for cell in row):
             raise InputFormatError("structure-constant table must be dim x dim x dim")
+        self.products = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row]
+                         for row in self.table]
         if unit is not None:
             self.unit = [dom.coerce(c) for c in unit]
             if not self._is_unit(self.unit):
@@ -62,25 +67,20 @@ class FiniteAlgebra:
         else:
             self.unit = self._find_unit()
         self._check_associative()
-        self.commutative = all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(self.dim) for j in range(i))
+        P = self.products
+        self.commutative = all(P[i][j] == P[j][i] for i in range(self.dim) for j in range(i))
 
     def mul(self, u, v):
-        """Product of two coefficient vectors."""
-        dom = self.dom
-        out = [dom.zero] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = dom.mul(a, b)
-                for k, c in enumerate(self.table[i][j]):
-                    if c != 0:
-                        out[k] = dom.add(out[k], dom.mul(ab, c))
-        return out
+        """Product of two coefficient vectors (dense lists or sparse dicts)."""
+        out = {}
+        for i, a in _entries(u):
+            row = self.products[i]
+            for j, b in _entries(v):
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] = out.get(k, 0) + ab * c
+        coerce = self.dom.coerce
+        return [coerce(out.get(k, 0)) for k in range(self.dim)]
 
     def _is_unit(self, u):
         for i in range(self.dim):
@@ -111,16 +111,20 @@ class FiniteAlgebra:
         return xs[0]
 
     def _check_associative(self):
-        n = self.dim
+        # a triple costs the product of its nonzero counts: d^3 dictionary
+        # steps in all on a monomial algebra
+        P, n, p = self.products, self.dim, self.dom.p
         for i in range(n):
             for j in range(n):
-                ij = self.table[i][j]
                 for k in range(n):
-                    e_k = [self.dom.one if m == k else self.dom.zero for m in range(n)]
-                    lhs = self.mul(ij, e_k)
-                    e_i = [self.dom.one if m == i else self.dom.zero for m in range(n)]
-                    rhs = self.mul(e_i, self.table[j][k])
-                    if lhs != rhs:
+                    lhs, rhs = {}, {}
+                    for m, c in P[i][j]:
+                        for r, v in P[m][k]:
+                            lhs[r] = lhs.get(r, 0) + c * v
+                    for m, c in P[j][k]:
+                        for r, v in P[i][m]:
+                            rhs[r] = rhs.get(r, 0) + c * v
+                    if _reduced(lhs, p) != _reduced(rhs, p):
                         raise NotAssociative(f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")
 
     def __repr__(self):
@@ -288,29 +292,26 @@ def hochschild_module(A: FiniteAlgebra, N: int,
     def rank(n):
         return d ** (n + 1)
 
-    # the nonzero (k, c) of each product e_a e_b, at ab = a * d + b, and of
-    # the unit: canonical scalars, since FiniteAlgebra coerces its table,
-    # with distinct k; a face sum takes them times the sign of each face
-    products = [[(k, c) for k, c in enumerate(A.table[ab // d][ab % d]) if c]
-                for ab in range(d * d)]
-    signed = {1: products, -1: [[(k, -c) for k, c in prods] for prods in products]}
+    # a face sum takes A.products times the sign of each face
+    products = A.products
     unit = [(k, c) for k, c in enumerate(A.unit) if c]
 
     def faces(n, cols, signs):
-        # slot i times slot i + 1: col = (pre * d^2 + a * d + b) * size + post;
+        # slot i times slot i + 1: col = ((pre * d + a) * d + b) * size + post;
         # the last face is face 0 after slot n moves to the front
         top = d ** n
-        terms = [(i == n, d ** (n - 1 - i) if i < n else top // d, signed[s]) for i, s in signs]
+        terms = [(i == n, d ** (n - 1 - i) if i < n else top // d, s) for i, s in signs]
         cols = range(rank(n)) if cols is None else cols
         out = {}
         for j, col in enumerate(cols):
             acc = out[j] = {}
-            for last, size, prods in terms:
+            for last, size, s in terms:
                 head, post = divmod((col % d) * top + col // d if last else col, size)
-                pre, ab = divmod(head, d * d)
-                for k, c in prods[ab]:
+                head, b = divmod(head, d)
+                pre, a = divmod(head, d)
+                for k, c in products[a][b]:
                     r = (pre * d + k) * size + post
-                    acc[r] = acc.get(r, 0) + c
+                    acc[r] = acc.get(r, 0) + s * c
         return Matrix.from_column_sums(out, rank(n - 1), len(cols), dom)
 
     def degeneracy(n, j):

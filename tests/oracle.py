@@ -177,3 +177,23 @@ def face_sum(ops, n, signs, p=None):
                 col[r] = col.get(r, 0) + s * v
         cols.append({r: w for r, v in col.items() if (w := v % p if p else v)})
     return cols
+
+
+def first_nonassociative_triple(table, p=None):
+    """The first basis triple (i, j, k), in lexicographic order, with
+    (e_i e_j) e_k != e_i (e_j e_k), by dense products of coefficient
+    vectors over a structure-constant table (values mod p when p is
+    given); None when every triple associates."""
+    dim = len(table)
+
+    def mul(u, v):
+        out = [sum(u[a] * v[b] * table[a][b][c] for a in range(dim) for b in range(dim))
+               for c in range(dim)]
+        return [x % p for x in out] if p else out
+
+    basis = [[int(a == i) for a in range(dim)] for i in range(dim)]
+    for i, j, k in product(range(dim), repeat=3):
+        e_i, e_j, e_k = basis[i], basis[j], basis[k]
+        if mul(mul(e_i, e_j), e_k) != mul(e_i, mul(e_j, e_k)):
+            return i, j, k
+    return None

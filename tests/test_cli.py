@@ -264,6 +264,20 @@ def test_budget_counts_json_tables_before_building_them(tmp_path, command, obj, 
     assert proc.stdout == "" and f"{entries} entries" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, stdout", [
+    # 10^6 group table entries: Light's test checks associativity in
+    # O(n^2 log n), not on all n^3 triples
+    (("homology", "--preset", "bg", "--group", "cyclic:1000", "--max-degree", "0"),
+     "H_0: betti 1\n"),
+    # 10^6 structure constants: the sparse products make the check d^3 steps
+    (("hh", "--preset", "truncpoly:100", "--max-degree", "0"), "H_0: betti 100\n"),
+], ids=["group", "algebra"])
+def test_table_validation_costs_about_the_budgeted_entries(argv, stdout):
+    proc = _cli_process(*argv, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
+
+
 def test_verify_exercise_bz_respects_budget():
     # the B(Z) closure has 161 * 162 / 2 = 13 041 cells up to degree 160
     proc = _cli_process("verify", "exercise-bz", "--max-degree", "160", "--budget", "10")
@@ -340,6 +354,16 @@ def test_budget_guard_counts_free_cyclic_lazily():
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 3, proc.stderr
     assert peak_kb < 30 * 1024
+
+
+def test_exit_code_nonassociative_group_json(capsys, tmp_path):
+    # a loop of order 5: a two-sided identity and inverses, but no group
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}))
+    code, out, err = run(capsys, "homology", "--preset", "bg", "--input", str(path),
+                         "--max-degree", "0")
+    assert code == 2 and out == "" and "associativity fails" in err
 
 
 def test_exit_code_integral_algebra_without_unit(capsys, tmp_path):

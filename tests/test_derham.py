@@ -65,7 +65,7 @@ def test_leibniz_holds_in_the_quotient():
 
     one, x, y, xy = 0, 1, 2, 3
     lhs = omega.proj.apply(amb(one, xy))          # 1 d(xy)
-    rhs_vec = [Q.add(a, b) for a, b in
+    rhs_vec = [a + b for a, b in
                zip(omega.proj.apply(amb(x, y)),   # x dy
                    omega.proj.apply(amb(y, x)))]  # y dx
     assert lhs == rhs_vec
@@ -189,5 +189,5 @@ def test_differential_matches_action_leibniz():
             db = d0.apply(om0.proj.apply(b))
             a_db = module_action(om1, a).apply(db)
             b_da = module_action(om1, b).apply(da)
-            rhs = [Q.add(u, v) for u, v in zip(a_db, b_da)]
+            rhs = [u + v for u, v in zip(a_db, b_da)]
             assert lhs == rhs

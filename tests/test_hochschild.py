@@ -1,6 +1,10 @@
 """Hochschild modules of finite algebras and the algebra/group pipeline."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cychom.chains import check_module_identities, homology
 from cychom.domains import Fp, Q, Z
@@ -21,7 +25,13 @@ from cychom.hochschild import (
 from cychom.matrix import Matrix
 from cychom.simplicial import cyclic_bar
 
-from .oracle import FACE_SUMS, dense_homology_dim, face_sum, hochschild_operators
+from .oracle import (
+    FACE_SUMS,
+    dense_homology_dim,
+    face_sum,
+    first_nonassociative_triple,
+    hochschild_operators,
+)
 
 
 def test_algebra_validation_rejects_nonassociative_table():
@@ -30,6 +40,63 @@ def test_algebra_validation_rejects_nonassociative_table():
     table = [[[0, 1], [1, 0]], [[1, 0], [0, 0]]]
     with pytest.raises((NotAssociative, NoUnit)):
         FiniteAlgebra(dom, table)
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(3)])
+def test_algebra_validation_names_the_nonassociative_triple(dom):
+    # unit e0, e1 e1 = e2, e1 e2 = 0, e2 e1 = e1, e2 e2 = 0:
+    # (e1 e1) e1 = e2 e1 = e1, but e1 (e1 e1) = e1 e2 = 0
+    e0, e1, e2, zero = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+    table = [[e0, e1, e2], [e1, e2, zero], [e2, e1, zero]]
+    with pytest.raises(NotAssociative, match=re.escape("(e1 e1) e1 != e1 (e1 e1)")):
+        FiniteAlgebra(dom, table)
+
+
+@st.composite
+def _unital_tables(draw):
+    # row and column 0 the identity, every other constant in {-1, 0, 1}
+    d = draw(st.integers(1, 4))
+    coeffs = st.lists(st.sampled_from([-1, 0, 1]), min_size=d, max_size=d)
+    return [[[int(k == i + j) for k in range(d)] if 0 in (i, j) else draw(coeffs)
+             for j in range(d)] for i in range(d)]
+
+
+@st.composite
+def _rebased_presets(draw):
+    # truncpoly:3 or productfield:3 in the basis f = M e, M a product of
+    # elementary row additions: associative, and monomial no longer
+    table = draw(st.sampled_from([truncated_polynomial(3, Q).table,
+                                  product_field(3, Q).table]))
+    d = len(table)
+    ops = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                                  st.sampled_from([-1, 1])).filter(lambda t: t[0] != t[1]),
+                        min_size=1, max_size=6))
+    M = [[int(a == i) for a in range(d)] for i in range(d)]
+    M_inv = [row[:] for row in M]
+    for i, j, s in ops:
+        # M <- (I + s E_ij) M and M_inv <- M_inv (I - s E_ij)
+        M[i] = [x + s * y for x, y in zip(M[i], M[j])]
+        for row in M_inv:
+            row[j] -= s * row[i]
+    assert all(sum(M[i][c] * M_inv[c][k] for c in range(d)) == int(i == k)
+               for i in range(d) for k in range(d))
+    # f_i f_j = sum M[i][a] M[j][b] e_a e_b, and e_c = sum M_inv[c][k] f_k
+    return [[[sum(M[i][a] * M[j][b] * table[a][b][c] * M_inv[c][k]
+                  for a in range(d) for b in range(d) for c in range(d))
+              for k in range(d)] for j in range(d)] for i in range(d)]
+
+
+@settings(max_examples=150)
+@given(st.one_of(_unital_tables(), _rebased_presets()), st.sampled_from([Q, Fp(3)]))
+def test_associativity_check_agrees_with_the_dense_oracle(table, dom):
+    failing = first_nonassociative_triple(table, dom.p)
+    if failing is None:
+        FiniteAlgebra(dom, table)
+    else:
+        i, j, k = failing
+        with pytest.raises(NotAssociative,
+                           match=re.escape(f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})")):
+            FiniteAlgebra(dom, table)
 
 
 @pytest.mark.parametrize("table, kwargs", [
