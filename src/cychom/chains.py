@@ -202,7 +202,7 @@ class ChainMap:
     """Degreewise matrices f_n: C_n -> D_{n+shift}, commuting with d."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, mats: dict,
-                 shift=0, name="", check=True):
+                 shift=0, name=""):
         if source.dom != target.dom:
             raise DomainMismatch("chain map needs a common scalar domain")
         self.source = source
@@ -210,8 +210,7 @@ class ChainMap:
         self.mats = dict(mats)
         self.shift = shift
         self.name = name
-        if check:
-            self.verify()
+        self.verify()
 
     def mat(self, n) -> Matrix:
         if n in self.mats:
@@ -220,7 +219,7 @@ class ChainMap:
                             self.source.rank(n), self.source.dom)
 
     def verify(self):
-        for n in range(self.source.lo + 1, self.source.hi + 1):
+        for n in range(self.source.lo, self.source.hi + 1):
             if n + self.shift <= self.target.lo or n + self.shift > self.target.hi:
                 continue
             lhs = self.target.d(n + self.shift) @ self.mat(n)

@@ -347,8 +347,14 @@ def _suite_adjunction(args) -> int:
 
 
 def _suite_exercise_bz(args) -> int:
-    # the B(Z) closure has the circle's (N+1)(N+2)/2 cells up to degree N
-    _spec_budget_guard(circle(args.max_degree), args.max_degree, args.budget)
+    # the B(Z) closure and check_map make 2n + 3 images (t, n + 1 faces and
+    # n + 1 degeneracies) of each of the circle's n + 1 cells of degree n;
+    # up to degree N that is k(k + 1)(4k + 5)/6 with k = N + 1
+    k = args.max_degree + 1
+    images = k * (k + 1) * (4 * k + 5) // 6
+    if images > args.budget:
+        raise BudgetExceeded(f"circle -> B(Z) makes {images} image cells up to degree"
+                             f" {args.max_degree} (budget {args.budget} cells)")
     m = circle_to_bz(args.max_degree)
     rep = check_map(m, mode="cyclic")
     print(f"circle -> BZ: {rep.checked} instances,"

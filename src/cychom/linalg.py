@@ -13,18 +13,20 @@ for one) adds no pivot by elimination.  Subspaces are fingerprinted by
 their reduced row echelon form, which makes equality of spans a plain
 tuple comparison.  Over Z, homology reads the invariant factors of each
 boundary matrix from a sparse elimination on unit pivots followed by a
-Smith form of the remainder (``invariant_factors``).
+Smith form of the remainder (``invariant_factors``).  That Smith form and
+the kernel lattice come from one sparse lattice echelon, with no dense
+transform (``_lattice_echelon``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import gcd, prod
+from itertools import combinations, compress
+from math import gcd, lcm, prod
 
 from . import _modp
-from .domains import INTEGERS, PRIME_FIELD, Q, ScalarDomain
+from .domains import INTEGERS, PRIME_FIELD, Q, Z, ScalarDomain
 from .errors import AmbientMismatch, DomainMismatch, LatticeMismatch
 from .matrix import Matrix
 
@@ -300,115 +302,85 @@ def solve_in_span(basis_vectors: list[list], targets: list[list], dom: ScalarDom
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# integer lattices: Smith form and kernel lattice from one echelon
 # ---------------------------------------------------------------------------
+
+def _combine(s: int, u: dict, t: int, v: dict) -> dict:
+    """s u + t v for sparse integer rows, without zero entries."""
+    out = {k: s * w for k, w in u.items()} if s else {}
+    for k, w in v.items():
+        if z := out.get(k, 0) + t * w:
+            out[k] = z
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _xgcd(a: int, b: int):
+    """(g, x, y) with g = x a + y b and |g| = gcd(a, b)."""
+    x, y, u, v = 1, 0, 0, 1
+    while b:
+        a, b, x, y, u, v = b, a % b, u, v, x - a // b * u, y - a // b * v
+    return a, x, y
+
+
+def _lattice_echelon(rows) -> dict:
+    """Echelon basis {leading column: row} of the lattice spanned by the
+    integer rows {col: value}, taken sparsest first.
+
+    A row meeting the pivot row at its leading column c takes unimodular
+    steps only.  When the pivot a divides the row's b (every unit pivot
+    does), the row becomes row - (b/a) pivot.  Otherwise x pivot + y row,
+    leading with g = x a + y b = ±gcd(a, b), becomes the pivot row, and
+    the row becomes (b/g) pivot - (a/g) row, which is zero at c.
+    """
+    ech = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            piv = ech.get(c)
+            if piv is None:
+                ech[c] = row
+                break
+            a, b = piv[c], row[c]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                ech[c], row = _combine(x, piv, y, row), _combine(b // g, piv, -(a // g), row)
+            else:
+                row = _combine(1, row, -(b // a), piv)
+    return ech
+
 
 @dataclass
 class SmithForm:
     d: list[int]
     rank: int
-    left: Matrix
-    right: Matrix
-
-    def diagonal_matrix(self, rows: int, cols: int, dom: ScalarDomain) -> Matrix:
-        return Matrix.from_canonical_columns(
-            {i: {i: v} for i, v in enumerate(self.d) if v}, rows, cols, dom)
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:
-    """SNF over Z with unimodular transforms: left @ m @ right = diag(d).
+    """The nonzero Smith diagonal d of an integer matrix, each entry
+    dividing the next, and its rank len(d).
 
-    Diagonal entries are nonnegative and form a divisibility chain.
+    Lattice echelons of the rows and of the columns alternate (Kannan and
+    Bachem), each pass taking the columns of the last one's rows in pivot
+    order, until every row has one entry.  Every step is unimodular.  It
+    ends: a row pass makes the first pivot the gcd of its column and a
+    column pass the gcd of its row, so |pivot| falls until the pivot
+    divides its row and column; then it stands alone in both, and the
+    rest goes on alike.  Last, diag(a, b) ~ diag(gcd, lcm) makes a chain.
     """
     if m.dom.kind != INTEGERS:
         raise DomainMismatch("SNF needs an integer matrix")
-    rows, cols = m.rows, m.cols
-    a = [[int(v) for v in row] for row in m.to_dense_rows()]
-    left = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, f):  # row_i -= f * row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - f * y for x, y in zip(left[i], left[j])]
-
-    def col_op(i, j, f):  # col_i -= f * col_j
-        for row in a:
-            row[i] -= f * row[j]
-        for row in right:
-            row[i] -= f * row[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
-    n = min(rows, cols)
-    while t < n:
-        # locate a nonzero entry of minimal absolute value in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
+    while True:
+        ech = _lattice_echelon(sorted(filter(None, m.sparse_rows()), key=len))
+        if all(len(row) == 1 for row in ech.values()):
             break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        if a[t][t] < 0:
-            row_negate(t)
-        # clear row and column t, restarting if a smaller remainder shows up
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        if a[t][t] < 0:
-                            row_negate(t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-        # divisibility: fold any non-multiple into the pivot and redo
-        viol = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            row_op(t, viol, -1)  # add offending row into pivot row
-            continue
-        t += 1
-
-    d = [a[i][i] for i in range(n) if a[i][i] != 0]
-    from .domains import Z as ZDOM
-    lm = Matrix.from_rows(left, ZDOM, cols=rows)
-    rm = Matrix.from_rows(right, ZDOM, cols=cols)
-    return SmithForm(d=d, rank=len(d), left=lm, right=rm)
+        m = Matrix.from_columns([ech[c] for c in sorted(ech)], m.cols, m.dom)
+    d = sorted(abs(v) for row in ech.values() for v in row.values())
+    for i, j in combinations(range(len(d)), 2):
+        if d[j] % d[i]:
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return SmithForm(d, len(d))
 
 
 def invariant_factors(m: Matrix) -> list[int]:
@@ -449,10 +421,16 @@ def invariant_factors(m: Matrix) -> list[int]:
 
 
 def integer_kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the kernel lattice of an integer matrix (saturated)."""
-    snf = smith_normal_form(m)
-    r = snf.rank
-    return [snf.right.column_vector(c) for c in range(r, m.cols)]
+    """Saturated basis of the kernel lattice {x : m x = 0} of an integer
+    matrix: the echelon rows, past row m.rows - 1, of the lattice
+    {(m x, x)} that the columns of m stacked on the identity span.
+    """
+    if m.dom.kind != INTEGERS:
+        raise DomainMismatch("integer kernel basis needs an integer matrix")
+    top = m.rows
+    stacked = [col | {top + j: 1} for j, col in enumerate(m.sparse_columns())]
+    ech = _lattice_echelon(sorted(stacked, key=len))
+    return [[ech[c].get(top + j, 0) for j in range(m.cols)] for c in sorted(ech) if c >= top]
 
 
 # no caller in cychom; perfbench/tracer.py wraps it by name
@@ -462,7 +440,6 @@ def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
     boundary columns are assumed to lie in the kernel lattice; their
     coordinates in the basis are integral because the basis is saturated.
     """
-    from .domains import Z as ZDOM
     k = len(kernel_basis)
     if k == 0:
         return 0, []
@@ -475,7 +452,7 @@ def z_quotient_invariants(kernel_basis: list[list], boundary: Matrix):
     if any(Fraction(v).denominator != 1 for x in xs for v in x):
         raise LatticeMismatch("non-integral coordinates: kernel basis not saturated")
     coords = [[Fraction(v).numerator for v in x] for x in xs]
-    mat = Matrix.from_columns(coords, k, ZDOM)
+    mat = Matrix.from_columns(coords, k, Z)
     snf = smith_normal_form(mat)
     betti = k - snf.rank
     torsion = [abs(v) for v in snf.d if abs(v) > 1]

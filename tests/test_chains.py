@@ -329,12 +329,22 @@ def test_induced_map_of_identity_is_identity():
         assert induced_map(ident, h, h, n) == Matrix.identity(h.betti[n], Q)
 
 
+def test_chain_map_is_checked_at_the_lowest_degree_of_its_source():
+    # S is one cell e in degree 1; in T, d(e) = v, so d f_1 = [1] but f_0 d_1 = 0
+    one = Matrix.identity(1, Q)
+    S = ChainComplex(Q, {1: 1, 2: 0}, {})
+    T = ChainComplex(Q, {0: 1, 1: 1, 2: 0}, {1: one})
+    with pytest.raises(NotAChainMap, match="degree 1"):
+        ChainMap(S, T, {1: one})
+
+
 def test_induced_map_rejects_image_that_is_not_a_cycle():
     # S has the 1-cycle e; T bounds nothing but d(e) = v, so e is no cycle there
-    one = Matrix.identity(1, Q)
-    S = ChainComplex(Q, {0: 1, 1: 1, 2: 0}, {1: Matrix.zeros(1, 1, Q)})
+    one, zero = Matrix.identity(1, Q), Matrix.zeros(1, 1, Q)
+    S = ChainComplex(Q, {0: 1, 1: 1, 2: 0}, {1: zero})
     T = ChainComplex(Q, {0: 1, 1: 1, 2: 0}, {1: one})
-    f = ChainMap(S, T, {0: Matrix.zeros(1, 1, Q), 1: one}, check=False)
+    f = ChainMap(S, T, {0: zero, 1: zero})
+    f.mats[1] = one  # past the check at construction, f is no chain map
     with pytest.raises(NotAChainMap):
         induced_map(f, homology(S, [1]), homology(T, [1]), 1)
 

@@ -285,6 +285,19 @@ def test_verify_exercise_bz_respects_budget():
     assert proc.stdout == "" and "10 cells" in proc.stderr
 
 
+@pytest.mark.parametrize("degree, code", [(1446, 3), (60, 0)])
+def test_verify_exercise_bz_counts_the_images_it_makes(degree, code):
+    # up to degree N the closure and the check make sum (n + 1)(2n + 3)
+    # images: 2 022 969 668 at N = 1446, past the default budget of 2^20,
+    # and 156 953 at N = 60, which still runs
+    proc = _cli_process("verify", "exercise-bz", "--max-degree", str(degree), timeout=20)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == "" and "2022969668 image cells" in proc.stderr
+    else:
+        assert proc.stdout == "circle -> BZ: 153231 instances, 0 failures\n"
+
+
 def test_verify_adjunction_shares_one_free_cyclic_set(capsys, monkeypatch):
     checked = []
     real = cli.check_map

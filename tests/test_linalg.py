@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cychom.chains import homology, linearize
 from cychom.domains import Fp, Q, Z
 from cychom import _modp, linalg
 from cychom.errors import DomainNotField, LatticeMismatch
+from cychom.groups import cyclic_group
 from cychom.linalg import (
     SubspaceBasis,
     integer_kernel_basis,
@@ -21,6 +23,7 @@ from cychom.linalg import (
     z_quotient_invariants,
 )
 from cychom.matrix import Matrix
+from cychom.simplicial import classifying_space
 
 from .oracle import dense_rank, dense_rank_modp, dense_rref, in_span, snf_diagonal_by_minors
 
@@ -258,6 +261,20 @@ def test_rank_reads_the_sparse_columns_without_densifying(monkeypatch, dom):
     assert rank(Matrix.from_rows(rows, dom)) == want == (2 if dom.p else 3)
 
 
+def test_integral_routines_read_the_sparse_rows_without_densifying(monkeypatch):
+    def densify(self):
+        raise AssertionError("an integral routine densified its matrix")
+
+    monkeypatch.setattr(Matrix, "to_dense_rows", densify)
+    rows = [[0, 2, 0], [3, -2, -3], [0, -3, 3], [0, 4, 0]]
+    m = Matrix.from_rows(rows, Z)
+    assert invariant_factors(m) == smith_normal_form(m).d == snf_diagonal_by_minors(rows)
+    assert len(integer_kernel_basis(Matrix.from_rows([[2, 4, 6]], Z))) == 2
+    # normalized BZ/2 has one cell per degree, and d_2 = 2, d_1 = d_3 = 0
+    h = homology(linearize(classifying_space(cyclic_group(2), 4), Z, "normalized"), range(4))
+    assert h.torsion[1] == [2] and [len(list(h.reps[n])) for n in range(4)] == [1, 1, 0, 1]
+
+
 def _count_calls(monkeypatch, module, name):
     """Record the arguments of each call to module.<name>."""
     calls = []
@@ -319,23 +336,35 @@ def test_solve_in_span_agrees_with_membership_oracle(vecs, targets):
 
 @settings(max_examples=40)
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=1, max_size=4))
+@example([[0, 2, 0], [3, -2, -3], [0, -3, 3]])  # loops if a pass leaves pivot order
 def test_snf_matches_minor_oracle(rows):
     m = Matrix.from_rows(rows, Z, cols=3)
     snf = smith_normal_form(m)
     assert snf.d == snf_diagonal_by_minors(rows)
     for i in range(len(snf.d) - 1):
         assert snf.d[i + 1] % snf.d[i] == 0
-    # transform identity: left @ m @ right is the diagonal
-    prod = snf.left @ m @ snf.right
-    diag = snf.diagonal_matrix(m.rows, m.cols, Z)
-    assert prod == diag
+
+
+def _columns_times(base, picks):
+    """(columns, rows) of the matrix whose columns are f times column k of
+    base, for each (k, f) of picks."""
+    cols = [[f * v for v in base[k % len(base)]] for k, f in picks]
+    return len(cols), [list(row) for row in zip(*cols)]
+
+
+small_shapes = st.integers(0, 5).flatmap(lambda nc: st.tuples(
+    st.just(nc), st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc), max_size=4)))
+# many columns that are 2, 3 or 6 times a few columns: wide, of low rank and
+# with no unit entry, as the remainders of d_6 of BS_3 and of its cyclic bar
+wide_low_rank = st.builds(
+    _columns_times,
+    st.integers(1, 4).flatmap(lambda nr: st.lists(
+        st.lists(small_int, min_size=nr, max_size=nr), min_size=1, max_size=2)),
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from([2, 3, 6])), min_size=1, max_size=10))
 
 
 @settings(max_examples=120)
-@given(st.one_of(st.integers(0, 5).flatmap(lambda nc: st.tuples(
-           st.just(nc), st.lists(st.lists(st.integers(-3, 3), min_size=nc, max_size=nc),
-                                 max_size=4))),
-                 arrows(5).map(lambda rows: (len(rows), rows))),
+@given(st.one_of(small_shapes, arrows(5).map(lambda rows: (len(rows), rows)), wide_low_rank),
        st.sampled_from([1, 2]))
 @example((3, [[1, 2, 0], [1, 0, 2]]), 1)  # the unit pivot fills in a 2: factors 1, 2
 @example((3, [[2, 3, 0], [1, 2, 5]]), 1)  # row 0 gets its unit only after row 1 pivots
@@ -349,15 +378,18 @@ def test_invariant_factors_match_minor_oracle(shape, scale):
     assert invariant_factors(Matrix.from_rows(rows, Z, cols=nc)) == snf_diagonal_by_minors(rows)
 
 
-def test_snf_transforms_unimodular():
-    rows = rand_rows(3, 4, 4)
-    m = Matrix.from_rows(rows, Z)
-    snf = smith_normal_form(m)
-    lt = snf.left.to_dense_rows()
-    rt = snf.right.to_dense_rows()
-    from .oracle import _det
-    assert abs(_det([[int(v) for v in r] for r in lt])) == 1
-    assert abs(_det([[int(v) for v in r] for r in rt])) == 1
+@settings(max_examples=120)
+@given(st.one_of(small_shapes, arrows(5).map(lambda rows: (len(rows), rows)), wide_low_rank))
+@example((3, [[0, 2, 0], [3, -2, -3], [0, -3, 3]]))
+def test_integer_kernel_basis_is_a_saturated_basis_of_the_kernel_lattice(shape):
+    nc, rows = shape
+    basis = integer_kernel_basis(Matrix.from_rows(rows, Z, cols=nc))
+    assert all(len(v) == nc for v in basis)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in basis)
+    assert len(basis) == nc - dense_rank(rows)
+    # all invariant factors 1: the basis spans a saturated lattice, so with
+    # nullity many vectors that m kills, all of the kernel lattice
+    assert snf_diagonal_by_minors(basis) == [1] * len(basis)
 
 
 def test_integer_kernel_basis_saturated():
