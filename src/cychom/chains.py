@@ -15,7 +15,7 @@ from operator import matmul
 from types import MappingProxyType
 
 from . import linalg
-from .delta import simplicial_identities
+from .delta import cyclic_presentation, simplicial_identities
 from .domains import ScalarDomain
 from .errors import (
     BasisMismatch,
@@ -466,25 +466,40 @@ def linearize(spec, dom: ScalarDomain, mode="unnormalized") -> ChainComplex:
 
 
 def check_module_identities(sm: SimplicialModule, top=None):
-    """Verify the identities of delta.simplicial_identities as matrix
-    equalities, the cyclic ones too when sm has a rotation.
+    """The instances of delta.simplicial_identities up to degree top that
+    fail as matrix equalities on sm, the cyclic ones too when sm has a
+    rotation (empty means pass).
 
-    The identities hold for the unsigned rotation t, so each degree's
-    signed rotation (-1)^n t is turned back into t once.  Raises nothing:
-    returns a list of violated instance descriptions (empty means pass).
+    A cyclic module is checked on delta.cyclic_presentation, which implies
+    the table (derived in tests/test_delta.py); the table is evaluated only
+    after a relation fails, to list every violated instance.  A module
+    without rotation is checked on the table.  The identities hold for the
+    unsigned rotation t, so each degree's signed rotation (-1)^n t is
+    turned back into t once.  Raises TruncationTooSmall for top above the
+    truncation.
     """
     top = sm.truncation if top is None else top
-    table = list(simplicial_identities(top, sm.has_cyclic))
-    ops = {tok: ((-sm.t(tok[1]) if tok[1] % 2 else sm.t(tok[1])) if tok[0] == "tau" else
-                 (sm.face if tok[0] == "delta" else sm.degeneracy)(tok[2], tok[1]))
-           for tok in dict.fromkeys(tok for _, _, lhs, rhs in table for tok in lhs + rhs)}
+    if top > sm.truncation:
+        raise TruncationTooSmall(f"requested top {top} above truncation {sm.truncation}")
+
+    @cache
+    def op(tok):
+        if tok[0] == "tau":
+            return -sm.t(tok[1]) if tok[1] % 2 else sm.t(tok[1])
+        return (sm.face if tok[0] == "delta" else sm.degeneracy)(tok[2], tok[1])
+
     identity = cache(lambda n: Matrix.identity(sm.rank(n), sm.dom))
 
     def product(word, n):
-        return reduce(matmul, (ops[tok] for tok in word)) if word else identity(n)
+        return reduce(matmul, map(op, word)) if word else identity(n)
 
-    return [f"{label} deg {n}" for label, n, lhs, rhs in table
-            if product(lhs, n) != product(rhs, n)]
+    def violations(table):
+        return [f"{label} deg {n}" for label, n, lhs, rhs in table
+                if product(lhs, n) != product(rhs, n)]
+
+    if sm.has_cyclic and not violations(cyclic_presentation(top)):
+        return []
+    return violations(simplicial_identities(top, sm.has_cyclic))
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,25 @@ def simplicial_identities(top: int, cyclic: bool):
                     yield f"s{i} t", n, (("sigma", i, n), t), (("tau", n + 1), ("sigma", i - 1, n))
 
 
+def cyclic_presentation(top: int):
+    """The instances of simplicial_identities(top, True) that present the
+    cyclic category, O(n) per degree: t^(n+1) = id, every d_i t and s_i t,
+    and of the simplicial relations only d0 dk, s0 sk, d0 s0 = d1 s0 = id,
+    d0 sk and dk s0.
+
+    The rotation relations give d_i = t^i d0 t^-i and s_i = t^i s0 t^-i;
+    so rewritten, each table instance is t^p X t^q for an instance X of
+    this list (Connes 1983; Loday, Cyclic Homology, 6.1), as
+    tests/test_delta.py checks for every top up to 8.  Module checks
+    evaluate this list; the per-element set check keeps the table, whose
+    instance count `verify relations` prints.
+    """
+    for rel in simplicial_identities(top, True):
+        lhs = rel[2]
+        if lhs[-1][0] == "tau" or 0 in (lhs[0][1], lhs[1][1]):
+            yield rel
+
+
 def hom_delta_c(m: int, n: int):
     """All cyclic-category morphisms [m] -> [n] in normal form."""
     return [CyclicMorphism(phi, r) for phi in hom_delta(m, n) for r in range(m + 1)]

@@ -23,6 +23,7 @@ from cychom.chains import (
     tensor_bicomplex,
     total_complex,
 )
+from cychom.delta import simplicial_identities
 from cychom.domains import Fp, Q, Z
 from cychom.errors import (
     DomainMismatch,
@@ -578,3 +579,56 @@ def test_module_identities_report_a_corrupted_hochschild_module():
         "d0 s1 deg 1", "d1 s1 = id deg 1", "d2 s0 deg 2", "d0 s1 deg 2",
         "d0 s2 deg 2", "d1 s2 deg 2", "d0 t deg 2", "d1 t deg 2", "d2 t deg 2",
         "d0 d1 deg 3", "d0 d2 deg 3", "d1 d2 deg 3", "d0 d3 deg 3", "d1 d3 deg 3"]
+
+
+def _full_table_violations(sm, top):
+    """Every instance of simplicial_identities(top, True) on sm, each word
+    applied innermost first, with the unsigned rotation t."""
+    def op(tok):
+        if tok[0] == "tau":
+            return sm.t(tok[1]).scale(-1) if tok[1] % 2 else sm.t(tok[1])
+        return (sm.face if tok[0] == "delta" else sm.degeneracy)(tok[2], tok[1])
+
+    def apply(word, n):
+        m = Matrix.identity(sm.rank(n), sm.dom)
+        for tok in reversed(word):
+            m = op(tok) @ m
+        return m
+
+    return [f"{label} deg {n}" for label, n, lhs, rhs in simplicial_identities(top, True)
+            if apply(lhs, n) != apply(rhs, n)]
+
+
+CYCLIC_MODULES = {
+    "truncpoly:2 over Q": lambda: hochschild_module(truncated_polynomial(2, Q), 4),
+    "truncpoly:2 over F_5": lambda: hochschild_module(truncated_polynomial(2, Fp(5)), 4),
+    "cyclic bar Z/2": lambda: linearize_module(cyclic_bar(cyclic_group(2), 4), Q),
+}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(CYCLIC_MODULES)), st.data())
+def test_module_identities_of_one_corrupted_entry_are_the_full_table_violations(name, data):
+    # the presentation of the cyclic category passes or fails as the full
+    # table does, and a failure reports every violated instance of it
+    make = CYCLIC_MODULES[name]
+    clean = make()
+    kind = data.draw(st.sampled_from(["d", "s", "t"]))
+    if kind == "d":
+        n = data.draw(st.integers(1, 4))
+        key = ("d", n, data.draw(st.integers(0, n)))
+        m = clean.face(n, key[2])
+    elif kind == "s":
+        n = data.draw(st.integers(0, 3))
+        key = ("s", n, data.draw(st.integers(0, n)))
+        m = clean.degeneracy(n, key[2])
+    else:
+        key = ("t", data.draw(st.integers(0, 4)))
+        m = clean.t(key[1])
+    r, c = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+    corrupted = m + Matrix.from_column_sums({c: {r: m.dom.one}}, m.rows, m.cols, m.dom)
+    sm = make()
+    sm.cached(key, lambda: corrupted)
+    bad = check_module_identities(sm)
+    assert bad == _full_table_violations(sm, 4)
+    assert check_module_identities(clean) == [] == _full_table_violations(clean, 4)

@@ -26,7 +26,13 @@ from cychom.cyclic import (
 )
 from cychom.chains import linearize_module
 from cychom.domains import Fp, Q, Z
-from cychom.errors import DomainMismatch, RelationFailure, SignCheckFailed, WindowTooSmall
+from cychom.errors import (
+    DomainMismatch,
+    RelationFailure,
+    SignCheckFailed,
+    TruncationTooSmall,
+    WindowTooSmall,
+)
 from cychom.groups import cyclic_group
 from cychom.hochschild import (
     algebra_from_json,
@@ -358,6 +364,33 @@ def test_cut_grid_has_no_column_right_of_half_the_top(make):
             for maps, wide_maps in ((bic.vert, wide.vert), (bic.horiz, wide.horiz)):
                 assert wide_maps.keys() == maps.keys()
                 assert all(wide_maps[c] is maps[c] for c in maps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sm: hc(sm, range(5)),
+    lambda sm: connes_maps(sm, range(5)),
+    lambda sm: hc_window("negative", sm, range(2), 1),
+    lambda sm: cyclic_bicomplex(sm, 2, qtop=5),
+], ids=["hc", "connes_maps", "hc_window", "cyclic_bicomplex"])
+def test_a_hochschild_module_truncated_below_the_degrees_read_is_refused(call):
+    # before building any operator, so none of degrees 3..5, past the
+    # tensors its budget counted
+    sm, reads = hochschild_module(truncated_polynomial(2, Q), 2), []
+    for name in ("face", "degeneracy", "t", "boundary_on"):
+        op = getattr(sm, name)
+        setattr(sm, name, lambda n, *args, op=op: reads.append(n) or op(n, *args))
+    with pytest.raises(TruncationTooSmall, match="above truncation 2"):
+        call(sm)
+    assert reads == []
+
+
+@pytest.mark.parametrize("top", [3, 5])
+def test_a_cyclic_bar_truncated_below_the_degrees_read_is_refused(top):
+    # rather than failing on a bare ValueError from the spec
+    sm = linearize_module(cyclic_bar(cyclic_group(2), 2), Q)
+    with pytest.raises(TruncationTooSmall, match=f"top {top} above truncation 2"):
+        hc(sm, range(top))
+    assert cyclic.check_module_identities(sm, 2) == []
 
 
 def test_hc_and_connes_maps_check_once_and_build_one_bicomplex(monkeypatch):

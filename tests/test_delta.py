@@ -13,6 +13,7 @@ from cychom.delta import (
     cyclic_factorize,
     cyclic_from_monotone,
     cyclic_normal_form,
+    cyclic_presentation,
     cyclic_to_periodic,
     delta,
     factorize_epi_mono,
@@ -239,11 +240,99 @@ def test_delta_embeds_in_cyclic():
                 assert nf == CyclicMorphism(f, 0)
 
 
-@pytest.mark.parametrize("top", range(6))
-def test_simplicial_identities_hold_in_the_cyclic_category(top):
+def _assert_hold_in_the_cyclic_category(identities):
     # operator words act contravariantly: reversed, each is a morphism word
-    for label, n, lhs, rhs in simplicial_identities(top, True):
+    for label, n, lhs, rhs in identities:
         forms = [cyclic_normal_form(tuple(reversed(w))) if w
                  else CyclicMorphism(identity_map(n), 0) for w in (lhs, rhs)]
         assert forms[0] == forms[1], (label, n)
         assert forms[0].target == n, (label, n)
+
+
+@pytest.mark.parametrize("top", range(6))
+def test_simplicial_identities_hold_in_the_cyclic_category(top):
+    _assert_hold_in_the_cyclic_category(simplicial_identities(top, True))
+
+
+# ---------------------------------------------------------------------------
+# the presentation of the cyclic category by d0, s0 and t
+# ---------------------------------------------------------------------------
+
+def _t_normal(word):
+    """Merge adjacent powers of t, each taken mod its order, and drop t^0.
+    Tokens: ("t", m, power) on degree m; ("delta", 0, m), ("sigma", 0, m)."""
+    out = []
+    for tok in word:
+        if tok[0] == "t":
+            if out and out[-1][0] == "t":
+                tok = ("t", tok[1], out.pop()[2] + tok[2])
+            tok = ("t", tok[1], tok[2] % (tok[1] + 1))
+            if not tok[2]:
+                continue
+        out.append(tok)
+    return tuple(out)
+
+
+def _rewritten(word):
+    """The word in d0, s0 and t: d_i out of degree m becomes
+    t_(m-1)^i d0 t_m^-i and s_i out of degree m becomes t_(m+1)^i s0 t_m^-i,
+    which the rotation relations d_i t = t d_(i-1), s_i t = t s_(i-1) give."""
+    out = []
+    for tok in word:
+        if tok[0] == "tau":
+            out.append(("t", tok[1], 1))
+        else:
+            kind, i, m = tok
+            out += [("t", m - 1 if kind == "delta" else m + 1, i), (kind, 0, m), ("t", m, -i)]
+    return _t_normal(out)
+
+
+def _outer(tok):
+    """The degree that the operator token lands in."""
+    return tok[1] if tok[0] == "tau" else tok[2] + (1 if tok[0] == "sigma" else -1)
+
+
+def _lead(word):
+    return word[0][2] if word and word[0][0] == "t" else 0
+
+
+def _trail(word):
+    return word[-1][2] if word and word[-1][0] == "t" else 0
+
+
+def _conjugate(p, word, q, outer, n):
+    """t^p word t^q, with t^p on degree outer and t^q on degree n."""
+    return _t_normal((("t", outer, p),) + word + (("t", n, q),))
+
+
+@pytest.mark.parametrize("top", range(9))
+def test_cyclic_presentation_derives_every_identity(top):
+    # every rotation relation and t^(n+1) = id is in the presentation, so
+    # the rewriting of _rewritten is derived from it; then each instance of
+    # the table, rewritten, is t^p X t^q for a rewritten presentation
+    # instance X, which therefore implies it
+    table = list(simplicial_identities(top, True))
+    presentation = list(cyclic_presentation(top))
+    assert set(presentation) <= set(table)
+    assert all(rel in presentation for rel in table if rel[2][-1][0] == "tau")
+    _assert_hold_in_the_cyclic_category(presentation)
+    by_degrees = {}
+    for _, n, lhs, rhs in presentation:
+        by_degrees.setdefault((n, _outer(lhs[0])), []).append((_rewritten(lhs), _rewritten(rhs)))
+    for label, n, lhs, rhs in table:
+        outer = _outer(lhs[0])
+        left, right = _rewritten(lhs), _rewritten(rhs)
+        for x_left, x_right in by_degrees[(n, outer)]:
+            p = _lead(left) - _lead(x_left)
+            q = _trail(left) - _trail(_conjugate(p, x_left, 0, outer, n))
+            if (_conjugate(p, x_left, q, outer, n) == left
+                    and _conjugate(p, x_right, q, outer, n) == right):
+                break
+        else:
+            raise AssertionError(f"{label} deg {n} is no t-conjugate of a presentation instance")
+
+
+def test_cyclic_presentation_is_linear_per_degree():
+    counts = [len(list(cyclic_presentation(top))) for top in (4, 8)]
+    assert counts == [64, 224]
+    assert [len(list(simplicial_identities(top, True))) for top in (4, 8)] == [98, 532]
