@@ -276,25 +276,26 @@ def exactness_at(f: Matrix, g: Matrix, rank_of=rank) -> bool:
 class PresentedModule:
     """A quotient of a based module by the span of relation vectors.
 
-    Relations are sparse rows {ambient index: coefficient}.  The quotient
-    basis ``free`` is the set of non-pivot coordinates of their reduced
-    row echelon form, whose rows are kept as the columns of the matrix
-    relations; proj and sect are the projection and section, with
-    proj @ sect = identity.  sect picks the coordinates in free, so
-    m @ sect is m.columns(free).
+    Relations are sparse rows {ambient index: coefficient}, only read.
+    The quotient basis ``free`` is the set of non-pivot coordinates of
+    their reduced row echelon form, whose rows are kept as the columns of
+    the matrix relations; proj and sect are the projection and section,
+    with proj @ sect = identity.  sect picks the coordinates in free, so
+    m @ sect is m.columns(free).  One-entry relations span a coordinate
+    subspace, reduced with no elimination.
     """
 
     def __init__(self, ambient: int, relations, dom: ScalarDomain):
         self.ambient = ambient
         self.dom = dom
-        red, pivots = linalg.rref(relations, ambient, dom)
+        one_entry = all(len(row) == 1 for row in relations)
+        red, pivots = (linalg.coordinate_rref if one_entry else linalg.rref)(relations, ambient, dom)
         if dom.kind == "Z":
-            # over Z the span is reduced as over Q; that is valid only when
-            # the reduced rows are integral (true for degenerate subcomplexes
-            # of simplicial sets, whose relations are standard basis vectors)
-            if any(v.denominator != 1 for row in red for v in row.values()):
-                raise DomainMismatch("relation span is not saturated over the integers")
-            red = [{j: v.numerator for j, v in row.items()} for row in red]
+            # free is a basis of the quotient exactly when the relation
+            # lattice leads with +-1 at every pivot; then red is integral
+            if not linalg.leads_with_units(relations):
+                raise DomainMismatch("the quotient over the integers has no basis on the free coordinates")
+            red = [{j: int(v) for j, v in row.items()} for row in red]
         # every value below is canonical for dom and nonzero
         self.relations = Matrix.from_canonical_columns(dict(enumerate(red)), ambient, len(red), dom)
         pivset = set(pivots)
@@ -378,8 +379,9 @@ class SimplicialModule:
 
     def degenerate_relations(self, n):
         """Spanning vectors of the degenerate submodule in degree n: the
-        columns of every s_j as sparse dicts {index: coefficient}."""
-        return [col for j in range(n) for col in self.degeneracy(n - 1, j).sparse_columns()]
+        columns of every s_j as the sparse dicts {index: coefficient} it
+        stores, not copies (s_j is injective: none is empty)."""
+        return [col for j in range(n) for col in self.degeneracy(n - 1, j).stored_columns()]
 
     def normalized_quotient(self, n) -> PresentedModule:
         return self.cached(("nq", n), lambda: PresentedModule(

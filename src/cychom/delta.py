@@ -277,19 +277,20 @@ def simplicial_identities(top: int, cyclic: bool):
 def cyclic_presentation(top: int):
     """The instances of simplicial_identities(top, True) that present the
     cyclic category, O(n) per degree: t^(n+1) = id, every d_i t and s_i t,
-    and of the simplicial relations only d0 dk, s0 sk, d0 s0 = d1 s0 = id,
-    d0 sk and dk s0.
+    and of the simplicial relations only d0 dk, s0 sk, d0 sk and
+    d0 s0 = d1 s0 = id.
 
     The rotation relations give d_i = t^i d0 t^-i and s_i = t^i s0 t^-i;
     so rewritten, each table instance is t^p X t^q for an instance X of
     this list (Connes 1983; Loday, Cyclic Homology, 6.1), as
-    tests/test_delta.py checks for every top up to 8.  Module checks
-    evaluate this list; the per-element set check keeps the table, whose
-    instance count `verify relations` prints.
+    tests/test_delta.py checks for every top up to 8.  dk s0 (k >= 2) on
+    degree n, for one, is t^k X t^(1-k) for X the instance d0 s(n+2-k).
+    Module checks evaluate this list; the per-element set check keeps the
+    table, whose instance count `verify relations` prints.
     """
     for rel in simplicial_identities(top, True):
         lhs = rel[2]
-        if lhs[-1][0] == "tau" or 0 in (lhs[0][1], lhs[1][1]):
+        if lhs[-1][0] == "tau" or lhs[0][1] == 0 or (lhs[0][1], lhs[1][1]) == (1, 0):
             yield rel
 
 

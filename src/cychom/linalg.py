@@ -8,14 +8,19 @@ stay primitive integer rows so coefficients stay small, and p is set
 over F_p, where rows stay residues and pivot rows lead with 1; F_p work
 enters through ``_modp.rref_modp``.  ``rref`` takes structural pivots
 first on every domain: a row that is the first to lead at its column is
-a pivot row as it stands, so a triangular span (degeneracy relations,
-for one) adds no pivot by elimination.  Subspaces are fingerprinted by
-their reduced row echelon form, which makes equality of spans a plain
-tuple comparison.  Over Z, homology reads the invariant factors of each
-boundary matrix from a sparse elimination on unit pivots followed by a
-Smith form of the remainder (``invariant_factors``).  That Smith form and
-the kernel lattice come from one sparse lattice echelon, with no dense
-transform (``_lattice_echelon``).
+a pivot row as it stands, so a triangular span (the degeneracy relations
+of an algebra whose unit has several nonzero coordinates, for one) adds
+no pivot by elimination.  Degeneracy relations with one entry each, those
+of a simplicial set or of an algebra whose unit is a basis vector, do not
+reach ``rref``: ``chains.PresentedModule`` reduces them by
+``coordinate_rref`` instead, and over Z asks ``leads_with_units`` whether
+the coordinates left free are a basis of the quotient.  Subspaces are
+fingerprinted by their reduced row echelon form, which makes equality of
+spans a plain tuple comparison.  Over Z, homology reads the invariant
+factors of each boundary matrix from a sparse elimination on unit pivots
+followed by a Smith form of the remainder (``invariant_factors``).  That
+Smith form and the kernel lattice come from one sparse lattice echelon,
+with no dense transform (``_lattice_echelon``).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ def _primitive(row: dict) -> dict:
 
     Scaling a row does not change the span it contributes to, and keeping
     rows primitive bounds coefficient growth in fraction-free elimination.
-    A one-entry row, the commonest relation, becomes its unit vector.
+    A one-entry row becomes its unit vector.
     """
     if len(row) == 1:
         (c, v), = row.items()
@@ -158,6 +163,16 @@ def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     ech = _reduced_echelon(_sparsest_first(rows))
     pivots = sorted(ech)
     return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
+
+
+def coordinate_rref(rows: list[dict], cols: int, dom: ScalarDomain):
+    """``rref`` of rows with one entry each, with no elimination: the
+    pivots are the supports of the nonzero ones, whose reduced rows are
+    unit vectors.  The rows are only read; cols is there for the
+    signature of ``rref``."""
+    p = dom.p
+    pivots = sorted({c for row in rows for c, v in row.items() if (v % p if p else v)})
+    return [{c: dom.one} for c in pivots], pivots
 
 
 def rref_rows(rows: list[list], dom: ScalarDomain):
@@ -349,6 +364,18 @@ def _lattice_echelon(rows) -> dict:
             else:
                 row = _combine(1, row, -(b // a), piv)
     return ech
+
+
+def leads_with_units(rows) -> bool:
+    """Whether the echelon basis of the lattice L of the integer rows
+    {col: value} leads with +-1 at each of its leading columns, the pivots
+    of their span over Q.  It does exactly when L maps onto the pivot
+    coordinates, that is when the other coordinates are a basis of Z^n / L.
+    The row 2 e0 fails (Z / L is Z/2), and so does 2 e0 + e1: Z^2 / L has
+    the basis e0, but not e1."""
+    ech = _lattice_echelon(sorted(filter(None, ({c: int(v) for c, v in row.items() if v}
+                                                for row in rows)), key=len))
+    return all(row[c] in (1, -1) for c, row in ech.items())
 
 
 @dataclass

@@ -302,6 +302,11 @@ class Matrix:
         """The columns as fresh dicts {row: value}, as they are stored."""
         return [dict(self._cols.get(c, ())) for c in range(self.cols)]
 
+    def stored_columns(self):
+        """The nonzero columns as the dicts {row: value} the matrix stores,
+        not copies: a read-only view, whose dicts no caller may change."""
+        return self._cols.values()
+
     # The two numpy conversions below have no caller in cychom; they stay
     # only because perfbench/tracer.py names them, and import numpy
     # themselves so that importing cychom does not.

@@ -1,8 +1,9 @@
 """Chain complexes, homology, normalization, tensor products, AW/EZ."""
 
 import pytest
+from contextlib import contextmanager
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cychom.chains import (
@@ -38,7 +39,14 @@ from cychom.groups import cyclic_group, group_from_preset
 from cychom.matrix import Matrix
 from cychom.simplicial import circle, classifying_space, cyclic_bar, free_cyclic, standard_simplex
 
-from .oracle import FACE_SUMS, dense_homology_dim, dense_rank, dense_rank_modp, dense_rref
+from .oracle import (
+    FACE_SUMS,
+    dense_homology_dim,
+    dense_rank,
+    dense_rank_modp,
+    dense_rref,
+    snf_diagonal_by_minors,
+)
 
 
 def _rows(m):
@@ -140,12 +148,15 @@ structural_relations = st.integers(0, AMBIENT - 1).flatmap(lambda c: st.lists(
 def test_presented_module_matches_the_dense_oracle(dom, relations):
     dense = [[r.get(c, 0) for c in range(AMBIENT)] for r in relations]
     red = dense_rref(dense, dom.p)
-    if dom == Z and any(v.denominator != 1 for row in red for v in row):
+    pivots = [row.index(1) for row in red]
+    # over Z the free coordinates are a basis of the quotient exactly when
+    # the relations restricted to the pivot columns span all of Z^pivots
+    if dom == Z and (snf_diagonal_by_minors([[r[c] for c in pivots] for r in dense])
+                     != [1] * len(pivots)):
         with pytest.raises(DomainMismatch):
             PresentedModule(AMBIENT, relations, dom)
         return
     pm = PresentedModule(AMBIENT, relations, dom)
-    pivots = [row.index(1) for row in red]
     assert pm.free == [c for c in range(AMBIENT) if c not in pivots]
     assert pm.relations == Matrix.from_columns(red, AMBIENT, dom)
     rk = dense_rank(dense) if dom.p is None else dense_rank_modp(dense, 5)
@@ -153,6 +164,80 @@ def test_presented_module_matches_the_dense_oracle(dom, relations):
     assert pm.proj @ pm.sect == Matrix.identity(pm.dim, dom)
     for row in dense:
         assert not any(pm.proj.apply([dom.coerce(v) for v in row]))
+
+
+def test_presented_module_over_z_refuses_a_quotient_with_torsion():
+    # Z^2 / (e0 + e1, e0 - e1) = Z/2 and Z^2 / 2 e0 = Z/2 + Z; reduced as
+    # over Q, the first would be 0 and the second free of rank 1
+    for relations in ([{0: 1, 1: 1}, {0: 1, 1: -1}], [{0: 2}]):
+        with pytest.raises(DomainMismatch):
+            PresentedModule(2, relations, Z)
+    # 2 e0 and 3 e0 span the lattice Z e0
+    assert PresentedModule(2, [{0: 2}, {0: 3}], Z).free == [1]
+
+
+@contextmanager
+def _by_elimination():
+    """Every PresentedModule built inside reduces its relations by
+    linalg.rref, spans of one-entry relations too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "coordinate_rref", linalg.rref)
+        yield
+
+
+def _presented_or_refused(relations, dom):
+    try:
+        pm = PresentedModule(AMBIENT, relations, dom)
+    except DomainMismatch:
+        return None
+    return pm.free, pm.proj, pm.sect, pm.relations
+
+
+# 4 = p - 1 over F_5; 0, and 5 over F_5, make a zero relation
+one_entry_relation = st.builds(lambda c, v: {c: v}, st.integers(0, AMBIENT - 1),
+                               st.sampled_from([1, -1, 2, 4, 0, 5]))
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([Q, Z, Fp(5)]), st.lists(one_entry_relation, max_size=10))
+@example(Q, []).via("the empty span")
+@example(Fp(5), [{2: 4}, {2: -1}, {0: 2}, {3: 5}]).via("repeated support, p - 1, -1 and p")
+@example(Z, [{1: 2}, {1: -1}, {3: 2}]).via("a unit and a 2 at one pivot, a 2 alone at another")
+def test_coordinate_relations_match_the_elimination_route(dom, relations):
+    coordinate = _presented_or_refused(relations, dom)
+    with _by_elimination():
+        assert coordinate == _presented_or_refused(relations, dom)
+
+
+GATE_CASES = {
+    "bg Z/3": lambda dom: linearize_module(classifying_space(cyclic_group(3), 4), dom),
+    "circle": lambda dom: linearize_module(circle(4), dom),
+    "truncpoly:3": lambda dom: hochschild_module(truncated_polynomial(3, dom), 4),
+    # the diagonal tensor that `verify aw-ez` normalizes
+    "circle (x) truncpoly:2": lambda dom: diagonal_tensor(
+        linearize_module(circle(4), dom), hochschild_module(truncated_polynomial(2, dom), 4)),
+}
+
+
+@pytest.mark.parametrize("dom", [Q, Fp(5), Z], ids=str)
+@pytest.mark.parametrize("name", GATE_CASES)
+def test_coordinate_normalization_matches_the_elimination_route(name, dom):
+    # picking the nondegenerate cells gives the cells and the normalized
+    # differentials that reducing the degeneracy relations gives
+    sm = GATE_CASES[name](dom)
+    degeneracies = {(n, j): sm.degeneracy(n, j) for n in range(4) for j in range(n + 1)}
+    stored = {key: m.sparse_columns() for key, m in degeneracies.items()}
+    assert all(len(rel) == 1 for n in range(1, 5) for rel in sm.degenerate_relations(n))
+    with _by_elimination():
+        ref = GATE_CASES[name](dom)
+        expected = ([ref.normalized_quotient(n).free for n in range(5)],
+                    [ref.normalized_boundary(n) for n in range(1, 5)])
+    assert ([sm.normalized_quotient(n).free for n in range(5)],
+            [sm.normalized_boundary(n) for n in range(1, 5)]) == expected
+    # the relations were the stored columns of the cached degeneracies,
+    # which normalization read and left as they were
+    for key, m in degeneracies.items():
+        assert sm.degeneracy(*key) is m and m.sparse_columns() == stored[key], key
 
 
 @pytest.mark.parametrize("spec", [

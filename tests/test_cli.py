@@ -577,7 +577,8 @@ def test_hc_over_z_refuses_what_hh_refuses(capsys, tmp_path):
                                 "unit": [-2, 1]}))
     argv = ("--input", str(path), "--domain", "z", "--max-degree", "3")
     from_hh, from_hc = run(capsys, "hh", *argv), run(capsys, "hc", *argv)
-    assert from_hc == from_hh == (1, "", "error: relation span is not saturated over the integers\n")
+    assert from_hc == from_hh == (
+        1, "", "error: the quotient over the integers has no basis on the free coordinates\n")
 
 
 # stdout and exit code of each command, byte for byte; a change that alters

@@ -420,9 +420,9 @@ def test_corrupted_b_bar_in_one_column_is_refused():
 
 
 def test_integral_hc_needs_what_hh_needs():
-    # a rebased K^2 whose unit [-2, 1] is no basis vector: its degeneracy
-    # relations do not span a saturated lattice, so neither HH nor HC has
-    # a normalized complex over Z
+    # a rebased K^2 whose unit [-2, 1] is no basis vector: the quotient by
+    # its degeneracy relations has no basis on the free coordinates of
+    # their echelon, so neither HH nor HC has a normalized complex over Z
     A = algebra_from_json({"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]],
                            "unit": [-2, 1]}, Z)
     with pytest.raises(DomainMismatch) as from_hh:
