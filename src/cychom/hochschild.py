@@ -274,6 +274,20 @@ def tensor_index(idx_tuple, dim):
     return out
 
 
+def _unit_led(A: FiniteAlgebra) -> FiniteAlgebra:
+    """A, or over Z, when its unit's first nonzero coordinate is not +-1
+    but a later one is, A on its basis reordered with that one first.  The
+    degeneracy relations then lead with +-1, so the free coordinates are a
+    basis of the normalized quotient."""
+    ones = [k for k, c in enumerate(A.unit) if c in (1, -1)]
+    if A.dom.is_field or not ones or next(c for c in A.unit if c) in (1, -1):
+        return A
+    order = ones[:1] + [k for k in range(A.dim) if k != ones[0]]
+    table = [[[A.table[i][j][k] for k in order] for j in order] for i in order]
+    return FiniteAlgebra(A.dom, table, labels=[A.labels[k] for k in order],
+                         unit=[A.unit[k] for k in order], name=A.name)
+
+
 def hochschild_module(A: FiniteAlgebra, N: int,
                       budget=DEFAULT_BUDGET) -> SimplicialModule:
     """The simplicial module [n] -> A tensor (n+1), with cyclic structure.
@@ -282,12 +296,15 @@ def hochschild_module(A: FiniteAlgebra, N: int,
     The rotation carries the sign (-1)^n, as every module rotation does.
     A face sum is built one cell at a time by the slot arithmetic of the
     faces d_i, which multiply slot i into slot i + 1 (slot n into slot 0).
+    Over Z the module may be built on A's basis reordered (``_unit_led``);
+    sm.algebra is the algebra it is built on.
     """
     dom = A.dom
     d = A.dim
     if d ** (N + 1) > budget:
         raise BudgetExceeded(
             f"degree {N} needs {d ** (N + 1)} basis tensors (budget {budget})")
+    A = _unit_led(A)
 
     def rank(n):
         return d ** (n + 1)

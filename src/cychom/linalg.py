@@ -1,32 +1,27 @@
 """Exact linear algebra: rank, kernel, image, canonical subspaces, SNF.
 
-Rank and reduced row echelon forms over Q, Z (reduced as Q) and F_p come
-from one sparse echelon on rows {col: value}, taken sparsest first and
-each reduced at its leading column.  Only the row step differs by
-domain, as in ``matrix._reduced``: p is None over Q and Z, where rows
-stay primitive integer rows so coefficients stay small, and p is set
-over F_p, where rows stay residues and pivot rows lead with 1; F_p work
-enters through ``_modp.rref_modp``.  ``rref`` takes structural pivots
-first on every domain: a row that is the first to lead at its column is
-a pivot row as it stands, so a triangular span (the degeneracy relations
-of an algebra whose unit has several nonzero coordinates, for one) adds
-no pivot by elimination.  Degeneracy relations with one entry each, those
-of a simplicial set or of an algebra whose unit is a basis vector, do not
-reach ``rref``: ``chains.PresentedModule`` reduces them by
-``coordinate_rref`` instead, and over Z asks ``leads_with_units`` whether
-the coordinates left free are a basis of the quotient.  Subspaces are
-fingerprinted by their reduced row echelon form, which makes equality of
-spans a plain tuple comparison.  Over Z, homology reads the invariant
-factors of each boundary matrix from a sparse elimination on unit pivots
-followed by a Smith form of the remainder (``invariant_factors``).  That
-Smith form and the kernel lattice come from one sparse lattice echelon,
-with no dense transform (``_lattice_echelon``).
+Three eliminations on sparse rows {col: value}.  ``rref`` takes a
+leftmost canonical echelon, sparsest rows and structural pivots first,
+which fingerprints subspaces: equal spans give equal tuples.  Every rank,
+and the unit phase of ``invariant_factors`` over Z, run a Markowitz
+elimination (``_markowitz``), which pivots where fill-in is least and
+reads no canonical form.  The Smith form of what the unit phase leaves,
+and the kernel lattice, come from a sparse lattice echelon with no dense
+transform (``_lattice_echelon``).  The first two share the row step
+``_subtract``, which alone differs by domain: p is None over Q and Z,
+where rows stay primitive integer rows, and set over F_p, where rows stay
+residues and pivot rows lead with 1; F_p work enters through
+``_modp.rref_modp``.  One-entry degeneracy relations do not reach
+``rref``: ``chains.PresentedModule`` reduces them by ``coordinate_rref``,
+and over Z asks ``leads_with_units`` whether the free coordinates are a
+basis of the quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
 from math import gcd, lcm, prod
 
@@ -42,12 +37,8 @@ from .matrix import Matrix
 
 def _primitive(row: dict) -> dict:
     """The primitive integer multiple of a sparse row {col: int | Fraction},
-    without its zero entries.
-
-    Scaling a row does not change the span it contributes to, and keeping
-    rows primitive bounds coefficient growth in fraction-free elimination.
-    A one-entry row becomes its unit vector.
-    """
+    without its zero entries: the same span, with coefficients kept small
+    in fraction-free elimination.  A one-entry row becomes a unit vector."""
     if len(row) == 1:
         (c, v), = row.items()
         return {c: 1} if v else {}
@@ -91,25 +82,6 @@ def _pivot(row: dict, c: int, p=None) -> dict:
     return {k: v * inv % p for k, v in row.items()}
 
 
-def _echelon(rows, ech=None, p=None) -> dict:
-    """Row echelon form {leading column: row} of the rows of ``_sparsest_first``.
-
-    Each row, in the given order, is reduced at its leading column against
-    the pivot rows of ech (a new dict when None) until it vanishes or leads
-    at a new column, where it becomes a pivot row.  Returns ech.
-    """
-    ech = {} if ech is None else ech
-    for row in rows:
-        while row:
-            c = min(row)
-            piv = ech.get(c)
-            if piv is None:
-                ech[c] = _pivot(row, c, p)
-                break
-            row = _subtract(row, piv, c, p)
-    return ech
-
-
 def _sparsest_first(rows, p=None) -> list[dict]:
     """The nonzero rows sparsest first, so unit and two-term relations lead
     before dense rows; over Q and Z made primitive."""
@@ -143,8 +115,56 @@ def _reduced_echelon(rows, p=None) -> dict:
         elif len(row) > 1:
             rest.append(row)
     _back_substitute(ech, p)
-    _back_substitute(_echelon(rest, ech, p), p)
+    for row in rest:  # reduced at its leading column until it vanishes or leads anew
+        while row and (c := min(row)) in ech:
+            row = _subtract(row, ech[c], c, p)
+        if row:
+            ech[c] = _pivot(row, c, p)
+    _back_substitute(ech, p)
     return ech
+
+
+def _markowitz(rows, p=None, units=False):
+    """(pivot columns in pivot order, nonzero rows left over) of a Markowitz
+    elimination of rows {col: value}, which it consumes.  A heap keeps the
+    live rows by length and ``users`` the live rows of each column.  Each
+    step pivots the shortest live row at its admissible entry in the column
+    the fewest live rows use, clears that column from the other live rows,
+    which go back on the heap, and drops the pivot row.  For a rank every
+    entry is admissible and the row step is ``_subtract``.  With units,
+    over Z, only a +-1 entry is and the step is unimodular (``_combine``):
+    each pivot splits off an invariant factor 1, the rows left the others.
+    """
+    live = dict(enumerate(rows))
+    users = {}
+    for i, row in live.items():
+        for c in row:
+            users.setdefault(c, set()).add(i)
+    heap, pivots = [(len(row), i) for i, row in live.items()], []
+    heapify(heap)
+    while heap:
+        n, i = heappop(heap)
+        row = live.get(i)
+        if row is None or len(row) != n:  # pivoted, or changed and pushed again
+            continue
+        admissible = [c for c, v in row.items() if v in (1, -1)] if units else row
+        if not admissible:
+            continue
+        c = min(admissible, key=lambda c: len(users[c]))
+        pivots.append(c)
+        del live[i]
+        for k in row:
+            users[k].discard(i)
+        piv = _pivot(row, c, p)
+        others, users[c] = users[c], set()
+        for j in others:
+            old = live[j]
+            new = _combine(1, old, -old[c] * piv[c], piv) if units else _subtract(old, piv, c, p)
+            for k in piv:
+                (users[k].add if k in new else users[k].discard)(j)
+            live[j] = new  # an empty row is skipped when popped
+            heappush(heap, (len(new), j))
+    return pivots, [row for row in live.values() if row]
 
 
 def rref(rows: list[dict], cols: int, dom: ScalarDomain):
@@ -199,12 +219,13 @@ def _dense(red: list[dict], width: int, dom: ScalarDomain) -> list[list]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over the matrix's own field (over Z: rank of the Q-extension)."""
+    """Rank over the matrix's own field (over Z: rank of the Q-extension):
+    the pivots of ``_markowitz``, over F_p under ``_modp.rref_modp``."""
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.dom.kind == PRIME_FIELD:
         return len(_modp.rref_modp(m, m.dom.p, reduce=False)[1])
-    return len(_echelon(_sparsest_first(m.sparse_rows())))
+    return len(_markowitz(_sparsest_first(m.sparse_rows()))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,38 +434,13 @@ def smith_normal_form(m: Matrix) -> SmithForm:
 def invariant_factors(m: Matrix) -> list[int]:
     """The nonzero invariant factors of an integer matrix, each dividing the next.
 
-    Rows are taken sparsest first; a ±1 entry, in the column fewest rows
-    use, clears that column from the other rows by unimodular row
-    operations, and its row and column then split off as one factor 1.
-    Only rows left with no unit entry go, compacted, to the Smith form.
+    Each +-1 pivot of ``_markowitz`` with units splits off a factor 1; the
+    rows left with no +-1 entry go, compacted, to the Smith form.
     """
-    rows = {i: row for i, row in enumerate(m.sparse_rows()) if row}
-    users = {c: set(col) for c, col in enumerate(m.sparse_columns()) if col}  # rows using c
-    ones, progress = 0, True
-    while progress:  # fill-in can give a row a unit entry for a later pass
-        progress = False
-        for i in sorted(rows, key=lambda i: len(rows[i])):
-            units = [c for c, v in rows.get(i, {}).items() if v in (1, -1)]
-            if not units:
-                continue
-            ones, progress, piv = ones + 1, True, rows.pop(i)
-            for k in piv:
-                users[k].discard(i)
-            c = min(units, key=lambda c: len(users[c]))
-            pc = piv.pop(c)
-            for j in users.pop(c):
-                row = rows[j]
-                f = row.pop(c) * pc
-                for k, v in piv.items():
-                    if w := row.get(k, 0) - f * v:
-                        row[k] = w
-                        users[k].add(j)
-                    else:
-                        del row[k]
-                        users[k].discard(j)
-    cols = {c: k for k, c in enumerate(sorted(c for c, u in users.items() if u))}
-    rest = [{cols[c]: v for c, v in row.items()} for row in rows.values() if row]
-    return [1] * ones + smith_normal_form(Matrix.from_rows(rest, m.dom, cols=len(cols))).d
+    ones, rest = _markowitz(filter(None, m.sparse_rows()), units=True)
+    cols = {c: k for k, c in enumerate(sorted({c for row in rest for c in row}))}
+    rest = [{cols[c]: v for c, v in row.items()} for row in rest]
+    return [1] * len(ones) + smith_normal_form(Matrix.from_rows(rest, m.dom, cols=len(cols))).d
 
 
 def integer_kernel_basis(m: Matrix) -> list[list]:

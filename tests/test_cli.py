@@ -234,6 +234,16 @@ def _cli_process(*argv, timeout=20):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def test_group_algebra_hh_ranks_its_largest_boundary_quickly():
+    # over Q, HH of a group algebra is the sum over conjugacy classes of the
+    # homology of centralizers, and a finite group has no rational homology
+    # above degree 0; d_5 is 3750 x 18750, where a leftmost-pivot echelon
+    # fills in to about 2.4 million entries
+    proc = _cli_process("hh", "--preset", "group:symmetric:3", "--max-degree", "4")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["H_0: betti 3"] + [f"H_{n}: betti 0" for n in range(1, 5)]
+
+
 @pytest.mark.parametrize("argv, entries", [
     # the group of order n counts n^2 table entries: 4 000 000 > 2^20
     (("homology", "--preset", "bg", "--group", "cyclic:2000", "--max-degree", "0"), 4000000),
@@ -571,10 +581,10 @@ def test_hc_over_z_has_torsion(capsys):
 
 
 def test_hc_over_z_refuses_what_hh_refuses(capsys, tmp_path):
-    # a rebased K^2 with unit [-2, 1]: no normalized complex over Z
+    # a rebased K^2 with unit [2, 3], no +-1 coordinate: no normalized complex over Z
     path = tmp_path / "k2.json"
-    path.write_text(json.dumps({"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]],
-                                "unit": [-2, 1]}))
+    path.write_text(json.dumps({"table": [[[5, 6], [-3, -4]], [[-3, -4], [2, 3]]],
+                                "unit": [2, 3]}))
     argv = ("--input", str(path), "--domain", "z", "--max-degree", "3")
     from_hh, from_hc = run(capsys, "hh", *argv), run(capsys, "hc", *argv)
     assert from_hc == from_hh == (
@@ -718,9 +728,23 @@ GOLDEN = [
     ('verify exercise-bz --max-degree 3', 0, [
         'circle -> BZ: 53 instances, 0 failures',
     ]),
+    # K^2 with unit [-2, 1]: over Z the module is built with the 1 coordinate first
+    ('hh --input tests/data/k2_unit_m2_1.json --domain z --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0',
+        'H_2: betti 0',
+        'H_3: betti 0',
+    ]),
+    ('hc --input tests/data/k2_unit_m2_1.json --domain z --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0',
+        'H_2: betti 2',
+        'H_3: betti 0',
+    ]),
 ]
 
 
 @pytest.mark.parametrize("command, code, lines", GOLDEN, ids=[c for c, _, _ in GOLDEN])
-def test_golden_stdout(capsys, command, code, lines):
+def test_golden_stdout(capsys, monkeypatch, command, code, lines):
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert run(capsys, *command.split())[:2] == (code, "".join(line + "\n" for line in lines))

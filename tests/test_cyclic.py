@@ -420,11 +420,11 @@ def test_corrupted_b_bar_in_one_column_is_refused():
 
 
 def test_integral_hc_needs_what_hh_needs():
-    # a rebased K^2 whose unit [-2, 1] is no basis vector: the quotient by
+    # a rebased K^2 whose unit [2, 3] has no +-1 coordinate: the quotient by
     # its degeneracy relations has no basis on the free coordinates of
     # their echelon, so neither HH nor HC has a normalized complex over Z
-    A = algebra_from_json({"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]],
-                           "unit": [-2, 1]}, Z)
+    A = algebra_from_json({"table": [[[5, 6], [-3, -4]], [[-3, -4], [2, 3]]],
+                           "unit": [2, 3]}, Z)
     with pytest.raises(DomainMismatch) as from_hh:
         hochschild.hh(A, range(4))
     with pytest.raises(DomainMismatch) as from_hc:

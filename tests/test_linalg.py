@@ -90,6 +90,22 @@ def test_rank_of_a_fill_in_arrow_matches_dense_oracle(rows, dom):
     assert rank(m) == (dense_rank_modp(rows, dom.p) if dom.p else dense_rank(rows))
 
 
+@st.composite
+def sparse_matrices(draw, top=12):
+    """An nr x nc matrix, nr, nc <= top, with its entries at random cells."""
+    nr, nc = draw(st.integers(1, top)), draw(st.integers(1, top))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+                                 small_int, max_size=nr * nc))
+    return [[cells.get((i, j), 0) for j in range(nc)] for i in range(nr)]
+
+
+@settings(max_examples=200)
+@given(sparse_matrices(), st.sampled_from([Q, Z, Fp(2), Fp(BIG_P)]))
+def test_rank_of_a_sparse_matrix_matches_dense_oracle(rows, dom):
+    m = Matrix.from_rows(rows, dom, cols=len(rows[0]))
+    assert rank(m) == (dense_rank_modp(rows, dom.p) if dom.p else dense_rank(rows))
+
+
 def test_rank_kernel_image_rejects_z():
     m = Matrix.from_rows([[2, 0], [0, 3]], Z)
     with pytest.raises(DomainNotField):
@@ -292,7 +308,7 @@ def test_fp_elimination_enters_through_rref_modp_and_runs_the_shared_row_step(mo
     entries = _count_calls(monkeypatch, _modp, "rref_modp")
     steps = _count_calls(monkeypatch, linalg, "_subtract")
     F5 = Fp(5)
-    rows = [[1, 2, 0], [3, 0, 1]]  # two multi-entry rows leading at column 0
+    rows = [[1, 2, 1], [3, 1, 2]]  # rows sharing every column: a pivot clears one
     assert rank(Matrix.from_rows(rows, F5)) == 2
     assert len(entries) == 1 and steps
     del entries[:], steps[:]
@@ -368,6 +384,7 @@ wide_low_rank = st.builds(
        st.sampled_from([1, 2]))
 @example((3, [[1, 2, 0], [1, 0, 2]]), 1)  # the unit pivot fills in a 2: factors 1, 2
 @example((3, [[2, 3, 0], [1, 2, 5]]), 1)  # row 0 gets its unit only after row 1 pivots
+@example((3, [[2, 3, 0], [0, 3, 4], [0, 1, 1]]), 1)  # row 1 as well, from row 2: 1, 1, 2
 @example((3, [[0, 0, 0], [0, 0, 0]]), 1)
 @example((0, [[], []]), 1)
 @example((4, []), 1)
@@ -376,6 +393,15 @@ def test_invariant_factors_match_minor_oracle(shape, scale):
     nc, rows = shape
     rows = [[scale * v for v in row] for row in rows]
     assert invariant_factors(Matrix.from_rows(rows, Z, cols=nc)) == snf_diagonal_by_minors(rows)
+
+
+def test_unit_phase_pivots_a_row_that_fill_in_gives_a_unit(monkeypatch):
+    # rows 0 and 1 have no +-1 entry when popped; row 2 pivots at column 2,
+    # the one fewest rows use, and turns row 1 into -e1, which pivots in turn
+    snf = _count_calls(monkeypatch, linalg, "smith_normal_form")
+    rows = [[2, 3, 0], [0, 3, 4], [0, 1, 1]]
+    assert invariant_factors(Matrix.from_rows(rows, Z)) == [1, 1, 2]
+    assert [m.sparse_rows() for m, in snf] == [[{0: 2}]]
 
 
 @settings(max_examples=120)
