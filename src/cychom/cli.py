@@ -59,37 +59,34 @@ SIMPLICIAL_PRESETS = ("circle", "bg", "cyclicbar", "fcircle", "fbg")
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", help="built-in input name")
+    common.add_argument("--input", help="JSON input file")
+    common.add_argument("--group", help="group preset, e.g. cyclic:2 or symmetric:3")
+    common.add_argument("--domain", default="q",
+                        help="scalar domain: q, zp:<p> (prime p <= 3037000493), or z")
+    common.add_argument("--max-degree", type=int, required=True)
+    norm = common.add_mutually_exclusive_group()
+    norm.add_argument("--normalized", dest="mode", action="store_const",
+                      const="normalized", default="normalized")
+    norm.add_argument("--unnormalized", dest="mode", action="store_const",
+                      const="unnormalized")
+    common.add_argument("--json", dest="as_json", action="store_true")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
     top = argparse.ArgumentParser(prog="cychom", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, domain_default="q"):
-        p.add_argument("--preset", help="built-in input name")
-        p.add_argument("--input", help="JSON input file")
-        p.add_argument("--group", help="group preset, e.g. cyclic:2 or symmetric:3")
-        p.add_argument("--domain", default=domain_default,
-                       help="scalar domain: q, zp:<p> (prime p <= 3037000493), or z")
-        p.add_argument("--max-degree", type=int, required=True)
-        norm = p.add_mutually_exclusive_group()
-        norm.add_argument("--normalized", dest="mode", action="store_const",
-                          const="normalized", default="normalized")
-        norm.add_argument("--unnormalized", dest="mode", action="store_const",
-                          const="unnormalized")
-        p.add_argument("--json", dest="as_json", action="store_true")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    common(sub.add_parser("homology", help="homology of a simplicial set"))
-    common(sub.add_parser("hh", help="Hochschild homology of an algebra"))
-    p_hc = sub.add_parser("hc", help="cyclic homology and its variants")
-    common(p_hc)
+    sub.add_parser("homology", parents=[common], help="homology of a simplicial set")
+    sub.add_parser("hh", parents=[common], help="Hochschild homology of an algebra")
+    p_hc = sub.add_parser("hc", parents=[common], help="cyclic homology and its variants")
     p_hc.add_argument("--variant", choices=("cyclic", "negative", "periodic"),
                       default="cyclic")
     p_hc.add_argument("--window", type=int, default=2,
                       help="the CC columns -WINDOW..0, for --variant negative|periodic"
                            " only (--variant cyclic ignores it)")
-    p_v = sub.add_parser("verify", help="run a verification suite")
+    p_v = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_v.add_argument("suite", choices=("relations", "sbi", "hkr", "aw-ez",
                                        "adjunction", "exercise-bz"))
-    common(p_v)
     return top
 
 
@@ -262,7 +259,7 @@ def _suite_hkr(args) -> int:
     sm = hochschild_module(A, args.max_degree + 1, budget=args.budget)
     hres = homology(sm.chain_complex("unnormalized"), range(args.max_degree + 1))
     for n in range(args.max_degree + 1):
-        om = omega_power(A, n)
+        om = omega_power(sm.algebra, n)
         eps = hkr_epsilon(sm, n, om)
         pi = hkr_pi(sm, n, om)
         section = (pi @ eps) == Matrix.identity(om.dim, dom)

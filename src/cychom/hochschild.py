@@ -274,18 +274,51 @@ def tensor_index(idx_tuple, dim):
     return out
 
 
-def _unit_led(A: FiniteAlgebra) -> FiniteAlgebra:
-    """A, or over Z, when its unit's first nonzero coordinate is not +-1
-    but a later one is, A on its basis reordered with that one first.  The
-    degeneracy relations then lead with +-1, so the free coordinates are a
-    basis of the normalized quotient."""
-    ones = [k for k, c in enumerate(A.unit) if c in (1, -1)]
-    if A.dom.is_field or not ones or next(c for c in A.unit if c) in (1, -1):
+def _unit_first(A: FiniteAlgebra) -> FiniteAlgebra:
+    """A, when its unit has one nonzero coordinate; else A on a basis f
+    whose f_0 is the unit, ``basis[k]`` holding f_k in A's coordinates.
+    The unit's other coordinates are eliminated against a pivot, +-1 where
+    one is: one division over a field, Euclid over Z (a free Z-algebra's
+    unit is primitive, so it ends at +-1).  FiniteAlgebra checks the table."""
+    dom, d, v = A.dom, A.dim, list(A.unit)
+    if sum(map(bool, v)) < 2:
         return A
-    order = ones[:1] + [k for k in range(A.dim) if k != ones[0]]
-    table = [[[A.table[i][j][k] for k in order] for j in order] for i in order]
-    return FiniteAlgebra(A.dom, table, labels=[A.labels[k] for k in order],
-                         unit=[A.unit[k] for k in order], name=A.name)
+    signs = (dom.one, dom.neg(dom.one))
+
+    def inverse(c):  # +-1 stays an int over Q
+        return c if c in signs else dom.inv(c)
+
+    def e(i):
+        return [int(k == i) for k in range(d)]
+
+    # a step (a, b, q) takes q times coordinate a from coordinate b
+    steps, basis = [], [e(k) for k in range(d)]
+    while True:
+        live = [k for k in range(d) if v[k]]
+        a = min(live, key=lambda k: (v[k] not in signs, abs(v[k])))
+        if len(live) == 1:
+            break
+        for b in live:
+            if b != a:
+                q = dom.coerce(v[b] * inverse(v[a]) if dom.is_field else v[b] // v[a])
+                steps.append((a, b, q))
+                v[b] = dom.coerce(v[b] - q * v[a])
+                basis[a] = [dom.coerce(x + q * y) for x, y in zip(basis[a], basis[b])]
+    basis[a] = [dom.coerce(x * v[a]) for x in basis[a]]
+    order = [a] + [k for k in range(d) if k != a]
+    basis = [basis[r] for r in order]
+
+    def coordinates(x):
+        for g, h, q in steps:
+            x[h] -= q * x[g]
+        x[a] *= inverse(v[a])
+        return [x[r] for r in order]
+
+    # f_0 f_j = f_j and f_i f_0 = f_i need no arithmetic
+    B = FiniteAlgebra(dom, [[coordinates(A.mul(basis[i], basis[j])) if i and j else e(i + j)
+                             for j in range(d)] for i in range(d)], unit=e(0), name=A.name)
+    B.basis = basis
+    return B
 
 
 def hochschild_module(A: FiniteAlgebra, N: int,
@@ -296,15 +329,16 @@ def hochschild_module(A: FiniteAlgebra, N: int,
     The rotation carries the sign (-1)^n, as every module rotation does.
     A face sum is built one cell at a time by the slot arithmetic of the
     faces d_i, which multiply slot i into slot i + 1 (slot n into slot 0).
-    Over Z the module may be built on A's basis reordered (``_unit_led``);
-    sm.algebra is the algebra it is built on.
+    sm.algebra, the algebra it is built on, is A, or A on a basis that
+    starts with the unit (``_unit_first``): every s_j column is one cell.
+    Chains and representatives are in sm.algebra's basis.
     """
     dom = A.dom
     d = A.dim
     if d ** (N + 1) > budget:
         raise BudgetExceeded(
             f"degree {N} needs {d ** (N + 1)} basis tensors (budget {budget})")
-    A = _unit_led(A)
+    A = _unit_first(A)
 
     def rank(n):
         return d ** (n + 1)

@@ -156,6 +156,27 @@ def hochschild_operators(table, unit, top, p=None):
     return ops
 
 
+def rebased_table(table, basis, p=None):
+    """The structure constants of the same algebra on the basis whose
+    vector k has the coordinates basis[k]: each product f_i f_j is
+    multiplied out densely in the old basis and solved for by the inverse
+    of the basis matrix, from Gauss-Jordan elimination of [P | I] over Q
+    (Fractions), or over F_p when p is given."""
+    dim = len(table)
+    norm = (lambda x: int(x) % p) if p else Fraction
+    aug = [[basis[k][i] for k in range(dim)] + [int(i == j) for j in range(dim)]
+           for i in range(dim)]
+    inv = [row[dim:] for row in dense_rref(aug, p)]
+
+    def times(u, v):
+        return [sum(u[a] * v[b] * table[a][b][c] for a in range(dim) for b in range(dim))
+                for c in range(dim)]
+
+    return [[[norm(sum(inv[k][m] * w[m] for m in range(dim))) for k in range(dim)]
+             for w in (times(basis[i], basis[j]) for j in range(dim))]
+            for i in range(dim)]
+
+
 # sign lists [(i, s)] of face sums, the sum of s d_i, in degree n >= 1: one
 # face, the boundary b, b' (b without the last face) and an arbitrary sum
 FACE_SUMS = {

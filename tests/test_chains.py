@@ -254,8 +254,8 @@ def test_normalized_basis_is_the_nondegenerate_simplices(spec):
 
 
 # K^2 in the basis f0 = e0, f1 = e1 - e0 (the seed-1 benchmark input): its
-# unit 2 f0 + f1 has no zero entry, so every degeneracy relation is dense;
-# over Z the module is built on the basis f1, f0, whose unit leads with 1
+# unit -2 f0 + f1 has no zero entry, so the module is built on the basis
+# -2 f0 + f1, f0 that starts with the unit, where every relation is one cell
 DENSE_UNIT_K2 = {"table": [[[-1, 0], [-1, 0]], [[-1, 0], [-2, 1]]], "unit": [-2, 1]}
 
 NORMALIZED_CASES = {
@@ -383,7 +383,7 @@ def test_a_module_is_freed_without_the_cycle_collector():
 
 def test_dense_unit_degeneracy_relations_leave_nothing_over():
     # every pivot of the quotient is the leading column of some relation,
-    # so the rows that rref eliminates add no pivot
+    # so no relation adds a pivot that its leading column does not give
     sm = hochschild_module(algebra_from_json(DENSE_UNIT_K2, Q), 6)
     for n in range(1, 7):
         q = sm.normalized_quotient(n)

@@ -244,6 +244,16 @@ def test_group_algebra_hh_ranks_its_largest_boundary_quickly():
     assert proc.stdout.splitlines() == ["H_0: betti 3"] + [f"H_{n}: betti 0" for n in range(1, 5)]
 
 
+def test_separable_hh_with_a_dense_unit_normalizes_quickly():
+    # K^4 is separable: HH_0 = K^4 and 0 above.  Its unit [1, 1, 1, 1] has
+    # four nonzero coordinates; on a basis that starts with it every
+    # degeneracy column is one cell, so no relation span of 8 * 4^8 rows is
+    # eliminated at degree 8
+    proc = _cli_process("hh", "--preset", "productfield:4", "--max-degree", "7", timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["H_0: betti 4"] + [f"H_{n}: betti 0" for n in range(1, 8)]
+
+
 @pytest.mark.parametrize("argv, entries", [
     # the group of order n counts n^2 table entries: 4 000 000 > 2^20
     (("homology", "--preset", "bg", "--group", "cyclic:2000", "--max-degree", "0"), 4000000),
@@ -580,15 +590,17 @@ def test_hc_over_z_has_torsion(capsys):
                                 "H_2: betti 3", "H_3: betti 0  torsion Z/6 Z/60"]
 
 
-def test_hc_over_z_refuses_what_hh_refuses(capsys, tmp_path):
-    # a rebased K^2 with unit [2, 3], no +-1 coordinate: no normalized complex over Z
+def test_hc_over_z_answers_where_hh_answers(capsys, tmp_path):
+    # a rebased K^2 with unit [2, 3], no +-1 coordinate: over Z both build on
+    # a unimodular basis that starts with the unit, K^2 being separable
     path = tmp_path / "k2.json"
     path.write_text(json.dumps({"table": [[[5, 6], [-3, -4]], [[-3, -4], [2, 3]]],
                                 "unit": [2, 3]}))
     argv = ("--input", str(path), "--domain", "z", "--max-degree", "3")
-    from_hh, from_hc = run(capsys, "hh", *argv), run(capsys, "hc", *argv)
-    assert from_hc == from_hh == (
-        1, "", "error: the quotient over the integers has no basis on the free coordinates\n")
+    assert run(capsys, "hh", *argv) == (
+        0, "H_0: betti 2\nH_1: betti 0\nH_2: betti 0\nH_3: betti 0\n", "")
+    assert run(capsys, "hc", *argv) == (
+        0, "H_0: betti 2\nH_1: betti 0\nH_2: betti 2\nH_3: betti 0\n", "")
 
 
 # stdout and exit code of each command, byte for byte; a change that alters
@@ -728,7 +740,7 @@ GOLDEN = [
     ('verify exercise-bz --max-degree 3', 0, [
         'circle -> BZ: 53 instances, 0 failures',
     ]),
-    # K^2 with unit [-2, 1]: over Z the module is built with the 1 coordinate first
+    # K^2 with unit [-2, 1]: the module is built on the basis f0 = -2e0 + e1, f1 = e0
     ('hh --input tests/data/k2_unit_m2_1.json --domain z --max-degree 3', 0, [
         'H_0: betti 2',
         'H_1: betti 0',
@@ -740,6 +752,29 @@ GOLDEN = [
         'H_1: betti 0',
         'H_2: betti 2',
         'H_3: betti 0',
+    ]),
+    # K^2 with unit [2, 3]: over Z the module is built on the basis f0 = 2e0 + 3e1,
+    # f1 = e0 + e1, found by Euclid's algorithm on the unit's coordinates
+    ('hh --input tests/data/k2_unit_2_3.json --domain z --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0',
+        'H_2: betti 0',
+        'H_3: betti 0',
+    ]),
+    ('hc --input tests/data/k2_unit_2_3.json --domain z --max-degree 3', 0, [
+        'H_0: betti 2',
+        'H_1: betti 0',
+        'H_2: betti 2',
+        'H_3: betti 0',
+    ]),
+    # K[x]/(x^2) in the basis 1 + x, x: Omega is built on the module's basis,
+    # so every line is that of verify hkr --preset truncpoly:2 --max-degree 3
+    ('verify hkr --input tests/data/truncpoly2_unit_1_m1.json --max-degree 3', 0, [
+        'degree 0: omega dim 2, HH betti 2, pi.eps=id pass, eps iso True, pi iso True',
+        'degree 1: omega dim 1, HH betti 1, pi.eps=id pass, eps iso True, pi iso True',
+        'degree 2: omega dim 0, HH betti 1, pi.eps=id pass, eps iso False, pi iso False',
+        'degree 3: omega dim 0, HH betti 1, pi.eps=id pass, eps iso False, pi iso False',
+        'hkr: pass',
     ]),
 ]
 
