@@ -388,10 +388,8 @@ class SimplicialModule:
             self.rank(n), self.degenerate_relations(n), self.dom))
 
     def boundary_on(self, n, cols) -> Matrix:
-        """The columns cols of b_n, in that order (all when cols is None):
-        picked from b_n when it is cached, else built on those cells alone."""
-        if cols is not None and ("b", n) in self._cache:
-            return self.boundary(n).columns(cols)
+        """The columns cols of b_n, in that order (all when cols is None),
+        built on those cells alone."""
         return self._faces(n, cols, _alternating(n + 1))
 
     def normalized_boundary(self, n) -> Matrix:

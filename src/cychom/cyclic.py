@@ -34,8 +34,8 @@ from .chains import (
     induced_map,
     total_complex,
 )
-from .errors import NoUnitStructure, NotAChainMap, RelationFailure, WindowTooSmall
-from .hochschild import DEFAULT_BUDGET, FiniteAlgebra, extra_degeneracy, hochschild_module
+from .errors import NotAChainMap, RelationFailure, WindowTooSmall
+from .hochschild import DEFAULT_BUDGET, FiniteAlgebra, hochschild_module
 from .linalg import rank
 from .matrix import Matrix
 
@@ -93,14 +93,19 @@ def cyclic_bicomplex(sm: SimplicialModule, columns: int, pmin: int = 0,
     return Bicomplex(sm.dom, ranks, vert, horiz, name=f"CC({sm.name})")
 
 
-def connes_b(sm: SimplicialModule, n: int) -> Matrix:
-    """The chain-level B = (1 - t) s N : C_n -> C_{n+1}, with the extra
-    degeneracy s = t_{n+1} s_n (the unit in front, for a Hochschild
-    module) read off the module, so that every cyclic module has one."""
+def _extra_degeneracy(sm: SimplicialModule, n: int) -> Matrix:
+    """The extra degeneracy s = t_{n+1} s_n : C_n -> C_{n+1} of a cyclic
+    module (the unit in front, for a Hochschild module), uncached.
+    Raises RelationFailure for a module without rotation."""
+    if not sm.has_cyclic:
+        raise RelationFailure("the extra degeneracy needs a cyclic operator")
     s = sm.t(n + 1) @ sm.degeneracy(n, n)
-    if n % 2 == 0:  # sm.t(n + 1) is the signed (-1)^(n+1) t_{n+1}
-        s = -s
-    return one_minus_t(sm, n + 1) @ s @ norm_map(sm, n)
+    return s if n % 2 else -s  # sm.t(n + 1) is the signed (-1)^(n+1) t_{n+1}
+
+
+def connes_b(sm: SimplicialModule, n: int) -> Matrix:
+    """The chain-level B = (1 - t) s N : C_n -> C_{n+1}, s the extra degeneracy."""
+    return one_minus_t(sm, n + 1) @ _extra_degeneracy(sm, n) @ norm_map(sm, n)
 
 
 def connes_b_bar(sm: SimplicialModule, n: int) -> Matrix:
@@ -155,15 +160,13 @@ def hc(arg, degrees, budget=DEFAULT_BUDGET) -> HomologyResult:
 
 
 def bprime_homotopy_check(sm: SimplicialModule, degrees) -> bool:
-    """Verify b'h + hb' = id degreewise; certifies odd-column acyclicity."""
-    A = getattr(sm, "algebra", None)
-    if A is None:
-        raise NoUnitStructure("homotopy needs a unital-algebra module")
+    """Verify b'h + hb' = id degreewise on any cyclic module, h the extra
+    degeneracy; certifies odd-column acyclicity."""
     ident = True
     for n in degrees:
-        lhs = sm.bprime(n + 1) @ extra_degeneracy(A, n)
+        lhs = sm.bprime(n + 1) @ _extra_degeneracy(sm, n)
         if n >= 1:
-            lhs = lhs + extra_degeneracy(A, n - 1) @ sm.bprime(n)
+            lhs = lhs + _extra_degeneracy(sm, n - 1) @ sm.bprime(n)
         ident = ident and lhs == Matrix.identity(sm.rank(n), sm.dom)
     return ident
 

@@ -13,7 +13,7 @@ from itertools import product
 from math import factorial
 
 from .chains import PresentedModule, SimplicialModule
-from .errors import NotCommutative, PositiveCharacteristic, RelationFailure
+from .errors import BasisMismatch, NotCommutative, PositiveCharacteristic, RelationFailure
 from .hochschild import FiniteAlgebra, extra_degeneracy, tensor_index
 from .matrix import Matrix, _entries, _reduced
 
@@ -160,13 +160,20 @@ def _permutations_signed(n):
         yield perm, -1 if inv % 2 else 1
 
 
+def _module_algebra(sm: SimplicialModule, omega: PresentedModule) -> FiniteAlgebra:
+    """sm.algebra, which must be commutative and omega's algebra."""
+    if omega.algebra is not sm.algebra:
+        raise BasisMismatch("Omega must be built on sm.algebra, the basis of the module's chains")
+    _require_commutative(sm.algebra)
+    return sm.algebra
+
+
 def hkr_epsilon(sm: SimplicialModule, n: int, omega: PresentedModule) -> Matrix:
     """Antisymmetrization Omega^n -> C_n(A), landing in cycles of sm.
 
     Needs exact division by n!, hence characteristic zero.
     """
-    A = sm.algebra
-    _require_commutative(A)
+    A = _module_algebra(sm, omega)
     if A.dom.characteristic != 0:
         raise PositiveCharacteristic("antisymmetrization needs characteristic zero")
     dom, d = A.dom, A.dim
@@ -192,8 +199,7 @@ def hkr_pi(sm: SimplicialModule, n: int, omega: PresentedModule) -> Matrix:
     On the presented quotient this is literally the projection matrix;
     it kills boundaries (pi . b_{n+1} = 0), which is verified.
     """
-    A = sm.algebra
-    _require_commutative(A)
+    _module_algebra(sm, omega)
     pi = omega.proj
     if not (pi @ sm.boundary(n + 1)).is_zero():
         raise RelationFailure("projection does not kill boundaries")

@@ -89,10 +89,6 @@ class RelationFailure(CychomError):
     pass
 
 
-class NoUnitStructure(CychomError):
-    pass
-
-
 class WindowTooSmall(CychomError):
     pass
 

@@ -10,8 +10,9 @@ and the kernel lattice, come from a sparse lattice echelon with no dense
 transform (``_lattice_echelon``).  The first two share the row step
 ``_subtract``, which alone differs by domain: p is None over Q and Z,
 where rows stay primitive integer rows, and set over F_p, where rows stay
-residues and pivot rows lead with 1; F_p work enters through
-``_modp.rref_modp``.  One-entry degeneracy relations do not reach
+residues and pivot rows lead with 1.  An F_p rank enters through
+``_modp.rref_modp``; ``rref`` reduces its rows mod p and runs the same
+echelon as over Q.  One-entry degeneracy relations do not reach
 ``rref``: ``chains.PresentedModule`` reduces them by ``coordinate_rref``,
 and over Z asks ``leads_with_units`` whether the free coordinates are a
 basis of the quotient.
@@ -28,7 +29,7 @@ from math import gcd, lcm, prod
 from . import _modp
 from .domains import INTEGERS, PRIME_FIELD, Q, Z, ScalarDomain
 from .errors import AmbientMismatch, DomainMismatch, LatticeMismatch
-from .matrix import Matrix
+from .matrix import Matrix, _reduced
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +172,18 @@ def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     """Reduced row echelon form of sparse rows {col: value} over dom (Z as Q).
 
     One echelon, structural pivots first, serves every domain
-    (``_reduced_echelon``); over F_p it runs under ``_modp.rref_modp``.
+    (``_reduced_echelon``); over F_p the rows are first reduced mod p.
     Returns (the nonzero reduced rows as sparse dicts {col: value}, in
     order of their pivots, and the pivot column list).  Values are
-    Fractions over Q and Z, residues over F_p.
+    Fractions over Q and Z, residues over F_p.  The rows are only read;
+    cols, their width, is not needed.
     """
-    if not rows:
-        return [], []
-    if dom.kind == PRIME_FIELD:
-        return _modp.rref_modp(Matrix.from_rows(rows, dom, cols=cols), dom.p)
-    ech = _reduced_echelon(_sparsest_first(rows))
+    if p := dom.p:
+        rows = [_reduced(row, p) for row in rows]
+    ech = _reduced_echelon(_sparsest_first(rows, p), p)
     pivots = sorted(ech)
+    if p:
+        return [ech[pc] for pc in pivots], pivots
     return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
 
 
@@ -210,8 +212,8 @@ def rref_rows(rows: list[list], dom: ScalarDomain):
 
 
 def _dense(red: list[dict], width: int, dom: ScalarDomain) -> list[list]:
-    """The sparse rows of ``rref`` as dense lists (zeros Fraction(0) over Q)."""
-    out = [[0 if dom.kind == PRIME_FIELD else Fraction(0)] * width for _ in red]
+    """The sparse rows of ``rref`` as dense lists, padded with dom.zero."""
+    out = [[dom.zero] * width for _ in red]
     for dense, row in zip(out, red):
         for j, v in row.items():
             dense[j] = v
@@ -224,7 +226,7 @@ def rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.dom.kind == PRIME_FIELD:
-        return len(_modp.rref_modp(m, m.dom.p, reduce=False)[1])
+        return len(_modp.rref_modp(m, m.dom.p)[1])
     return len(_markowitz(_sparsest_first(m.sparse_rows()))[0])
 
 
@@ -276,10 +278,6 @@ def kernel_vectors(m: Matrix) -> list[list]:
     """
     dom = m.dom
     dom.require_field()
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [[dom.one if i == j else dom.zero for i in range(m.cols)] for j in range(m.cols)]
     last = m.cols - 1
     red, pivots = rref([{last - c: v for c, v in row.items()} for row in m.sparse_rows()],
                        m.cols, dom)

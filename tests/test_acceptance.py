@@ -337,7 +337,7 @@ def test_criterion_09_hkr():
     for A in commutative:
         sm = hochschild_module(A, 4)
         for n in range(4):
-            om = omega_power(A, n)
+            om = omega_power(sm.algebra, n)  # chains are in the module's basis
             eps = hkr_epsilon(sm, n, om)
             pi = hkr_pi(sm, n, om)
             assert (pi @ eps) == Matrix.identity(om.dim, Q), (A.name, n)
@@ -346,8 +346,9 @@ def test_criterion_09_hkr():
     # homology in degrees <= 2
     A = product_field(2, Q)
     for n in range(3):
-        om = omega_power(A, n)
-        eps = hkr_epsilon(hochschild_module(A, n + 1), n, om)
+        sm = hochschild_module(A, n + 1)
+        om = omega_power(sm.algebra, n)
+        eps = hkr_epsilon(sm, n, om)
         res = hh(A, [n], mode="unnormalized")
         assert res.betti[n] == om.dim, n
         reps = [list(v) for v in res.reps[n]]

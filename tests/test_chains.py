@@ -339,7 +339,7 @@ def test_linearized_boundary_is_the_signed_sum_of_the_faces(name, dom):
         assert whole.boundary(n) == expected, n
         for cols in (picked.normalized_quotient(n).free, list(range(picked.rank(n) - 1, -1, -2))):
             assert picked.boundary_on(n, cols) == expected.columns(cols), n  # built on cols
-            assert whole.boundary_on(n, cols) == expected.columns(cols), n  # picked from b_n
+            assert whole.boundary_on(n, cols) == expected.columns(cols), n  # b_n cached, cols built
     assert not [key for key in {**whole._cache, **picked._cache} if key[0] == "d"]
 
 

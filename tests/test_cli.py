@@ -734,6 +734,11 @@ GOLDEN = [
         'circle(x)circle: AW.EZ=id pass, EZ.AW=id on homology pass',
         'circle(x)truncpoly: AW.EZ=id pass, EZ.AW=id on homology pass',
     ]),
+    # F_p representatives, reduced by the echelon that rref shares with Q
+    ('verify aw-ez --domain zp:5 --max-degree 3', 0, [
+        'circle(x)circle: AW.EZ=id pass, EZ.AW=id on homology pass',
+        'circle(x)truncpoly: AW.EZ=id pass, EZ.AW=id on homology pass',
+    ]),
     ('verify adjunction --preset bg --group cyclic:3 --max-degree 2', 0, [
         'adjunction: unit map pass, counit map pass, triangles pass (47 instances)',
     ]),

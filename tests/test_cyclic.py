@@ -32,7 +32,7 @@ from cychom.errors import (
     TruncationTooSmall,
     WindowTooSmall,
 )
-from cychom.groups import cyclic_group
+from cychom.groups import cyclic_group, symmetric_3
 from cychom.hochschild import (
     algebra_from_json,
     algebra_from_preset,
@@ -43,7 +43,7 @@ from cychom.hochschild import (
 )
 from cychom.linalg import rank
 from cychom.matrix import Matrix
-from cychom.simplicial import cyclic_bar
+from cychom.simplicial import circle, classifying_space, cyclic_bar, free_cyclic
 
 from .oracle import dense_homology_dim
 
@@ -97,6 +97,30 @@ def test_bprime_contraction():
     for A in (truncated_polynomial(2, Q), group_algebra(cyclic_group(3), Q)):
         sm = hochschild_module(A, 5)
         assert bprime_homotopy_check(sm, range(4))
+
+
+LINEARIZED_CYCLIC_SETS = {
+    "circle": lambda: circle(6),
+    "cyclic bar S3": lambda: cyclic_bar(symmetric_3(), 4),
+    "bg Z/3 central 1": lambda: classifying_space(cyclic_group(3), 5, central=1),
+    "free cyclic circle": lambda: free_cyclic(circle(5)),
+}
+
+
+@pytest.mark.parametrize("dom", [Q, Z, Fp(5)], ids=str)
+@pytest.mark.parametrize("name", LINEARIZED_CYCLIC_SETS)
+def test_bprime_contraction_of_linearized_cyclic_sets(name, dom):
+    # the extra degeneracy t_{n+1} s_n contracts b' on every cyclic module,
+    # with no algebra and no unit; degree n reads degree n + 1
+    sm = linearize_module(LINEARIZED_CYCLIC_SETS[name](), dom)
+    assert bprime_homotopy_check(sm, range(sm.truncation))
+
+
+def test_bprime_contraction_needs_a_rotation():
+    sm = linearize_module(classifying_space(cyclic_group(2), 3), Q)
+    assert not sm.has_cyclic
+    with pytest.raises(RelationFailure, match="cyclic operator"):
+        bprime_homotopy_check(sm, range(2))
 
 
 def test_norm_and_one_minus_t_compose_to_zero():

@@ -1,5 +1,8 @@
 """Kaehler differentials, the de Rham complex and the HKR comparison maps."""
 
+import json
+import os
+
 import pytest
 
 from cychom.derham import (
@@ -13,16 +16,19 @@ from cychom.derham import (
     wedge,
 )
 from cychom.domains import Fp, Q
-from cychom.errors import NotCommutative, PositiveCharacteristic
+from cychom.errors import BasisMismatch, NotCommutative, PositiveCharacteristic
 from cychom.groups import cyclic_group, symmetric_3
 from cychom.hochschild import (
     FiniteAlgebra,
+    algebra_from_json,
     group_algebra,
     hochschild_module,
     product_field,
     truncated_polynomial,
 )
 from cychom.matrix import Matrix
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def square_zero_plane(dom):
@@ -118,11 +124,27 @@ def test_derham_d_squares_to_zero_on_plane():
 ])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_hkr_section_of_projection(algebra, n):
-    omega = omega_power(algebra, n)
     sm = hochschild_module(algebra, n + 1)
+    omega = omega_power(sm.algebra, n)  # chains are in the module's basis
     eps = hkr_epsilon(sm, n, omega)
     pi = hkr_pi(sm, n, omega)
     assert pi @ eps == Matrix.identity(omega.dim, algebra.dom)
+
+
+def test_hkr_maps_need_omega_on_the_module_basis():
+    # K[x]/(x^2) in the basis 1 + x, x: the module is built on a basis that
+    # starts with the unit, so Omega built from A is in another basis
+    with open(os.path.join(DATA, "truncpoly2_unit_1_m1.json")) as f:
+        A = algebra_from_json(json.load(f), Q)
+    sm = hochschild_module(A, 3)
+    assert sm.algebra is not A
+    for n in range(3):
+        with pytest.raises(BasisMismatch):
+            hkr_epsilon(sm, n, omega_power(A, n))
+        with pytest.raises(BasisMismatch):
+            hkr_pi(sm, n, omega_power(A, n))
+        omega = omega_power(sm.algebra, n)
+        assert hkr_pi(sm, n, omega) @ hkr_epsilon(sm, n, omega) == Matrix.identity(omega.dim, Q)
 
 
 def test_hkr_section_on_plane_degree_2():

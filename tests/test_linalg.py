@@ -176,6 +176,10 @@ def test_kernel_vectors_annihilated():
     assert len(ks) == 2
     for v in ks:
         assert m.apply(v) == [0, 0]
+    # empty shapes: no rows leave every unit vector, no columns no vector
+    for dom in (Q, Fp(5)):
+        assert kernel_vectors(Matrix.zeros(0, 3, dom)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert kernel_vectors(Matrix.zeros(2, 0, dom)) == []
 
 
 def test_rref_fractions_exact():
@@ -206,20 +210,28 @@ def test_rref_rows_q_is_the_rref_of_the_same_span(rows):
     assert all(in_span(red, row) for row in rows)
 
 
-def _fp_rows(p):
-    # zeros keep the rows sparse; entries just below p make products of residues large
+def _fp_rows(p, unreduced=False):
+    # zeros keep the rows sparse; entries just below p make products of residues large;
+    # unreduced entries (negative, at least p, multiples of p) stand for their residues
     entry = st.one_of(st.just(0), st.integers(1, 4), st.integers(p - 4, p - 1))
+    if unreduced:
+        entry = st.one_of(entry, st.integers(-p - 4, -1), st.integers(p, p + 4),
+                          st.sampled_from([-p, p, 2 * p]))
     row = st.lists(entry, min_size=WIDTH, max_size=WIDTH)
     return st.tuples(st.just(p), st.lists(row, min_size=1, max_size=8))
 
 
-@settings(max_examples=60)
-@given(st.one_of(_fp_rows(5), _fp_rows(BIG_P)))
+@settings(max_examples=80)
+@given(st.one_of(_fp_rows(5), _fp_rows(BIG_P), _fp_rows(5, unreduced=True),
+                 _fp_rows(BIG_P, unreduced=True)))
+@example((5, [[-1, 7, 10, 0, -5], [4, -3, 5, 12, 0], [0, 0, 15, -10, 5]]))
+@example((BIG_P, [[-1, BIG_P + 2, 0, 2 * BIG_P, 3], [BIG_P - 1, 2, -BIG_P, 0, -3]]))
 def test_rref_rows_fp_is_the_rref_of_the_same_span(p_rows):
     p, rows = p_rows
     red, pivots = rref_rows(rows, Fp(p))
     r = dense_rank_modp(rows, p)
     assert len(red) == len(pivots) == r
+    assert red == dense_rref(rows, p)
     assert pivots == sorted(set(pivots))
     for i, (row, pc) in enumerate(zip(red, pivots)):
         assert len(row) == WIDTH and all(type(v) is int and 0 <= v < p for v in row)
@@ -314,7 +326,21 @@ def test_fp_elimination_enters_through_rref_modp_and_runs_the_shared_row_step(mo
     del entries[:], steps[:]
     red, pivots = linalg.rref([{0: 1, 1: 2}, {0: 3, 2: 1}], 3, F5)
     assert (red, pivots) == ([{0: 1, 2: 2}, {1: 1, 2: 4}], [0, 1])
-    assert len(entries) == 1 and steps
+    assert entries == [] and steps  # rref runs the shared echelon, not rref_modp
+
+
+@pytest.mark.parametrize("dom", [Q, Z, Fp(5)], ids=str)
+def test_rref_runs_the_shared_echelon_on_its_rows_on_every_domain(monkeypatch, dom):
+    def refused(*args, **kwargs):
+        raise AssertionError("rref left the shared echelon")
+
+    monkeypatch.setattr(Matrix, "from_rows", classmethod(refused))
+    monkeypatch.setattr(_modp, "rref_modp", refused)
+    echelons = _count_calls(monkeypatch, linalg, "_reduced_echelon")
+    rows = [{0: 1, 1: 2}, {0: 3, 2: 1}]
+    red, pivots = linalg.rref(rows, 3, dom)
+    assert pivots == [0, 1] and len(echelons) == 1
+    assert linalg.rref([], 3, dom) == ([], []) and len(echelons) == 2
 
 
 @pytest.mark.parametrize("dom", [Q, Fp(5)])
