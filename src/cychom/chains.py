@@ -289,7 +289,7 @@ class PresentedModule:
         self.ambient = ambient
         self.dom = dom
         one_entry = all(len(row) == 1 for row in relations)
-        red, pivots = (linalg.coordinate_rref if one_entry else linalg.rref)(relations, ambient, dom)
+        red, pivots = (linalg.coordinate_rref if one_entry else linalg.rref)(relations, dom)
         if dom.kind == "Z":
             # free is a basis of the quotient exactly when the relation
             # lattice leads with +-1 at every pivot; then red is integral

@@ -250,6 +250,12 @@ def _suite_sbi(args) -> int:
 def _suite_hkr(args) -> int:
     dom = parse_domain(args.domain)
     A = _get_algebra(args, dom)
+    # HKR takes a commutative algebra in characteristic zero: any other
+    # input is refused before a Hochschild module is built
+    if not A.commutative:
+        raise InputFormatError(f"{A.name or 'algebra'} is not commutative")
+    if dom.characteristic:
+        raise InputFormatError("antisymmetrization needs characteristic zero")
     # the antisymmetrization writes n! d^(n+1) terms in degree n
     terms = sum(factorial(n) * A.dim ** (n + 1) for n in range(args.max_degree + 1))
     if terms > args.budget:

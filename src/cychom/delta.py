@@ -10,21 +10,21 @@ is exactly the normal form computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .errors import NonComposableWord, ObjectMismatch
+from .errors import NonComposableWord, ObjectMismatch, refuse_assignment
 
 
-@dataclass(frozen=True)
 class MonotoneMap:
     """A nondecreasing map [source] -> [target], given by its images."""
 
-    source: int
-    target: int
-    images: tuple
+    __slots__ = ("source", "target", "images")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
+    def __init__(self, source: int, target: int, images: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
         if len(self.images) != self.source + 1:
             raise ValueError("images length must be source+1")
         for a, b in zip(self.images, self.images[1:]):
@@ -32,6 +32,15 @@ class MonotoneMap:
                 raise ValueError("images must be nondecreasing")
         if self.images and (self.images[0] < 0 or self.images[-1] > self.target):
             raise ValueError("images out of range")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.source == other.source and self.target == other.target
+                                 and self.images == other.images)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.images))
 
     def __call__(self, i):
         return self.images[i]
@@ -100,7 +109,6 @@ def hom_delta(m: int, n: int):
 # the cyclic category
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PeriodicMap:
     """A cyclic-category morphism [source] -> [target] as a periodic map.
 
@@ -108,11 +116,13 @@ class PeriodicMap:
     F(i + source + 1) = F(i) + target + 1, normalized so 0 <= F(0) <= target.
     """
 
-    source: int
-    target: int
-    vals: tuple
+    __slots__ = ("source", "target", "vals")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
+    def __init__(self, source: int, target: int, vals: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "vals", vals)
         m, n = self.source, self.target
         if len(self.vals) != m + 1:
             raise ValueError("vals length must be source+1")
@@ -123,6 +133,18 @@ class PeriodicMap:
             raise ValueError("vals[0] must lie in 0..target")
         if self.vals[m] > self.vals[0] + n + 1:
             raise ValueError("period violated")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.source == other.source and self.target == other.target
+                                 and self.vals == other.vals)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.vals))
+
+    def __repr__(self):
+        return f"PeriodicMap(source={self.source!r}, target={self.target!r}, vals={self.vals!r})"
 
     def value(self, i: int) -> int:
         m = self.source
@@ -159,12 +181,23 @@ def compose_cyclic(f: PeriodicMap, g: PeriodicMap) -> PeriodicMap:
     return periodic_from_values(g.source, f.target, raw)
 
 
-@dataclass(frozen=True)
 class CyclicMorphism:
     """Normal form phi . tau^rot with phi a simplex-category morphism."""
 
-    phi: MonotoneMap
-    rot: int
+    __slots__ = ("phi", "rot")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, phi: MonotoneMap, rot: int):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "rot", rot)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.phi == other.phi and self.rot == other.rot
+
+    def __hash__(self):
+        return hash((self.phi, self.rot))
 
     @property
     def source(self):

@@ -7,10 +7,9 @@ makes scalars canonical; sums and products are native arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainNotField, InputFormatError
+from .errors import DomainNotField, InputFormatError, refuse_assignment
 
 RATIONALS = "Q"
 PRIME_FIELD = "Fp"
@@ -28,12 +27,15 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ScalarDomain:
-    kind: str
-    p: int | None = None
+    """Q, F_p or Z, as the kind and p it is built from: an immutable value."""
 
-    def __post_init__(self):
+    __slots__ = ("kind", "p")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, kind: str, p: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
         if self.kind not in (RATIONALS, PRIME_FIELD, INTEGERS):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.kind == PRIME_FIELD:
@@ -47,6 +49,17 @@ class ScalarDomain:
                 raise ValueError(f"{self.p} is not prime")
         elif self.p is not None:
             raise ValueError("p only makes sense for prime fields")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.kind == other.kind and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __repr__(self):
+        return f"ScalarDomain(kind={self.kind!r}, p={self.p!r})"
 
     # -- predicates ----------------------------------------------------
     @property

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the refusal to change a value."""
+
+
+def refuse_assignment(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes,
+    whose ``__init__`` sets each field once with ``object.__setattr__``."""
+    raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
 
 
 class CychomError(Exception):
@@ -98,4 +104,5 @@ class LatticeMismatch(CychomError):
 
 
 class InputFormatError(CychomError):
-    """Bad user-supplied JSON / preset string (CLI exit code 2)."""
+    """Bad user-supplied JSON / preset string, or input the command does not
+    take (CLI exit code 2)."""

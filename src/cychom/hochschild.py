@@ -288,6 +288,10 @@ def _unit_first(A: FiniteAlgebra) -> FiniteAlgebra:
     def inverse(c):  # +-1 stays an int over Q
         return c if c in signs else dom.inv(c)
 
+    def canonical(x):  # an integral Fraction over Q as its int, so faces add ints
+        x = dom.coerce(x)
+        return x.numerator if x.denominator == 1 else x
+
     def e(i):
         return [int(k == i) for k in range(d)]
 
@@ -300,11 +304,11 @@ def _unit_first(A: FiniteAlgebra) -> FiniteAlgebra:
             break
         for b in live:
             if b != a:
-                q = dom.coerce(v[b] * inverse(v[a]) if dom.is_field else v[b] // v[a])
+                q = canonical(v[b] * inverse(v[a]) if dom.is_field else v[b] // v[a])
                 steps.append((a, b, q))
-                v[b] = dom.coerce(v[b] - q * v[a])
-                basis[a] = [dom.coerce(x + q * y) for x, y in zip(basis[a], basis[b])]
-    basis[a] = [dom.coerce(x * v[a]) for x in basis[a]]
+                v[b] = canonical(v[b] - q * v[a])
+                basis[a] = [canonical(x + q * y) for x, y in zip(basis[a], basis[b])]
+    basis[a] = [canonical(x * v[a]) for x in basis[a]]
     order = [a] + [k for k in range(d) if k != a]
     basis = [basis[r] for r in order]
 
@@ -312,7 +316,7 @@ def _unit_first(A: FiniteAlgebra) -> FiniteAlgebra:
         for g, h, q in steps:
             x[h] -= q * x[g]
         x[a] *= inverse(v[a])
-        return [x[r] for r in order]
+        return [canonical(x[r]) for r in order]
 
     # f_0 f_j = f_j and f_i f_0 = f_i need no arithmetic
     B = FiniteAlgebra(dom, [[coordinates(A.mul(basis[i], basis[j])) if i and j else e(i + j)

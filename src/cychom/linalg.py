@@ -20,7 +20,6 @@ basis of the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, compress
@@ -28,7 +27,7 @@ from math import gcd, lcm, prod
 
 from . import _modp
 from .domains import INTEGERS, PRIME_FIELD, Q, Z, ScalarDomain
-from .errors import AmbientMismatch, DomainMismatch, LatticeMismatch
+from .errors import AmbientMismatch, DomainMismatch, LatticeMismatch, refuse_assignment
 from .matrix import Matrix, _reduced
 
 
@@ -168,15 +167,14 @@ def _markowitz(rows, p=None, units=False):
     return pivots, [row for row in live.values() if row]
 
 
-def rref(rows: list[dict], cols: int, dom: ScalarDomain):
+def rref(rows: list[dict], dom: ScalarDomain):
     """Reduced row echelon form of sparse rows {col: value} over dom (Z as Q).
 
     One echelon, structural pivots first, serves every domain
     (``_reduced_echelon``); over F_p the rows are first reduced mod p.
     Returns (the nonzero reduced rows as sparse dicts {col: value}, in
     order of their pivots, and the pivot column list).  Values are
-    Fractions over Q and Z, residues over F_p.  The rows are only read;
-    cols, their width, is not needed.
+    Fractions over Q and Z, residues over F_p.  The rows are only read.
     """
     if p := dom.p:
         rows = [_reduced(row, p) for row in rows]
@@ -187,11 +185,10 @@ def rref(rows: list[dict], cols: int, dom: ScalarDomain):
     return [{j: Fraction(v, ech[pc][pc]) for j, v in ech[pc].items()} for pc in pivots], pivots
 
 
-def coordinate_rref(rows: list[dict], cols: int, dom: ScalarDomain):
+def coordinate_rref(rows: list[dict], dom: ScalarDomain):
     """``rref`` of rows with one entry each, with no elimination: the
     pivots are the supports of the nonzero ones, whose reduced rows are
-    unit vectors.  The rows are only read; cols is there for the
-    signature of ``rref``."""
+    unit vectors.  The rows are only read."""
     p = dom.p
     pivots = sorted({c for row in rows for c, v in row.items() if (v % p if p else v)})
     return [{c: dom.one} for c in pivots], pivots
@@ -206,8 +203,7 @@ def rref_rows(rows: list[list], dom: ScalarDomain):
     if not rows or not rows[0]:
         return [], []
     width = len(rows[0])
-    red, pivots = rref([{j: row[j] for j in compress(range(width), row)} for row in rows],
-                       width, dom)
+    red, pivots = rref([{j: row[j] for j in compress(range(width), row)} for row in rows], dom)
     return _dense(red, width, dom), pivots
 
 
@@ -234,7 +230,6 @@ def rank(m: Matrix) -> int:
 # canonical subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SubspaceBasis:
     """A subspace in canonical (reduced row echelon) form.
 
@@ -242,9 +237,22 @@ class SubspaceBasis:
     identical tuples, so span equality is literal equality.
     """
 
-    ambient: int
-    dom: ScalarDomain
-    vectors: tuple
+    __slots__ = ("ambient", "dom", "vectors")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, ambient: int, dom: ScalarDomain, vectors: tuple):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "vectors", vectors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.ambient == other.ambient and self.dom == other.dom
+                                 and self.vectors == other.vectors)
+
+    def __hash__(self):
+        return hash((self.ambient, self.dom, self.vectors))
 
     @classmethod
     def from_spanning(cls, vectors, ambient: int, dom: ScalarDomain):
@@ -279,8 +287,7 @@ def kernel_vectors(m: Matrix) -> list[list]:
     dom = m.dom
     dom.require_field()
     last = m.cols - 1
-    red, pivots = rref([{last - c: v for c, v in row.items()} for row in m.sparse_rows()],
-                       m.cols, dom)
+    red, pivots = rref([{last - c: v for c, v in row.items()} for row in m.sparse_rows()], dom)
     pivset = set(pivots)
     out = {}
     for f in reversed(range(m.cols)):
@@ -305,8 +312,7 @@ def rank_kernel_image(m: Matrix):
     kern = kernel_vectors(m)
     free = {v.index(m.dom.one) for v in kern}
     kernel = SubspaceBasis(m.cols, m.dom, tuple(tuple(v) for v in kern))
-    red, _ = rref([col for c, col in enumerate(m.sparse_columns()) if c not in free],
-                  m.rows, m.dom)
+    red, _ = rref([col for c, col in enumerate(m.sparse_columns()) if c not in free], m.dom)
     image = SubspaceBasis(m.rows, m.dom, tuple(map(tuple, _dense(red, m.rows, m.dom))))
     return image.dim, kernel, image
 
@@ -397,10 +403,12 @@ def leads_with_units(rows) -> bool:
     return all(row[c] in (1, -1) for c, row in ech.items())
 
 
-@dataclass
 class SmithForm:
-    d: list[int]
-    rank: int
+    __slots__ = ("d", "rank")
+
+    def __init__(self, d: list[int], rank: int):
+        self.d = d
+        self.rank = rank
 
 
 def smith_normal_form(m: Matrix) -> SmithForm:

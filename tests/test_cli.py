@@ -433,6 +433,20 @@ def test_exit_code_bad_input_file(capsys, tmp_path):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--preset", "truncpoly:3", "--domain", "zp:5", "--max-degree", "3"],
+     "error: antisymmetrization needs characteristic zero\n"),
+    (["--preset", "group:symmetric:3", "--max-degree", "1"], "error: K[S3] is not commutative\n"),
+], ids=["positive-characteristic", "noncommutative"])
+def test_exit_code_verify_hkr_refuses_input_it_cannot_take(capsys, monkeypatch, argv, err):
+    # a limit of the input, not a failed check: refused before HH is built
+    def built(*args, **kwargs):
+        raise AssertionError("a Hochschild module was built")
+
+    monkeypatch.setattr(cli, "hochschild_module", built)
+    assert run(capsys, "verify", "hkr", *argv) == (2, "", err)
+
+
 @pytest.mark.parametrize("domain", ["q", "zp:5"])
 @pytest.mark.parametrize("obj", [
     {"preset": "truncpoly", "params": {"k": 2.7}},
@@ -489,31 +503,40 @@ def test_exit_code_malformed_algebra_json(capsys, tmp_path, command, domain, obj
     assert code == 2 and out == "" and "must be" in err
 
 
-def test_cli_does_not_import_numpy():
+def _run_fresh(script):
+    """Run script in a fresh interpreter that imports cychom from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    script = ("import sys, cychom.cli\n"
-              "code = cychom.cli.main(['hh', '--preset', 'truncpoly:2', '--domain', 'zp:5',"
-              " '--max-degree', '2'])\n"
-              "assert code == 0, code\n"
-              "assert 'numpy' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_does_not_import_numpy():
+    _run_fresh("import sys, cychom.cli\n"
+               "code = cychom.cli.main(['hh', '--preset', 'truncpoly:2', '--domain', 'zp:5',"
+               " '--max-degree', '2'])\n"
+               "assert code == 0, code\n"
+               "assert 'numpy' not in sys.modules\n")
+
+
+def test_cli_does_not_import_dataclasses_or_inspect():
+    # importing them (with ast, dis and tokenize) took about a tenth of
+    # every run's start-up, and no command uses them
+    _run_fresh("import sys, cychom.cli\n"
+               "code = cychom.cli.main(['hh', '--preset', 'truncpoly:2', '--max-degree', '2'])\n"
+               "assert code == 0, code\n"
+               "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+               "assert not loaded, loaded\n")
 
 
 def test_importing_cychom_does_not_import_numpy():
     # every module of the package, in a fresh interpreter: a numpy import
     # there would be paid by every command before it starts
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    script = ("import importlib, pkgutil, sys, cychom, cychom.cli\n"
-              "for mod in pkgutil.iter_modules(cychom.__path__):\n"
-              "    importlib.import_module('cychom.' + mod.name)\n"
-              "assert 'numpy' not in sys.modules, 'numpy imported'\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh("import importlib, pkgutil, sys, cychom, cychom.cli\n"
+               "for mod in pkgutil.iter_modules(cychom.__path__):\n"
+               "    importlib.import_module('cychom.' + mod.name)\n"
+               "assert 'numpy' not in sys.modules, 'numpy imported'\n")
 
 
 def test_internal_value_error_is_not_reported_as_bad_input(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Hochschild modules of finite algebras and the algebra/group pipeline."""
 
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -149,6 +150,16 @@ def test_the_module_is_built_on_a_basis_that_starts_with_the_unit(table, dom):
     got = homology(sm.chain_complex("normalized", top=top), range(top))
     want = homology(_oracle_complex(A, top), range(top))
     assert (got.betti, got.torsion) == (want.betti, want.torsion)
+
+
+def test_the_rebased_table_holds_integral_entries_as_ints():
+    # over Q the unit [2, 3] is eliminated by a division by 2; an integral
+    # Fraction left in the table would make every face add Fractions
+    A = FiniteAlgebra(Q, K2_UNIT_2_3)
+    sm = hochschild_module(A, 2)
+    assert sm.algebra is not A  # rebased on a basis that starts with the unit
+    entries = [c for row in sm.algebra.table for cell in row for c in cell]
+    assert [c for c in entries if isinstance(c, Fraction) and c.denominator == 1] == []
 
 
 @pytest.mark.parametrize("table, kwargs", [

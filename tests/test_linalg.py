@@ -269,7 +269,7 @@ structural_rows = st.integers(0, WIDTH - 1).flatmap(lambda c: st.lists(
 def test_rref_with_structural_pivots_is_the_oracle_rref(rows, dom):
     # over Z the span is reduced as over Q
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    red, pivots = linalg.rref(sparse, WIDTH, dom)
+    red, pivots = linalg.rref(sparse, dom)
     expect = dense_rref(rows, dom.p)
     assert len(red) == len(pivots) == (dense_rank_modp(rows, dom.p) if dom.p else dense_rank(rows))
     assert [[row.get(j, 0) for j in range(WIDTH)] for row in red] == expect
@@ -324,7 +324,7 @@ def test_fp_elimination_enters_through_rref_modp_and_runs_the_shared_row_step(mo
     assert rank(Matrix.from_rows(rows, F5)) == 2
     assert len(entries) == 1 and steps
     del entries[:], steps[:]
-    red, pivots = linalg.rref([{0: 1, 1: 2}, {0: 3, 2: 1}], 3, F5)
+    red, pivots = linalg.rref([{0: 1, 1: 2}, {0: 3, 2: 1}], F5)
     assert (red, pivots) == ([{0: 1, 2: 2}, {1: 1, 2: 4}], [0, 1])
     assert entries == [] and steps  # rref runs the shared echelon, not rref_modp
 
@@ -338,16 +338,16 @@ def test_rref_runs_the_shared_echelon_on_its_rows_on_every_domain(monkeypatch, d
     monkeypatch.setattr(_modp, "rref_modp", refused)
     echelons = _count_calls(monkeypatch, linalg, "_reduced_echelon")
     rows = [{0: 1, 1: 2}, {0: 3, 2: 1}]
-    red, pivots = linalg.rref(rows, 3, dom)
+    red, pivots = linalg.rref(rows, dom)
     assert pivots == [0, 1] and len(echelons) == 1
-    assert linalg.rref([], 3, dom) == ([], []) and len(echelons) == 2
+    assert linalg.rref([], dom) == ([], []) and len(echelons) == 2
 
 
 @pytest.mark.parametrize("dom", [Q, Fp(5)])
 def test_repeated_one_entry_rows_take_structural_pivots_with_no_row_step(monkeypatch, dom):
     steps = _count_calls(monkeypatch, linalg, "_subtract")
     rows = [{0: 2}, {1: 3}, {0: 4}, {2: 1}, {1: 1}, {0: 1}]
-    red, pivots = linalg.rref(rows, 3, dom)
+    red, pivots = linalg.rref(rows, dom)
     assert (red, pivots, steps) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2], [])
 
 
