@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from math import factorial
@@ -411,6 +412,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
+
+# What the import built lives for the whole run.  Frozen, it is walked by
+# no later collection; otherwise how much of it the import leaves in the
+# young generations decides which command pays for walking all of it.
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())
