@@ -8,12 +8,12 @@ the documented schema.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
+import re
 import sys
 from math import factorial
+from types import SimpleNamespace
 
 from .chains import (
     ChainMap,
@@ -55,40 +55,6 @@ from .simplicial import (
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_RESOURCE = 0, 1, 2, 3
 
 SIMPLICIAL_PRESETS = ("circle", "bg", "cyclicbar", "fcircle", "fbg")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", help="built-in input name")
-    common.add_argument("--input", help="JSON input file")
-    common.add_argument("--group", help="group preset, e.g. cyclic:2 or symmetric:3")
-    common.add_argument("--domain", default="q",
-                        help="scalar domain: q, zp:<p> (prime p <= 3037000493), or z")
-    common.add_argument("--max-degree", type=int, required=True)
-    norm = common.add_mutually_exclusive_group()
-    norm.add_argument("--normalized", dest="mode", action="store_const",
-                      const="normalized", default="normalized")
-    norm.add_argument("--unnormalized", dest="mode", action="store_const",
-                      const="unnormalized")
-    common.add_argument("--json", dest="as_json", action="store_true")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    top = argparse.ArgumentParser(prog="cychom", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    sub.add_parser("homology", parents=[common], help="homology of a simplicial set")
-    sub.add_parser("hh", parents=[common], help="Hochschild homology of an algebra")
-    p_hc = sub.add_parser("hc", parents=[common], help="cyclic homology and its variants")
-    p_hc.add_argument("--variant", choices=("cyclic", "negative", "periodic"),
-                      default="cyclic")
-    p_hc.add_argument("--window", type=int, default=2,
-                      help="the CC columns -WINDOW..0, for --variant negative|periodic"
-                           " only (--variant cyclic ignores it)")
-    p_v = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p_v.add_argument("suite", choices=("relations", "sbi", "hkr", "aw-ez",
-                                       "adjunction", "exercise-bz"))
-    return top
 
 
 def _load_json(path):
@@ -381,31 +347,185 @@ def cmd_verify(args) -> int:
 
 
 _COMMANDS = {
-    "homology": cmd_homology,
-    "hh": cmd_hh,
-    "hc": cmd_hc,
-    "verify": cmd_verify,
+    "homology": (cmd_homology, "homology of a simplicial set"),
+    "hh": (cmd_hh, "Hochschild homology of an algebra"),
+    "hc": (cmd_hc, "cyclic homology and its variants"),
+    "verify": (cmd_verify, "run a verification suite"),
 }
+
+# ---------------------------------------------------------------------------
+# the command line, read by argparse's rules from one table
+# ---------------------------------------------------------------------------
+
+_EVERY = tuple(_COMMANDS)
+_REQUIRED = object()
+# One row per option: its name, the attribute it sets, how its value is read
+# (int, str or a tuple of choices; None for a flag, which stores the next
+# column), the default (_REQUIRED when it has none), the commands that take
+# it and its help.  The suite of verify is its one positional argument.
+_OPTIONS = (
+    ("--preset", "preset", str, None, None, _EVERY, "built-in input name"),
+    ("--input", "input", str, None, None, _EVERY, "JSON input file"),
+    ("--group", "group", str, None, None, _EVERY, "group preset, e.g. cyclic:2 or symmetric:3"),
+    ("--domain", "domain", str, None, "q", _EVERY,
+     "scalar domain: q, zp:<p> (prime p <= 3037000493), or z"),
+    ("--max-degree", "max_degree", int, None, _REQUIRED, _EVERY, "N, the highest degree"),
+    ("--normalized", "mode", None, "normalized", "normalized", _EVERY,
+     "the normalized complex (the default)"),
+    ("--unnormalized", "mode", None, "unnormalized", "normalized", _EVERY,
+     "the unnormalized complex"),
+    ("--json", "as_json", None, True, False, _EVERY, "print JSON"),
+    ("--budget", "budget", int, None, DEFAULT_BUDGET, _EVERY,
+     "N, a cap on the cells, entries or terms built; past it, exit 3"),
+    ("--variant", "variant", ("cyclic", "negative", "periodic"), None, "cyclic", ("hc",),
+     "cyclic (the default), or the windowed negative or periodic"),
+    ("--window", "window", int, None, 2, ("hc",),
+     "WINDOW, the CC columns -WINDOW..0, for --variant negative|periodic"
+     " only (--variant cyclic ignores it)"),
+)
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read(arg, names):
+    """None if arg is a positional, else (the option of names it spells,
+    None if none, and the value it carries after = or after -h, or None).
+    A long option may be cut to any prefix that no other name shares."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if arg in names or eq and name in names:
+        return name, value if eq else None
+    if arg[1] == "-":
+        hits = [n for n in names if n.startswith(name)]
+        value = value if eq else None
+    else:  # -h, the one short option, runs on into its value
+        hits, value = [n for n in names if n == arg[:2]], arg[2:]
+    if len(hits) > 1:
+        raise InputFormatError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else (None, None)
+
+
+def _parse(argv, command=None):
+    """Read the command line as argparse did: the command, then its options
+    in any order, as --opt value or --opt=value (the last repeat wins; a
+    value starts with - only as a negative number; after -- every argument
+    is positional).  Returns a namespace of the attributes the command
+    reads, or the help text if -h or --help comes first; raises
+    InputFormatError on any argument error."""
+    rows = {row[0]: row for row in _OPTIONS if command in row[5]}
+    reads = []
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            reads += ["--"] + [None] * (len(argv) - k - 1)
+            break
+        reads.append(_read(arg, (*_HELP, *rows)))
+    ns = {"command": command}
+    ns.update((row[1], row[4]) for row in rows.values() if row[4] is not _REQUIRED)
+    wanted = "command" if command is None else "suite" if command == "verify" else None
+    set_by, extra, i = {}, [], 0
+    while i < len(argv):
+        read, arg, i = reads[i], argv[i], i + 1
+        if read is None or read == "--":
+            if wanted == "command":
+                if arg not in _COMMANDS:
+                    raise InputFormatError(f"unknown command {arg!r}")
+                args = _parse(argv[i:], arg)
+                if extra and not isinstance(args, str):
+                    raise InputFormatError(f"unrecognized arguments: {' '.join(extra)}")
+                return args
+            # the suite is one positional, with the first -- on either side
+            j = i - (read != "--")
+            if wanted and j < len(argv) and reads[j] is None:
+                if argv[j] not in _SUITES:
+                    raise InputFormatError(f"unknown suite {argv[j]!r}")
+                ns["suite"], wanted = argv[j], None
+                i = j + 1 + (j + 1 < len(argv) and reads[j + 1] == "--")
+            else:
+                extra.append(arg)
+            continue
+        option, value = read
+        if option is None:
+            extra.append(arg)
+            continue
+        if option in _HELP:
+            if value is not None and (option != "-h" or not value or value.strip("h")):
+                raise InputFormatError(f"{option} takes no value")
+            return _help(command)
+        _, attr, kind, const, _, _, _ = rows[option]
+        if kind is None:
+            if value is not None:
+                raise InputFormatError(f"{option} takes no value")
+            value = const
+        elif value is None:
+            if i == len(argv) or reads[i] is not None:
+                raise InputFormatError(f"{option} expects a value")
+            value, i = argv[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputFormatError(f"{option} expects an integer, not {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise InputFormatError(f"{option} expects one of {', '.join(kind)}, not {value!r}")
+        if set_by.setdefault(attr, option) != option:
+            raise InputFormatError(f"{option} is not allowed with {set_by[attr]}")
+        ns[attr] = value
+    missing = [row[0] for row in rows.values() if row[1] not in ns] + [wanted] * bool(wanted)
+    if missing:
+        raise InputFormatError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise InputFormatError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**ns)
+
+
+def _usage(command):
+    suite = " {" + ",".join(_SUITES) + "}" if command == "verify" else ""
+    command = command if command in _COMMANDS else "{" + ",".join(_COMMANDS) + "}"
+    return f"usage: cychom {command}{suite} --max-degree N [options]"
+
+
+def _help(command):
+    """What -h and --help print: every command, suite and option, or those
+    of one command."""
+    lines = [_usage(command), "", __doc__ if command is None else _COMMANDS[command][1] + "\n"]
+    if command is None:
+        lines += [f"  {name:10}{text}" for name, (_, text) in _COMMANDS.items()]
+    if command in (None, "verify"):
+        lines.append("suites of verify: " + ", ".join(_SUITES))
+    lines.append("\noptions (-h, --help: this help):")
+    lines += [f"  {option}: {text}" + ("" if command or commands == _EVERY else
+                                       f" ({', '.join(commands)} only)")
+              for option, _, _, _, _, commands, text in _OPTIONS if command in (None, *commands)]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_degree", 0) < 0:
-        print("error: --max-degree must be nonnegative", file=sys.stderr)
-        return EXIT_PARSE
-    if getattr(args, "budget", 1) <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return EXIT_PARSE
-    if getattr(args, "window", 1) < 1:
-        print("error: --window must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
+    """Run the command that argv (sys.argv[1:] when None) names and
+    return its exit code.  Every argument error exits 2 with nothing on
+    stdout."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
-        return _COMMANDS[args.command](args)
+        args = _parse(argv)
+        if isinstance(args, str):  # the help that -h or --help asked for
+            print(args)
+            return EXIT_OK
+        if args.max_degree < 0:
+            raise InputFormatError("--max-degree must be nonnegative")
+        if args.budget <= 0:
+            raise InputFormatError("--budget must be positive")
+        if getattr(args, "window", 1) < 1:
+            raise InputFormatError("--window must be at least 1")
+        return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InputFormatError as exc:
+        if args is None:  # the arguments did not parse
+            print(_usage(argv[0] if argv else None), file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CychomError as exc:

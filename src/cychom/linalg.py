@@ -124,6 +124,17 @@ def _reduced_echelon(rows, p=None) -> dict:
     return ech
 
 
+def _unit_step(row: dict, piv: dict, c: int) -> dict:
+    """row - row[c] piv[c] piv, in place: zero at c when piv[c] is +-1."""
+    t = -row[c] * piv[c]
+    for k, v in piv.items():
+        if w := row.get(k, 0) + t * v:
+            row[k] = w
+        else:
+            del row[k]
+    return row
+
+
 def _markowitz(rows, p=None, units=False):
     """(pivot columns in pivot order, nonzero rows left over) of a Markowitz
     elimination of rows {col: value}, which it consumes.  A heap keeps the
@@ -132,7 +143,7 @@ def _markowitz(rows, p=None, units=False):
     the fewest live rows use, clears that column from the other live rows,
     which go back on the heap, and drops the pivot row.  For a rank every
     entry is admissible and the row step is ``_subtract``.  With units,
-    over Z, only a +-1 entry is and the step is unimodular (``_combine``):
+    over Z, only a +-1 entry is and the step is unimodular (``_unit_step``):
     each pivot splits off an invariant factor 1, the rows left the others.
     """
     live = dict(enumerate(rows))
@@ -159,7 +170,7 @@ def _markowitz(rows, p=None, units=False):
         others, users[c] = users[c], set()
         for j in others:
             old = live[j]
-            new = _combine(1, old, -old[c] * piv[c], piv) if units else _subtract(old, piv, c, p)
+            new = _unit_step(old, piv, c) if units else _subtract(old, piv, c, p)
             for k in piv:
                 (users[k].add if k in new else users[k].discard)(j)
             live[j] = new  # an empty row is skipped when popped

@@ -218,3 +218,42 @@ def first_nonassociative_triple(table, p=None):
         if mul(mul(e_i, e_j), e_k) != mul(e_i, mul(e_j, e_k)):
             return i, j, k
     return None
+
+
+def argparse_cli_parser():
+    """The cychom command line as an ``argparse`` parser: the parser the
+    CLI built before it read its arguments from one table.  A parse
+    that the CLI accepts gives the same attributes here, and one that it
+    rejects exits 2 here (``test_cli``)."""
+    import argparse
+
+    DEFAULT_BUDGET = 2 ** 20  # hochschild.DEFAULT_BUDGET
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--preset", help="built-in input name")
+    common.add_argument("--input", help="JSON input file")
+    common.add_argument("--group", help="group preset, e.g. cyclic:2 or symmetric:3")
+    common.add_argument("--domain", default="q",
+                        help="scalar domain: q, zp:<p> (prime p <= 3037000493), or z")
+    common.add_argument("--max-degree", type=int, required=True)
+    norm = common.add_mutually_exclusive_group()
+    norm.add_argument("--normalized", dest="mode", action="store_const",
+                      const="normalized", default="normalized")
+    norm.add_argument("--unnormalized", dest="mode", action="store_const",
+                      const="unnormalized")
+    common.add_argument("--json", dest="as_json", action="store_true")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+    top = argparse.ArgumentParser(prog="cychom")
+    sub = top.add_subparsers(dest="command", required=True)
+    sub.add_parser("homology", parents=[common], help="homology of a simplicial set")
+    sub.add_parser("hh", parents=[common], help="Hochschild homology of an algebra")
+    p_hc = sub.add_parser("hc", parents=[common], help="cyclic homology and its variants")
+    p_hc.add_argument("--variant", choices=("cyclic", "negative", "periodic"),
+                      default="cyclic")
+    p_hc.add_argument("--window", type=int, default=2,
+                      help="the CC columns -WINDOW..0, for --variant negative|periodic"
+                           " only (--variant cyclic ignores it)")
+    p_v = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p_v.add_argument("suite", choices=("relations", "sbi", "hkr", "aw-ez",
+                                       "adjunction", "exercise-bz"))
+    return top

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -8,13 +10,17 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cychom import chains, cli, linalg
 from cychom.domains import Q
-from cychom.errors import BudgetExceeded
+from cychom.errors import BudgetExceeded, InputFormatError
 from cychom.hochschild import group_algebra, hh
 from cychom.groups import cyclic_group
 from cychom.simplicial import SimplicialSetSpec
+
+from .oracle import argparse_cli_parser
 
 
 def run(capsys, *argv):
@@ -334,24 +340,116 @@ def test_verify_adjunction_shares_one_free_cyclic_set(capsys, monkeypatch):
     assert unit.target is ev.source
 
 
-def test_main_reuses_one_parser(capsys):
-    argvs = [
-        ("homology", "--preset", "circle", "--max-degree", "2", "--json"),
-        ("hh", "--preset", "truncpoly:2", "--unnormalized", "--max-degree", "2"),
-        ("hc", "--preset", "unit", "--variant", "periodic", "--window", "1",
-         "--max-degree", "1"),
-        ("verify", "relations", "--preset", "bg", "--group", "cyclic:2",
-         "--max-degree", "2"),
-        ("homology", "--preset", "circle", "--max-degree", "2"),
-        ("hh", "--preset", "truncpoly:2", "--domain", "zp:5", "--max-degree", "1",
-         "--budget", "3"),
-    ]
-    fresh = []
-    for argv in argvs:
-        cli._build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert [run(capsys, *argv) for argv in argvs] == fresh
-    assert cli._build_parser() is cli._build_parser()
+_COMMANDS = ("homology", "hh", "hc", "verify")
+_SUITES = ("relations", "sbi", "hkr", "aw-ez", "adjunction", "exercise-bz")
+# option -> the values it is tried with; None marks a flag
+_VALUES = {
+    "--preset": ("circle", "truncpoly:2", "-x y", "", "-"),
+    "--input": ("in.json", "-1"),
+    "--group": ("cyclic:2", "a b"),
+    "--domain": ("q", "z", "zp:5"),
+    "--max-degree": ("0", "3", "-1", "x", " 2 ", "1_0", "-1.5"),
+    "--normalized": None,
+    "--unnormalized": None,
+    "--json": None,
+    "--budget": ("1", "600", "-5", "0"),
+    "--variant": ("cyclic", "negative", "periodic", "other"),
+    "--window": ("1", "2", "-1", "w"),
+}
+_NAMES = (*_VALUES, "--help", "-h")
+# every name and every abbreviation of it that starts a single name
+_SPELLINGS = sorted({name[:k] for name in _NAMES for k in range(3, len(name) + 1)} | {"-h"})
+_WORDS = st.sampled_from((*_COMMANDS, *_SUITES, "nosuch", "--", "-", "", "-hh", "-hx",
+                          "--=x", "--nosuch", "-x", "0", "7", "-2"))
+
+
+@st.composite
+def _option_use(draw):
+    """One option as the command line writes it: by its name or an
+    abbreviation, with a value of its kind, which is sometimes wrong."""
+    name = draw(st.sampled_from(tuple(_VALUES)))
+    spelled = draw(st.sampled_from([s for s in _SPELLINGS if name.startswith(s)]))
+    values = _VALUES[name]
+    if values is None:
+        return [spelled]
+    value = draw(st.one_of(st.sampled_from(values), st.sampled_from(values),
+                           st.integers(-3, 12).map(str), _WORDS))
+    # argparse reads --opt=-- as an empty list, not as a value; _parse reads
+    # the value --, so that spelling is left out
+    if value != "--" and draw(st.booleans()):
+        return [f"{spelled}={value}"]
+    return [spelled, value]
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: mostly a command, its suite and option uses, with
+    loose words and a stray -- or help mixed in."""
+    pieces = draw(st.lists(st.one_of(_option_use(), _option_use(), _option_use(), _option_use(),
+                                     _WORDS.map(lambda w: [w]),
+                                     st.sampled_from(_SPELLINGS).map(lambda w: [w])),
+                           max_size=6))
+    if draw(st.integers(0, 9)):
+        pieces.insert(draw(st.integers(0, len(pieces))), ["--max-degree", "2"])
+    if draw(st.integers(0, 3)):  # the suite, with a -- on either side or none
+        suite = draw(st.sampled_from((*_SUITES, "nosuch")))
+        pieces.insert(draw(st.integers(0, len(pieces))),
+                      draw(st.sampled_from(([suite], [suite, "--"], ["--", suite]))))
+    head = [draw(st.sampled_from(_COMMANDS))]
+    if not draw(st.integers(0, 4)):
+        head.insert(draw(st.integers(0, 1)), draw(_WORDS))
+    return head + [arg for piece in pieces for arg in piece]
+
+
+_ARGPARSE = argparse_cli_parser()
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argvs())
+@example(["verify", "--max-degree", "1", "relations", "--"])  # the suite takes the --
+@example(["verify", "relations", "--max-degree", "1", "--"])  # here nothing does
+@example(["hh", "--help", "--=x"])  # every argument is read before help is taken
+@example(["--nosuch", "hh", "-hh"])
+@example(["-x", "hh", "--max-degree", "1"])
+@example(["hc", "--unnorm", "--max-degree", "1", "--norm"])
+def test_parse_reads_the_command_line_as_argparse_did(argv):
+    # the oracle is the argparse parser the CLI used to build; it exits 2
+    # exactly where _parse raises, exits 0 exactly where _parse returns
+    # the help, and otherwise both give the same attributes
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = vars(_ARGPARSE.parse_args(argv))
+        except SystemExit as exc:
+            want = exc.code
+    try:
+        got = cli._parse(argv)
+    except InputFormatError:
+        got = 2
+    assert (0 if isinstance(got, str) else got if got == 2 else vars(got)) == want, argv
+
+
+def test_parse_keeps_argparse_rules():
+    ns = cli._parse(["verify", "--max", "3", "--unnorm", "sbi", "--domain=z", "--json",
+                     "--budget", "5", "--budget=6"])
+    assert vars(ns) == {"command": "verify", "suite": "sbi", "preset": None, "input": None,
+                        "group": None, "domain": "z", "max_degree": 3, "mode": "unnormalized",
+                        "as_json": True, "budget": 6}
+    assert cli._parse(["hc", "--max-degree", "-1", "--variant=periodic"]).max_degree == -1
+    assert cli._parse(["verify", "--max-degree", "1", "--", "hkr"]).suite == "hkr"
+    # argparse gave an empty list here (and a crash for an int option)
+    assert cli._parse(["hh", "--max-degree", "1", "--preset=--"]).preset == "--"
+    for argv in (["hh", "--max-degree", "1", "--window", "2"],
+                 ["hh", "--max-degree", "1", "--json=1"],
+                 ["hh", "--max-degree", "--json"],
+                 ["hh", "--max-degree", "1", "--"],
+                 ["hh", "--max-degree=--"],
+                 ["hh", "--unnormalized", "--normalized", "--max-degree", "1"],
+                 ["hc", "--variant", "other", "--max-degree", "1"],
+                 ["--max-degree", "1", "hh"],
+                 ["verify", "--max-degree", "1"],
+                 []):
+        with pytest.raises(InputFormatError):
+            cli._parse(argv)
 
 
 def test_budget_guard_counts_lazily():
@@ -528,6 +626,51 @@ def test_cli_does_not_import_dataclasses_or_inspect():
                "assert code == 0, code\n"
                "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
                "assert not loaded, loaded\n")
+
+
+def test_cli_does_not_import_argparse_gettext_or_locale():
+    # building the argparse parser, with the locale import its first
+    # message pulls in, was the largest cost of a short command
+    _run_fresh("import sys, cychom.cli\n"
+               "code = cychom.cli.main(['hh', '--preset', 'truncpoly:2', '--max-degree', '2'])\n"
+               "assert code == 0, code\n"
+               "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+               "assert not loaded, loaded\n")
+
+
+_ENTRY = ("import sys, cychom.cli\n"
+          "sys.argv[1:] = {argv!r}\n"
+          "sys.exit(cychom.cli.main())\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "--preset", "truncpoly:2"],
+    ["hh", "--max-degree", "x"],
+    ["hh", "--normalized", "--unnormalized", "--max-degree", "1"],
+    ["verify", "nosuch", "--max-degree", "1"],
+    ["hh", "--window", "2", "--max-degree", "1"],
+])
+def test_entry_point_exits_2_on_argument_errors(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ENTRY.format(argv=argv)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout
+    assert "usage:" in proc.stderr and "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], ("homology", "hh", "hc", "verify", *_SUITES, *_VALUES)),
+    (["hc", "--help"], _VALUES),
+    (["verify", "-h"], (*_SUITES, *(n for n in _VALUES if n not in ("--variant", "--window")))),
+])
+def test_entry_point_help_names_what_it_takes(argv, names):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _ENTRY.format(argv=argv)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert all(name in proc.stdout for name in names), proc.stdout
 
 
 def test_importing_cychom_does_not_import_numpy():

@@ -430,6 +430,25 @@ def test_unit_phase_pivots_a_row_that_fill_in_gives_a_unit(monkeypatch):
     assert [m.sparse_rows() for m, in snf] == [[{0: 2}]]
 
 
+@settings(max_examples=150)
+@given(st.integers(1, 7).flatmap(lambda nc: st.lists(
+    st.lists(st.integers(-2, 2), min_size=nc, max_size=nc), max_size=8)))
+def test_unit_step_in_place_matches_the_copying_step(rows):
+    # the unit phase subtracts in place; the step it replaced built a new
+    # row each time, and both must pick the same pivots and leave the same rows
+    def copying(row, piv, c):
+        return linalg._combine(1, row, -row[c] * piv[c], piv)
+
+    def phase():
+        return linalg._markowitz([{c: v for c, v in enumerate(row) if v} for row in rows],
+                                 units=True)
+
+    got = phase()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_unit_step", copying)
+        assert phase() == got
+
+
 @settings(max_examples=120)
 @given(st.one_of(small_shapes, arrows(5).map(lambda rows: (len(rows), rows)), wide_low_rank))
 @example((3, [[0, 2, 0], [3, -2, -3], [0, -3, 3]]))
