@@ -490,12 +490,13 @@ def _usage(command):
 def _help(command):
     """What -h and --help print: every command, suite and option, or those
     of one command."""
-    lines = [_usage(command), "", __doc__ if command is None else _COMMANDS[command][1] + "\n"]
+    about = __doc__.rstrip() if command is None else _COMMANDS[command][1]
+    lines = [_usage(command), "", about, ""]
     if command is None:
         lines += [f"  {name:10}{text}" for name, (_, text) in _COMMANDS.items()]
     if command in (None, "verify"):
-        lines.append("suites of verify: " + ", ".join(_SUITES))
-    lines.append("\noptions (-h, --help: this help):")
+        lines += ["suites of verify: " + ", ".join(_SUITES), ""]
+    lines.append("options (-h, --help: this help):")
     lines += [f"  {option}: {text}" + ("" if command or commands == _EVERY else
                                        f" ({', '.join(commands)} only)")
               for option, _, _, _, _, commands, text in _OPTIONS if command in (None, *commands)]

@@ -601,12 +601,16 @@ def test_exit_code_malformed_algebra_json(capsys, tmp_path, command, domain, obj
     assert code == 2 and out == "" and "must be" in err
 
 
-def _run_fresh(script):
+def _fresh(script):
     """Run script in a fresh interpreter that imports cychom from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _run_fresh(script):
+    proc = _fresh(script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -651,10 +655,7 @@ _ENTRY = ("import sys, cychom.cli\n"
     ["hh", "--window", "2", "--max-degree", "1"],
 ])
 def test_entry_point_exits_2_on_argument_errors(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _ENTRY.format(argv=argv)],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    proc = _fresh(_ENTRY.format(argv=argv))
     assert proc.returncode == 2 and proc.stdout == "", proc.stdout
     assert "usage:" in proc.stderr and "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -665,10 +666,7 @@ def test_entry_point_exits_2_on_argument_errors(argv):
     (["verify", "-h"], (*_SUITES, *(n for n in _VALUES if n not in ("--variant", "--window")))),
 ])
 def test_entry_point_help_names_what_it_takes(argv, names):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _ENTRY.format(argv=argv)],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    proc = _fresh(_ENTRY.format(argv=argv))
     assert proc.returncode == 0 and proc.stderr == ""
     assert all(name in proc.stdout for name in names), proc.stdout
 
