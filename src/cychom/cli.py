@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 import sys
 from math import factorial
@@ -28,13 +29,12 @@ from .chains import (
 from .cyclic import connes_maps, hc, hc_window
 from .derham import hkr_epsilon, hkr_pi, omega_power
 from .domains import parse_domain
-from .errors import BudgetExceeded, CychomError, InputFormatError
-from .groups import group_from_json, group_from_preset, group_order
+from .errors import BudgetExceeded, CychomError, InputFormatError, json_object
+from .groups import group_recipe
 from .hochschild import (
     DEFAULT_BUDGET,
-    algebra_from_json,
     algebra_from_preset,
-    algebra_table_entries,
+    algebra_recipe,
     hh,
     hochschild_module,
 )
@@ -54,13 +54,11 @@ from .simplicial import (
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_RESOURCE = 0, 1, 2, 3
 
-SIMPLICIAL_PRESETS = ("circle", "bg", "cyclicbar", "fcircle", "fbg")
 
-
-def _load_json(path):
+def _load_json(path, what):
     try:
         with open(path) as f:
-            return json.load(f)
+            return json_object(json.load(f), what)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"cannot read JSON input {path!r}: {exc}")
 
@@ -73,24 +71,26 @@ def _table_budget_guard(entries, budget):
 
 def _get_group(args):
     if args.input:
-        spec, build = _load_json(args.input), group_from_json
+        obj = _load_json(args.input, "group")
     elif args.group:
-        spec, build = args.group, group_from_preset
+        obj = args.group
     else:
         raise InputFormatError("this preset needs --group or --input")
-    _table_budget_guard(group_order(spec) ** 2, args.budget)
-    return build(spec)
+    n, build = group_recipe(obj)
+    _table_budget_guard(n ** 2, args.budget)
+    return build()
 
 
 def _get_algebra(args, dom):
     if args.input:
-        spec, build = _load_json(args.input), algebra_from_json
+        obj = _load_json(args.input, "algebra")
     elif args.preset:
-        spec, build = args.preset, algebra_from_preset
+        obj = args.preset
     else:
         raise InputFormatError("need --preset or --input for an algebra")
-    _table_budget_guard(algebra_table_entries(spec), args.budget)
-    return build(spec, dom)
+    entries, build = algebra_recipe(obj)
+    _table_budget_guard(entries, args.budget)
+    return build(dom)
 
 
 def _spec_budget_guard(spec, top, budget):
@@ -103,21 +103,25 @@ def _spec_budget_guard(spec, top, budget):
                 f"simplicial set has more than {budget} cells up to degree {top}")
 
 
+def _bg(args, top):
+    G = _get_group(args)
+    return classifying_space(G, top, central=G.identity if G.is_abelian() else None)
+
+
+# simplicial preset -> the builder of its spec up to degree top
+_SIMPLICIAL_SPECS = {
+    "circle": lambda args, top: circle(top),
+    "bg": _bg,
+    "cyclicbar": lambda args, top: cyclic_bar(_get_group(args), top),
+    "fcircle": lambda args, top: free_cyclic(circle(top)),
+    "fbg": lambda args, top: free_cyclic(classifying_space(_get_group(args), top)),
+}
+
+
 def _simplicial_spec(args, top):
-    preset = args.preset
-    if preset == "circle":
-        return circle(top)
-    if preset == "bg":
-        G = _get_group(args)
-        return classifying_space(G, top, central=G.identity if G.is_abelian() else None)
-    if preset == "cyclicbar":
-        return cyclic_bar(_get_group(args), top)
-    if preset == "fcircle":
-        return free_cyclic(circle(top))
-    if preset == "fbg":
-        G = _get_group(args)
-        return free_cyclic(classifying_space(G, top))
-    raise InputFormatError(f"unknown simplicial preset {preset!r}")
+    if args.preset not in _SIMPLICIAL_SPECS:
+        raise InputFormatError(f"unknown simplicial preset {args.preset!r}")
+    return _SIMPLICIAL_SPECS[args.preset](args, top)
 
 
 def _print_homology(res, degrees, as_json):
@@ -180,7 +184,7 @@ def cmd_hc(args) -> int:
 def _suite_relations(args) -> int:
     dom = parse_domain(args.domain)
     top = args.max_degree
-    if args.preset in SIMPLICIAL_PRESETS:
+    if args.preset in _SIMPLICIAL_SPECS:
         spec = _simplicial_spec(args, top)
         _spec_budget_guard(spec, top, args.budget)
         mode = "cyclic" if spec.has_cyclic else "simplicial"
@@ -317,9 +321,9 @@ def _suite_adjunction(args) -> int:
 
 
 def _suite_exercise_bz(args) -> int:
-    # the B(Z) closure and check_map make 2n + 3 images (t, n + 1 faces and
-    # n + 1 degeneracies) of each of the circle's n + 1 cells of degree n;
-    # up to degree N that is k(k + 1)(4k + 5)/6 with k = N + 1
+    # check_map makes 2n + 3 images (t, n + 1 faces and n + 1 degeneracies)
+    # of each of the circle's n + 1 cells of degree n; up to degree N that
+    # is k(k + 1)(4k + 5)/6 with k = N + 1
     k = args.max_degree + 1
     images = k * (k + 1) * (4 * k + 5) // 6
     if images > args.budget:
@@ -506,21 +510,28 @@ def _help(command):
 def main(argv=None) -> int:
     """Run the command that argv (sys.argv[1:] when None) names and
     return its exit code.  Every argument error exits 2 with nothing on
-    stdout."""
+    stdout; a stdout that its reader closed early exits 1 quietly."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
         args = _parse(argv)
         if isinstance(args, str):  # the help that -h or --help asked for
             print(args)
-            return EXIT_OK
-        if args.max_degree < 0:
-            raise InputFormatError("--max-degree must be nonnegative")
-        if args.budget <= 0:
-            raise InputFormatError("--budget must be positive")
-        if getattr(args, "window", 1) < 1:
-            raise InputFormatError("--window must be at least 1")
-        return _COMMANDS[args.command][0](args)
+            code = EXIT_OK
+        else:
+            if args.max_degree < 0:
+                raise InputFormatError("--max-degree must be nonnegative")
+            if args.budget <= 0:
+                raise InputFormatError("--budget must be positive")
+            if getattr(args, "window", 1) < 1:
+                raise InputFormatError("--window must be at least 1")
+            code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader quit: the exit flush goes to devnull ("Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the refusal to change a value."""
+"""Exception types shared across the package, and two shared refusals."""
 
 
 def refuse_assignment(self, name, *value):
@@ -106,3 +106,10 @@ class LatticeMismatch(CychomError):
 class InputFormatError(CychomError):
     """Bad user-supplied JSON / preset string, or input the command does not
     take (CLI exit code 2)."""
+
+
+def json_object(obj, what):
+    """obj, which as the JSON input of a ``what`` must be an object."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{what} input must be a JSON object")
+    return obj

@@ -8,10 +8,10 @@ Light's test on a generating set.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from math import prod
 
-from .errors import InputFormatError, NotCentral
+from .errors import InputFormatError, NotCentral, json_object
 
 
 class FiniteGroup:
@@ -164,34 +164,31 @@ def _preset_factors(text):
             raise InputFormatError(f"unknown group preset {part!r}")
 
 
+def group_recipe(obj):
+    """(n, build) of a group input, preset text or a JSON object (see
+    group_from_preset and group_from_json): the order n, read without
+    building or checking a table, and build(), which builds the group."""
+    if isinstance(obj, str):
+        factors = list(_preset_factors(obj))
+        # every factor is built, and so checked, before any product
+        return (prod(n for n, _ in factors),
+                lambda: reduce(product_group, [build() for _, build in factors]))
+    if "table" in obj:
+        table = obj["table"]
+        return (len(table) if isinstance(table, list) else 0,
+                lambda: FiniteGroup(table, name=obj.get("name", "")))
+    if "preset" in obj:
+        if not isinstance(obj["preset"], str):
+            raise InputFormatError("group 'preset' must be a string such as \"cyclic:4\"")
+        return group_recipe(obj["preset"])
+    raise InputFormatError("group input needs a 'table' or 'preset' key")
+
+
 def group_from_preset(text: str) -> FiniteGroup:
     """Presets: cyclic:n, cyclic:a x cyclic:b (product), symmetric:3."""
-    (_, build), *rest = _preset_factors(text)
-    out = build()
-    for _, build in rest:
-        out = product_group(out, build())
-    return out
-
-
-def group_order(obj) -> int:
-    """The order of the group that group_from_preset (obj a string) or
-    group_from_json (obj a JSON object) builds, read without building or
-    checking a table."""
-    if isinstance(obj, dict) and "table" in obj:
-        return len(obj["table"]) if isinstance(obj["table"], list) else 0
-    if isinstance(obj, dict):
-        obj = obj.get("preset")
-    return prod(n for n, _ in _preset_factors(obj)) if isinstance(obj, str) else 0
+    return group_recipe(text)[1]()
 
 
 def group_from_json(obj) -> FiniteGroup:
     """JSON input: {"table": [[...]]} or {"preset": "cyclic:4"}."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("group input must be a JSON object")
-    if "table" in obj:
-        return FiniteGroup(obj["table"], name=obj.get("name", ""))
-    if "preset" in obj:
-        if not isinstance(obj["preset"], str):
-            raise InputFormatError("group 'preset' must be a string such as \"cyclic:4\"")
-        return group_from_preset(obj["preset"])
-    raise InputFormatError("group input needs a 'table' or 'preset' key")
+    return group_recipe(json_object(obj, "group"))[1]()

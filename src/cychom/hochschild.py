@@ -9,6 +9,8 @@ signed rotation.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .chains import SimplicialModule, homology, linearize_module
 from .domains import ScalarDomain
 from .errors import (
@@ -17,8 +19,9 @@ from .errors import (
     MatrixMismatch,
     NoUnit,
     NotAssociative,
+    json_object,
 )
-from .groups import FiniteGroup, group_from_preset, group_order
+from .groups import FiniteGroup, group_recipe
 from .matrix import Matrix, _entries, _reduced
 from .simplicial import cyclic_bar
 
@@ -174,33 +177,55 @@ def _json_int(x, what):
     return x
 
 
-def _json_preset(obj) -> str:
-    """The preset text of a JSON {preset, params} input, params checked."""
-    preset = obj["preset"]
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise InputFormatError("'params' must be a JSON object")
-    if preset == "group":
-        if not isinstance(params.get("group"), str):
-            raise InputFormatError("'params.group' must be a group preset string")
-        return "group:" + params["group"]
-    if preset == "truncpoly":
-        k = _json_int(params.get("k", 2), "'k'")
-        return f"truncpoly:{k}"
-    if preset == "productfield":
-        m = _json_int(params.get("m", 2), "'m'")
-        return f"productfield:{m}"
-    raise InputFormatError(f"unknown algebra preset {preset!r}")
+# an algebra preset of size k: name -> (the JSON parameter that holds k,
+# default 2, and the builder); it has k^3 structure constants
+_SIZED_PRESETS = {
+    "truncpoly": ("k", truncated_polynomial),
+    "productfield": ("m", product_field),
+}
 
 
-def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
-    """JSON: {dim, labels?, unit?, table} or {preset, params}."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("algebra input must be a JSON object")
-    if "preset" in obj:
-        return algebra_from_preset(_json_preset(obj), dom)
-    if "table" not in obj:
+def algebra_recipe(obj):
+    """(entries, build) of an algebra input, preset text or a JSON object
+    (see algebra_from_preset and algebra_from_json): the d^3 structure
+    constants that build(dom) makes, plus the n^2 entries of a group
+    algebra's group table, read without building or checking a table."""
+    if isinstance(obj, str):
+        if obj == "unit":
+            return 1, partial(truncated_polynomial, 1)
+        name, colon, value = obj.partition(":")
+        if colon and name in _SIZED_PRESETS:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputFormatError(f"bad size in algebra preset {obj!r}") from None
+        elif not (colon and name == "group"):
+            raise InputFormatError(f"unknown algebra preset {obj!r}")
+    elif "preset" in obj:
+        name, params = obj["preset"], obj.get("params", {})
+        if not isinstance(params, dict):
+            raise InputFormatError("'params' must be a JSON object")
+        if name == "group":
+            value = params.get("group")
+            if not isinstance(value, str):
+                raise InputFormatError("'params.group' must be a group preset string")
+        elif isinstance(name, str) and name in _SIZED_PRESETS:
+            key = _SIZED_PRESETS[name][0]
+            value = _json_int(params.get(key, 2), f"'{key}'")
+        else:
+            raise InputFormatError(f"unknown algebra preset {name!r}")
+    elif "table" in obj:
+        table = obj["table"]
+        return len(table) ** 3 if isinstance(table, list) else 0, partial(_algebra_from_table, obj)
+    else:
         raise InputFormatError("algebra input needs a 'table' or 'preset' key")
+    if name == "group":
+        n, build = group_recipe(value)
+        return n ** 2 + n ** 3, lambda dom: group_algebra(build(), dom)
+    return value ** 3, partial(_SIZED_PRESETS[name][1], value)
+
+
+def _algebra_from_table(obj, dom):
     table = obj["table"]
     if not (isinstance(table, list) and
             all(isinstance(row, list) and
@@ -224,42 +249,14 @@ def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
                          unit=unit, name=obj.get("name", ""))
 
 
-def _preset_int(text):
-    try:
-        return int(text.split(":", 1)[1])
-    except ValueError:
-        raise InputFormatError(f"bad size in algebra preset {text!r}")
+def algebra_from_json(obj, dom: ScalarDomain) -> FiniteAlgebra:
+    """JSON: {dim, labels?, unit?, table} or {preset, params}."""
+    return algebra_recipe(json_object(obj, "algebra"))[1](dom)
 
 
 def algebra_from_preset(text: str, dom: ScalarDomain) -> FiniteAlgebra:
     """Presets: unit, truncpoly:k, productfield:m, group:<group preset>."""
-    if text == "unit":
-        return truncated_polynomial(1, dom)
-    if text.startswith("truncpoly:"):
-        return truncated_polynomial(_preset_int(text), dom)
-    if text.startswith("productfield:"):
-        return product_field(_preset_int(text), dom)
-    if text.startswith("group:"):
-        return group_algebra(group_from_preset(text.split(":", 1)[1]), dom)
-    raise InputFormatError(f"unknown algebra preset {text!r}")
-
-
-def algebra_table_entries(obj) -> int:
-    """The d^3 structure constants that algebra_from_preset (obj a string)
-    or algebra_from_json (obj a JSON object) builds, plus the n^2 entries
-    of a group algebra's group table, read without building or checking a
-    table."""
-    if isinstance(obj, dict) and "preset" in obj:
-        obj = _json_preset(obj)
-    if not isinstance(obj, str):
-        table = obj.get("table") if isinstance(obj, dict) else None
-        return len(table) ** 3 if isinstance(table, list) else 0
-    if obj.startswith("group:"):
-        n = group_order(obj[len("group:"):])
-        return n ** 2 + n ** 3
-    if obj.startswith(("truncpoly:", "productfield:")):
-        return _preset_int(obj) ** 3
-    return 1  # "unit", or a preset that algebra_from_preset refuses
+    return algebra_recipe(text)[1](dom)
 
 
 # ---------------------------------------------------------------------------

@@ -356,9 +356,10 @@ def unit_section(X: SimplicialSetSpec, FX=None) -> SimplicialMapSpec:
 def classifying_space_z(N: int) -> SimplicialSetSpec:
     """B of the infinite cyclic group, materialized lazily.
 
-    Degree n codes are integer n-tuples.  Only the closure of the images
-    of the circle cells under all operators is enumerated; the operator
-    formulas themselves work on arbitrary tuples.  z = 1 makes it cyclic.
+    Degree n codes are integer n-tuples.  Only the images of the circle's
+    cells are enumerated: the circle map is cyclic, so they are closed
+    under every operator.  The operator formulas themselves work on
+    arbitrary tuples.  z = 1 makes it cyclic.
     """
     def face(n, i, x):
         if i == 0:
@@ -375,23 +376,8 @@ def classifying_space_z(N: int) -> SimplicialSetSpec:
             return x
         return (1 - sum(x),) + x[:-1]
 
-    # closure under faces, degeneracies and rotations, degreewise
-    pool = {n: {_circle_cell_in_bz(n, i) for i in range(n + 1)} for n in range(N + 1)}
-    frontier = [(n, x) for n in pool for x in pool[n]]
-    while frontier:
-        n, x = frontier.pop()
-        images = [(n, t(n, x))]
-        if n >= 1:
-            images += [(n - 1, face(n, i, x)) for i in range(n + 1)]
-        if n + 1 <= N:
-            images += [(n + 1, degeneracy(n, j, x)) for j in range(n + 1)]
-        for m, y in images:
-            if y not in pool[m]:
-                pool[m].add(y)
-                frontier.append((m, y))
-
     def elements(n):
-        return sorted(pool[n])
+        return sorted(_circle_cell_in_bz(n, code) for code in range(n + 1))
 
     return SimplicialSetSpec(N, elements, face, degeneracy, t, name="B(Z)")
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from cychom import chains, cli, linalg
 from cychom.domains import Q
 from cychom.errors import BudgetExceeded, InputFormatError
-from cychom.hochschild import group_algebra, hh
-from cychom.groups import cyclic_group
+from cychom.hochschild import algebra_recipe, group_algebra, hh
+from cychom.groups import cyclic_group, group_recipe
 from cychom.simplicial import SimplicialSetSpec
 
 from .oracle import argparse_cli_parser
@@ -290,6 +290,71 @@ def test_budget_counts_json_tables_before_building_them(tmp_path, command, obj, 
     assert proc.stdout == "" and f"{entries} entries" in proc.stderr
 
 
+def _source(tmp_path, option, obj):
+    """The options that give obj: preset text, or a JSON file holding it."""
+    if isinstance(obj, str):
+        return [option, obj]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return ["--input", str(path)]
+
+
+@pytest.mark.parametrize("obj, of_group", [
+    ("unit", False),
+    *((f"{name}:{k}", False) for name in ("truncpoly", "productfield") for k in range(1, 5)),
+    ({"preset": "truncpoly", "params": {"k": 3}}, False),
+    ({"preset": "productfield"}, False),
+    ({"table": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], "unit": [1, 0]}, False),
+    ("group:cyclic:2", True),
+    ("group:symmetric:3", True),
+    ("group:cyclic:2 x cyclic:3", True),
+    ({"preset": "group", "params": {"group": "cyclic:3"}}, True),
+], ids=str)
+def test_algebra_recipe_counts_what_it_builds_and_what_budget_reads(
+        capsys, tmp_path, obj, of_group):
+    # d^3 structure constants, and the n^2 entries of a group algebra's
+    # group table (n = d); the budget refuses one entry less
+    entries, build = algebra_recipe(obj)
+    d = build(Q).dim
+    assert entries == d ** 3 + of_group * d ** 2
+    argv = ["hh", *_source(tmp_path, "--preset", obj), "--max-degree", "0", "--budget"]
+    code, out, _ = run(capsys, *argv, str(entries))
+    assert code == 0 and out.startswith("H_0: betti ")
+    if entries > 1:  # a budget must be positive
+        code, out, err = run(capsys, *argv, str(entries - 1))
+        assert (code, out) == (3, "") and f"{entries} entries" in err
+
+
+@pytest.mark.parametrize("obj", [
+    "cyclic:2", "symmetric:3", "cyclic:2 x cyclic:3", {"preset": "cyclic:4"},
+    {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+], ids=str)
+def test_group_recipe_counts_what_it_builds_and_what_budget_reads(capsys, tmp_path, obj):
+    # the order n, whose n^2 table entries the budget counts
+    n, build = group_recipe(obj)
+    assert n == build().order
+    argv = ["homology", "--preset", "bg", *_source(tmp_path, "--group", obj),
+            "--max-degree", "0", "--budget"]
+    assert run(capsys, *argv, str(n ** 2))[:2] == (0, "H_0: betti 1\n")
+    code, out, err = run(capsys, *argv, str(n ** 2 - 1))
+    assert (code, out) == (3, "") and f"{n ** 2} entries" in err
+
+
+@pytest.mark.parametrize("argv, text, what", [
+    (["homology", "--preset", "bg"], "cyclic:2000", "group"),
+    (["hh"], "truncpoly:200", "algebra"),
+    (["homology", "--preset", "bg"], "hello", "group"),
+], ids=["group-preset-text", "algebra-preset-text", "unknown-text"])
+def test_exit_code_json_input_that_is_not_an_object(capsys, tmp_path, argv, text, what):
+    # a JSON string is refused before it is counted, not read as preset
+    # text: the first two exited 3 on their preset's tables, the third
+    # named an unknown group preset
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(text))
+    assert run(capsys, *argv, "--input", str(path), "--max-degree", "1") == (
+        2, "", f"error: {what} input must be a JSON object\n")
+
+
 @pytest.mark.parametrize("argv, stdout", [
     # 10^6 group table entries: Light's test checks associativity in
     # O(n^2 log n), not on all n^3 triples
@@ -305,7 +370,7 @@ def test_table_validation_costs_about_the_budgeted_entries(argv, stdout):
 
 
 def test_verify_exercise_bz_respects_budget():
-    # the B(Z) closure has 161 * 162 / 2 = 13 041 cells up to degree 160
+    # B(Z) has 161 * 162 / 2 = 13 041 cells up to degree 160
     proc = _cli_process("verify", "exercise-bz", "--max-degree", "160", "--budget", "10")
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "" and "10 cells" in proc.stderr
@@ -313,7 +378,7 @@ def test_verify_exercise_bz_respects_budget():
 
 @pytest.mark.parametrize("degree, code", [(1446, 3), (60, 0)])
 def test_verify_exercise_bz_counts_the_images_it_makes(degree, code):
-    # up to degree N the closure and the check make sum (n + 1)(2n + 3)
+    # up to degree N the map check makes sum (n + 1)(2n + 3)
     # images: 2 022 969 668 at N = 1446, past the default budget of 2^20,
     # and 156 953 at N = 60, which still runs
     proc = _cli_process("verify", "exercise-bz", "--max-degree", str(degree), timeout=20)
@@ -601,12 +666,12 @@ def test_exit_code_malformed_algebra_json(capsys, tmp_path, command, domain, obj
     assert code == 2 and out == "" and "must be" in err
 
 
-def _fresh(script):
+def _fresh(script, stdout=subprocess.PIPE):
     """Run script in a fresh interpreter that imports cychom from this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", script], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
 
 
 def _run_fresh(script):
@@ -669,6 +734,18 @@ def test_entry_point_help_names_what_it_takes(argv, names):
     proc = _fresh(_ENTRY.format(argv=argv))
     assert proc.returncode == 0 and proc.stderr == ""
     assert all(name in proc.stdout for name in names), proc.stdout
+
+
+def test_entry_point_exits_1_quietly_when_stdout_is_closed():
+    # as `cychom --help | head -c 0` may: the read end of the pipe is closed
+    # before the child writes, so writing the help to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _fresh(_ENTRY.format(argv=["--help"]), stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
 
 
 def test_importing_cychom_does_not_import_numpy():

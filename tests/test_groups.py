@@ -1,5 +1,6 @@
 import pytest
 
+from cychom import groups
 from cychom.errors import InputFormatError, NotCentral
 from cychom.groups import (
     FiniteGroup,
@@ -76,3 +77,14 @@ def test_presets_and_json():
     assert h.order == 2
     with pytest.raises(InputFormatError):
         group_from_json({"nope": 1})
+
+
+def test_preset_builds_every_factor_before_any_product(monkeypatch):
+    # the order 40 * 40 * 0 counts no table entries against the budget, so
+    # only the refusal of Z/0 keeps Z/40 x Z/40 from being built
+    def product(g, h):
+        raise AssertionError(f"built {g} x {h}")
+
+    monkeypatch.setattr(groups, "product_group", product)
+    with pytest.raises(InputFormatError, match="must be positive"):
+        group_from_preset("cyclic:40 x cyclic:40 x cyclic:0")

@@ -193,6 +193,18 @@ def test_bz_lazy_spec_is_cyclic():
     assert bz.t(2, (3, 4)) == (1 - 7, 3)
 
 
+def test_bz_holds_the_images_of_the_circle_cells_closed_under_every_operator():
+    N = 8
+    S, bz, m = circle(N), classifying_space_z(N), circle_to_bz(N)
+    cells = [bz.elements(n) for n in range(N + 1)]
+    for n in range(N + 1):
+        assert cells[n] == sorted(m(n, x) for x in S.elements(n))
+        for x in cells[n]:
+            assert bz.t(n, x) in cells[n]
+            assert all(bz.face(n, i, x) in cells[n - 1] for i in range(n + 1) if n)
+            assert all(bz.degeneracy(n, j, x) in cells[n + 1] for j in range(n + 1) if n < N)
+
+
 def test_relation_suite_runtime_corpus():
     # the full corpus named by the acceptance gate, at reduced depth here
     specs = [
